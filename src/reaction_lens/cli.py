@@ -31,7 +31,7 @@ from .corpus_io import (
     load_lexicon,
     save_lexicon,
 )
-from .engine import STAR_SCHEMA, ReactionLexicon, get_schema, normalize, predict
+from .engine import CORE_SCHEMA, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -43,8 +43,10 @@ from .errors import (
     VersionMismatch,
     ZeroReactionTotal,
 )
-from .evaluation import ExperimentConfig, format_float, report_emit, run_experiment
-from .star import discretize_star, star_normalize, star_scale
+from .evaluation import (
+    MODELS, ExperimentConfig, fit, format_float, prepare, report_emit, run_experiment,
+)
+from .star import POLAR_REACTIONS
 from .synth import SynthSpec, write_corpus
 
 EXIT_OK = 0
@@ -223,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="build a lexicon from a cleaned corpus")
     add_corpus_flags(p)
-    p.add_argument("--model", choices=("core", "all", "star"), default=None)
+    p.add_argument("--model", choices=MODELS, default=None)
 
     p = sub.add_parser("predict", help="predict vectors for messages, one per line")
     p.add_argument("--lexicon", required=True)
@@ -233,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="multi-split evaluation of one model")
     add_corpus_flags(p)
-    p.add_argument("--model", choices=("core", "all", "star"), default=None)
+    p.add_argument("--model", choices=MODELS, default=None)
     p.add_argument("--splits", default=None, help="train percents, e.g. 95,90,80,70,50")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -301,9 +303,9 @@ def _cmd_clean(args, config) -> int:
                 empty_after += 1
                 continue
             counts = record.reactions
-            if sum(getattr(counts, r) for r in ("love", "wow", "haha", "sad", "angry")) == 0:
+            if not any(getattr(counts, r) for r in CORE_SCHEMA.reactions):
                 zero_core += 1
-            if counts.love + counts.wow + counts.sad + counts.angry == 0:
+            if not any(getattr(counts, r) for r in POLAR_REACTIONS):
                 zero_polar += 1
             rows_out += 1
             if writer is not None:
@@ -381,44 +383,16 @@ def _cmd_train(args, config) -> int:
         started,
     )
     errors: list[MalformedRow] = []
-    skipped_zero = 0
-    if model in ("core", "all"):
-        schema = get_schema(model)
-        lexicon = ReactionLexicon(schema)
-        for words, counts in _iter_cleaned_entries(args.input, corpus_format, columns, errors):
-            try:
-                vector = normalize(counts, schema)
-            except ZeroReactionTotal:
-                skipped_zero += 1
-                continue
-            lexicon.add_entry(words, vector)
-        lexicon.finalize()
-    elif model == "star":
-        # Pass 1 finds the aggregate range; pass 2 folds the scaled vectors.
-        lo, hi = None, None
-        for _, counts in _iter_cleaned_entries(args.input, corpus_format, columns, errors):
-            try:
-                positive, negative = star_normalize(counts)
-            except ZeroReactionTotal:
-                continue
-            aggregate = positive - negative
-            lo = aggregate if lo is None else min(lo, aggregate)
-            hi = aggregate if hi is None else max(hi, aggregate)
-        if lo is None or hi <= lo:
-            raise DegenerateRange("training corpus has no aggregate sentiment spread")
-        lexicon = ReactionLexicon(STAR_SCHEMA)
-        errors = []
-        for words, counts in _iter_cleaned_entries(args.input, corpus_format, columns, errors):
-            try:
-                positive, negative = star_normalize(counts)
-            except ZeroReactionTotal:
-                skipped_zero += 1
-                continue
-            star = star_scale(positive - negative, lo, hi)
-            lexicon.add_entry(words, (positive, negative, discretize_star(star), star))
-        lexicon.finalize()
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    rows_read = 0
+
+    def entries():
+        nonlocal rows_read
+        for entry in _iter_cleaned_entries(args.input, corpus_format, columns, errors):
+            rows_read += 1
+            yield entry
+
+    lexicon, _ = fit(prepare(entries(), model), model)
+    skipped_zero = rows_read - lexicon.train_entry_count
     save_lexicon(lexicon, args.output, manifest_id=manifest.run_id)
     _finish_manifest(manifest, [args.output])
     print(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .engine import ReactionLexicon, ReactionSchema, SCHEMAS, get_schema
+from .engine import ALL_SCHEMA, CORE_SCHEMA, SCHEMAS, ReactionLexicon, ReactionSchema, get_schema
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -34,13 +34,13 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-REACTION_NAMES = ("like", "love", "wow", "haha", "sad", "angry", "thankful")
-CORE_NAMES = ("love", "wow", "haha", "sad", "angry")
+REACTION_NAMES = ALL_SCHEMA.reactions
+CORE_NAMES = CORE_SCHEMA.reactions
 
 LEXICON_MAGIC = "#reaction-lexicon"
 LEXICON_VERSION = "v1"
 
-# Logical field -> file column; None means "same name as the field".
+# Logical field -> file column; every field defaults to its own name.
 DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + REACTION_NAMES}
 
 

@@ -187,12 +187,6 @@ class ReactionLexicon:
         self.finalized = True
         return self
 
-    def vector_for(self, word: str) -> tuple[float, ...] | None:
-        if not self.finalized:
-            raise UnfinalizedLexicon("lexicon must be finalized before lookup")
-        rec = self.entries.get(word)
-        return rec[0] if rec is not None else None
-
 
 def build_lexicon(
     training: Iterable[tuple[Iterable[str], Sequence[float]]],

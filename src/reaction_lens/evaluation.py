@@ -6,13 +6,13 @@ Recall divides the overlap by the actual mass and precision by the
 predicted mass (each defined as 1 when its denominator is zero, so perfect
 agreement on absence scores 1 and a one-sided miss scores 0 through F1).
 
-``run_experiment`` repeats seeded random train/test partitions for every
-requested train fraction, builds a lexicon on the train side, predicts the
-test side, averages the per-entry metrics within a run, then averages
-across runs.  The star model reports its positive/negative masses through
-the same overlap metrics, plus a star-rating row whose accuracy is a
-Gaussian kernel similarity and whose recall/precision/F1 are exact 0.5-bin
-matches of the discretized star.
+``prepare`` and ``fit`` are the model layer the ``train`` command shares:
+entries become (words, base) pairs, and a training side becomes a lexicon.
+``run_experiment`` repeats seeded train/test partitions per train fraction,
+fits the train side, predicts the test side, averages the per-entry metrics
+within a run, then across runs.  Star adds to its positive/negative overlap
+rows a star-rating row: Gaussian kernel similarity as accuracy and exact
+0.5-bin matches of the discretized star as recall/precision/F1.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from typing import Iterable, Sequence
 
 from .engine import (
     STAR_SCHEMA,
+    ReactionSchema,
     build_lexicon,
     get_schema,
     normalize,
     predict,
 )
 from .errors import DegenerateRange, EmptySide, SchemaMismatch, ZeroReactionTotal
-from .star import discretize_star, gaussian_similarity, star_normalize, star_scale
+from .star import discretize_star, gaussian_similarity, star_normalize, star_range, star_vector
 
 METRICS = ("accuracy", "recall", "precision", "f1")
 MODELS = ("core", "all", "star")
@@ -60,6 +61,16 @@ def _overlap(actual: float, predicted: float) -> tuple[float, float, float, floa
     return a, r, p, f1
 
 
+def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
+    """Add each component's overlap metrics to that component's row of sums."""
+    for row, n, m in zip(sums, actual, predicted):
+        a, r, p, f = _overlap(n, m)
+        row[0] += a
+        row[1] += r
+        row[2] += p
+        row[3] += f
+
+
 def entry_metrics(
     actual: Sequence[float], predicted: Sequence[float]
 ) -> EntryMetrics:
@@ -68,14 +79,9 @@ def entry_metrics(
         raise SchemaMismatch(
             f"vectors have different sizes: {len(actual)} vs {len(predicted)}"
         )
-    accuracy, recall, precision, f1 = [], [], [], []
-    for n, m in zip(actual, predicted):
-        a, r, p, f = _overlap(n, m)
-        accuracy.append(a)
-        recall.append(r)
-        precision.append(p)
-        f1.append(f)
-    return EntryMetrics(tuple(accuracy), tuple(recall), tuple(precision), tuple(f1))
+    rows = [[0.0] * len(METRICS) for _ in actual]
+    _add_overlaps(rows, actual, predicted)
+    return EntryMetrics(*(tuple(row[j] for row in rows) for j in range(len(METRICS))))
 
 
 def split(corpus: Sequence, train_fraction: float, seed: int) -> tuple[list, list]:
@@ -109,14 +115,15 @@ class ExperimentConfig:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        model_schema(self.model)
         object.__setattr__(self, "train_fractions", tuple(self.train_fractions))
         if not self.train_fractions:
             raise ValueError("at least one train fraction is required")
         for f in self.train_fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"train fraction {f} outside (0, 1)")
+        if len({split_label(f) for f in self.train_fractions}) < len(self.train_fractions):
+            raise ValueError(f"duplicate train fractions in {self.train_fractions}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
         if self.sigma <= 0:
@@ -145,87 +152,62 @@ class EvalReport:
         return self.mean[split][reaction][metric]
 
 
-def _unique_words(words) -> tuple[str, ...]:
-    # Interned, deduplicated tuple: far lighter than a frozenset of fresh
-    # strings when millions of entries are held for splitting.
-    return tuple({sys.intern(w) for w in words})
+def model_schema(model: str) -> ReactionSchema:
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    return STAR_SCHEMA if model == "star" else get_schema(model)
 
 
-def _prepare_distribution(entries, schema):
-    prepared = []
+def prepare(entries: Iterable[tuple[Iterable[str], object]], model: str):
+    """Yield (unique_words, base) per entry in order, dropping zero-total ones.
+
+    ``base`` is the distribution for core/all, the (positive, negative)
+    masses for star.  Interned word tuples are far lighter than frozensets
+    when millions of entries are held for splitting.
+    """
+    schema = model_schema(model)
     for words, counts in entries:
         try:
-            vector = normalize(counts, schema)
+            base = star_normalize(counts) if model == "star" else normalize(counts, schema)
         except ZeroReactionTotal:
             continue
-        prepared.append((_unique_words(words), vector))
-    return prepared
+        yield tuple({sys.intern(w) for w in words}), base
 
 
-def _prepare_star(entries):
-    prepared = []
-    for words, counts in entries:
-        try:
-            positive, negative = star_normalize(counts)
-        except ZeroReactionTotal:
-            continue
-        prepared.append((_unique_words(words), positive, negative, positive - negative))
-    return prepared
+def fit(prepared, model: str):
+    """Fold one prepared training side into ``(lexicon, vectorize)``.
+
+    core/all bases are their vectors, so the side streams and vectorize is
+    None; star holds the side to take its range, and vectorize maps a base
+    onto its star4 vector at that range.
+    """
+    schema = model_schema(model)
+    if model != "star":
+        return build_lexicon(prepared, schema), None
+    prepared = list(prepared)
+    lo, hi = star_range(base for _, base in prepared)
+
+    def vectorize(base):
+        return star_vector(base[0], base[1], lo, hi)
+
+    return build_lexicon(((w, vectorize(base)) for w, base in prepared), schema), vectorize
 
 
-def _mean_rows(sums: list[list[float]], count: int) -> list[list[float]]:
-    return [[s / count for s in row] for row in sums]
-
-
-def _run_distribution(prepared, schema, fraction, seed):
-    """One split/build/predict pass; returns per-reaction metric means."""
-    train, test = split(prepared, fraction, seed)
-    lexicon = build_lexicon(train, schema)
-    k = schema.size
-    sums = [[0.0] * 4 for _ in range(k)]
+def _score(test, lexicon, vectorize, sigma) -> list[list[float]]:
+    """Mean metrics per report row: overlap rows, then star's star_rating row."""
+    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if vectorize else lexicon.schema.reactions)]
+    overlap_rows, star_row = (sums[:2], sums[2]) if vectorize else (sums, None)
     for words, actual in test:
         predicted, _ = predict(words, lexicon)
-        for i in range(k):
-            a, r, p, f = _overlap(actual[i], predicted[i])
-            row = sums[i]
-            row[0] += a
-            row[1] += r
-            row[2] += p
-            row[3] += f
-    return _mean_rows(sums, len(test))
-
-
-def _run_star(prepared, fraction, seed, sigma):
-    """One star-model pass; rows are positive, negative, star_rating."""
-    train, test = split(prepared, fraction, seed)
-    aggregates = [entry[3] for entry in train]
-    lo, hi = min(aggregates), max(aggregates)
-    if hi <= lo:
-        raise DegenerateRange("all training aggregates are equal")
-    training = []
-    for words, positive, negative, aggregate in train:
-        star = star_scale(aggregate, lo, hi)
-        training.append((words, (positive, negative, discretize_star(star), star)))
-    lexicon = build_lexicon(training, STAR_SCHEMA)
-    sums = [[0.0] * 4 for _ in range(3)]
-    for words, positive, negative, aggregate in test:
-        star = star_scale(aggregate, lo, hi)
-        star_bin = discretize_star(star)
-        predicted, _ = predict(words, lexicon)
-        for i, (n, m) in enumerate(((positive, predicted[0]), (negative, predicted[1]))):
-            a, r, p, f = _overlap(n, m)
-            row = sums[i]
-            row[0] += a
-            row[1] += r
-            row[2] += p
-            row[3] += f
-        match = 1.0 if discretize_star(predicted[2]) == star_bin else 0.0
-        row = sums[2]
-        row[0] += gaussian_similarity(predicted[3], star, sigma)
-        row[1] += match
-        row[2] += match
-        row[3] += match
-    return _mean_rows(sums, len(test))
+        if star_row is not None:
+            actual = vectorize(actual)
+            match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
+            star_row[0] += gaussian_similarity(predicted[3], actual[3], sigma)
+            star_row[1] += match
+            star_row[2] += match
+            star_row[3] += match
+        _add_overlaps(overlap_rows, actual, predicted)
+    return [[s / len(test) for s in row] for row in sums]
 
 
 def run_experiment(
@@ -238,13 +220,8 @@ def run_experiment(
     seed ``config.seed + run_index`` for its shuffle, so runs are
     independent partitions while the whole experiment stays reproducible.
     """
-    if config.model == "star":
-        prepared = _prepare_star(entries)
-        reactions = STAR_ROWS
-    else:
-        schema = get_schema(config.model)
-        prepared = _prepare_distribution(entries, schema)
-        reactions = schema.reactions
+    prepared = list(prepare(entries, config.model))
+    reactions = STAR_ROWS if config.model == "star" else model_schema(config.model).reactions
     report = EvalReport(
         model=config.model,
         seed=config.seed,
@@ -255,28 +232,22 @@ def run_experiment(
     )
     for fraction in config.train_fractions:
         label = split_label(fraction)
-        run_values = [[[] for _ in METRICS] for _ in reactions]
+        runs = []
         for run in range(config.runs):
-            seed = config.seed + run
             try:
-                if config.model == "star":
-                    means = _run_star(prepared, fraction, seed, config.sigma)
-                else:
-                    means = _run_distribution(prepared, schema, fraction, seed)
+                train, test = split(prepared, fraction, config.seed + run)
+                lexicon, vectorize = fit(train, config.model)
+                runs.append(_score(test, lexicon, vectorize, config.sigma))
             except (EmptySide, DegenerateRange) as exc:
                 raise type(exc)(f"{exc} (split {label}%, run {run})") from exc
-            for i in range(len(reactions)):
-                for j in range(len(METRICS)):
-                    run_values[i][j].append(means[i][j])
-        report.mean[label] = {}
-        report.per_run[label] = {}
-        for i, reaction in enumerate(reactions):
-            report.mean[label][reaction] = {}
-            report.per_run[label][reaction] = {}
-            for j, metric in enumerate(METRICS):
-                values = run_values[i][j]
-                report.mean[label][reaction][metric] = sum(values) / len(values)
-                report.per_run[label][reaction][metric] = values
+        report.per_run[label] = {
+            reaction: {metric: [means[i][j] for means in runs] for j, metric in enumerate(METRICS)}
+            for i, reaction in enumerate(reactions)
+        }
+        report.mean[label] = {
+            reaction: {metric: sum(values) / len(values) for metric, values in metrics.items()}
+            for reaction, metrics in report.per_run[label].items()
+        }
     return report
 
 

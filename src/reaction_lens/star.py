@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateRange, NonPositiveSigma, ZeroReactionTotal
 
@@ -25,9 +25,7 @@ POLARITY = {
     "angry": "negative",
 }
 
-POSITIVE_REACTIONS = ("love", "wow")
-NEGATIVE_REACTIONS = ("sad", "angry")
-POLAR_REACTIONS = POSITIVE_REACTIONS + NEGATIVE_REACTIONS
+POLAR_REACTIONS = tuple(r for r, polarity in POLARITY.items() if polarity != "uncertain")
 
 STAR_MIN = 1.0
 STAR_MAX = 5.0
@@ -36,7 +34,7 @@ STAR_BIN = 0.5
 
 @dataclass(frozen=True)
 class StarSentiment:
-    """Per-entry sentiment record: masses, aggregate, and star values.
+    """Per-entry sentiment record: masses and star values, in star4 order.
 
     ``positive + negative == 1`` by construction, ``aggregate`` lies in
     [-1, 1], ``star`` in [1, 5], and ``star_disc`` is a multiple of 0.5.
@@ -44,9 +42,12 @@ class StarSentiment:
 
     positive: float
     negative: float
-    aggregate: float
-    star: float
     star_disc: float
+    star: float
+
+    @property
+    def aggregate(self) -> float:
+        return self.positive - self.negative
 
     def vector(self) -> tuple[float, float, float, float]:
         """Components in the star4 schema order."""
@@ -63,12 +64,6 @@ def star_normalize(counts) -> tuple[float, float]:
     if total <= 0:
         raise ZeroReactionTotal("no positive count among love/wow/sad/angry")
     return (love + wow) / total, (sad + angry) / total
-
-
-def aggregate_sentiment(counts) -> float:
-    """Positive minus negative mass, in [-1, 1]."""
-    positive, negative = star_normalize(counts)
-    return positive - negative
 
 
 def star_scale(aggregate: float, corpus_min: float, corpus_max: float) -> float:
@@ -93,35 +88,40 @@ def discretize_star(star: float) -> float:
     return min(STAR_MAX, snapped)
 
 
-def star_sentiment(counts, corpus_min: float, corpus_max: float) -> StarSentiment:
-    """Full sentiment record for one entry, scaled against a training range."""
-    positive, negative = star_normalize(counts)
-    star = star_scale(positive - negative, corpus_min, corpus_max)
-    return StarSentiment(positive, negative, positive - negative, star, discretize_star(star))
-
-
-def build_star_vectors(
-    train_counts: Sequence,
-) -> tuple[list[StarSentiment], float, float]:
-    """Sentiment records for a training set plus its aggregate range.
+def star_range(bases: Iterable[tuple[float, float]]) -> tuple[float, float]:
+    """Min and max aggregate over (positive, negative) training bases.
 
     Requires at least two entries with distinct aggregates, otherwise the
     min-max scaling is undefined (DegenerateRange).
     """
-    aggregates = [aggregate_sentiment(c) for c in train_counts]
+    aggregates = [positive - negative for positive, negative in bases]
     if not aggregates:
         raise DegenerateRange("empty training set")
     corpus_min = min(aggregates)
     corpus_max = max(aggregates)
     if corpus_max <= corpus_min:
         raise DegenerateRange("all training aggregates are equal")
-    records = []
-    for counts, aggregate in zip(train_counts, aggregates):
-        positive, negative = star_normalize(counts)
-        star = star_scale(aggregate, corpus_min, corpus_max)
-        records.append(
-            StarSentiment(positive, negative, aggregate, star, discretize_star(star))
-        )
+    return corpus_min, corpus_max
+
+
+def star_vector(positive: float, negative: float, lo: float, hi: float) -> tuple[float, ...]:
+    """The star4 vector [positive, negative, star_disc, star_cont] of one entry."""
+    star = star_scale(positive - negative, lo, hi)
+    return (positive, negative, discretize_star(star), star)
+
+
+def star_sentiment(counts, corpus_min: float, corpus_max: float) -> StarSentiment:
+    """Full sentiment record for one entry, scaled against a training range."""
+    return StarSentiment(*star_vector(*star_normalize(counts), corpus_min, corpus_max))
+
+
+def build_star_vectors(
+    train_counts: Sequence,
+) -> tuple[list[StarSentiment], float, float]:
+    """Sentiment records for a training set plus its aggregate range."""
+    bases = [star_normalize(c) for c in train_counts]
+    corpus_min, corpus_max = star_range(bases)
+    records = [StarSentiment(*star_vector(p, n, corpus_min, corpus_max)) for p, n in bases]
     return records, corpus_min, corpus_max
 
 

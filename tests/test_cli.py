@@ -1,8 +1,12 @@
 import json
+import logging
 
 import pytest
 
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from reaction_lens.corpus_io import load_corpus, load_lexicon
+
+from oracles import oracle_lexicon, oracle_nearest_half, oracle_star_vectors, oracle_train_mean
 
 HEADER = "message,like,love,wow,haha,sad,angry,thankful\n"
 
@@ -196,6 +200,45 @@ class TestTrainPredict:
         ]) == EXIT_OK
         header = lexicon.read_text(encoding="utf-8").splitlines()[1]
         assert "star4" in header
+
+    def test_star_malformed_row_logged_once(self, tmp_path, capsys, caplog):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(
+            HEADER + "good stuff,0,3,1,0,0,0,0\nbroken,0,x,0,0,0,0,0\n"
+            "bad stuff,0,0,0,0,2,2,0\n",
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING, logger="reaction_lens.corpus_io"):
+            assert main([
+                "train", "--input", str(corpus), "--output", str(tmp_path / "s.lex"),
+                "--model", "star",
+            ]) == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("skipping malformed row at line 3")
+        assert "1 malformed" in capsys.readouterr().out
+
+    def test_star_lexicon_matches_oracles(self, synth_corpus, tmp_path):
+        lexicon_path = tmp_path / "star.lex"
+        assert main([
+            "train", "--input", str(synth_corpus), "--output", str(lexicon_path),
+            "--model", "star",
+        ]) == EXIT_OK
+        records = [
+            r for r in load_corpus(synth_corpus)
+            if r.reactions.love + r.reactions.wow + r.reactions.sad + r.reactions.angry > 0
+        ]
+        stars, _, _ = oracle_star_vectors([r.reactions for r in records])
+        entries = [
+            (set(r.message.split()), (positive, negative, oracle_nearest_half(star), star))
+            for r, (positive, negative, _, star) in zip(records, stars)
+        ]
+        lexicon = load_lexicon(lexicon_path)
+        table = oracle_lexicon(entries, 4)
+        assert set(lexicon.entries) == set(table)
+        for word, expected in table.items():
+            assert lexicon.entries[word][0] == pytest.approx(expected, abs=1e-12)
+        assert lexicon.train_mean == pytest.approx(oracle_train_mean(entries, 4), abs=1e-12)
 
     def test_star_degenerate_exit(self, tmp_path):
         corpus = tmp_path / "c.csv"

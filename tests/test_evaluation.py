@@ -133,6 +133,8 @@ class TestExperimentConfig:
             ExperimentConfig(train_fractions=(1.5,))
         with pytest.raises(ValueError):
             ExperimentConfig(sigma=0.0)
+        with pytest.raises(ValueError):
+            ExperimentConfig(train_fractions=(0.95, 0.95))
 
 
 def memorizable_corpus(n=20):

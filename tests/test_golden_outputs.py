@@ -1,0 +1,78 @@
+"""Golden outputs: the CLI pipeline reproduces recorded sha256 digests.
+
+One fixed synthetic corpus goes through ``synth -> clean -> train`` (core,
+all, star) and ``eval`` (core, all, star; JSON and CSV reports).  Every
+output must hash to the digest recorded below, so a refactor that changes
+any lexicon value, report value or row by a single bit fails here.
+
+Run-specific content is left out of the digests: the lexicon's
+``#manifest`` line and the JSON report's ``manifest`` field hold a run id
+derived from the input paths.  A lexicon digest therefore covers its
+``#sha256`` body digest plus the schema, entry count and train-mean
+headers.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from reaction_lens.cli import EXIT_OK, main
+
+MODELS = ("core", "all", "star")
+EVAL_FLAGS = ["--splits", "90,50", "--runs", "2", "--seed", "0"]
+
+GOLDEN = {
+    "corpus.csv": "6ff93cfbf057854ba507769fa565f1b8bbc6b207f0d0040b6b84c1ecb9a47611",
+    "cleaned.csv": "6ff93cfbf057854ba507769fa565f1b8bbc6b207f0d0040b6b84c1ecb9a47611",
+    "core.lex": "29c72e5d9014354148ad412c909a28e4dceaf9dd5b9fc16b106030432d4b8c83",
+    "all.lex": "7642edf743f95fc89f49026f3843ff7328bf0ac190e945f914785f4c7f3e195a",
+    "star.lex": "c68ac05c8024ae522f34d44d126d5fae5c8626ccbc63221a5a72680e11b12bb7",
+    "eval_core.json": "92b8cbf6c529cb6f100120fb1e6728bcb2ae40d4a95611872f300581c1521cac",
+    "eval_core.csv": "98f4c072934c63b72ec6cee568ee0419b54e478b04103527ea0c33b25dd6b5ca",
+    "eval_all.json": "8d8ea0bcbc4574b9ed2dfda3df1f4825ac085d15e4651b976a0746d3d576b8b2",
+    "eval_all.csv": "32e20ebd7acefc8703c970a3444aaa0afcb1bcccf4e1f4ea460f54680985d351",
+    "eval_star.json": "70df575a54f1a70293c5428cfca55773d94d9070cceebbeab5e0eaf26aa3be4b",
+    "eval_star.csv": "a545f606e13a0b7611da0d89a1388dc43c5cc3ffaf0a80ed0c1e4dc78d87e085",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digest(path) -> str:
+    if path.suffix == ".lex":
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        return _sha256("".join(x for x in lines if not x.startswith("#manifest\t")).encode())
+    if path.suffix == ".json":
+        report = json.loads(path.read_text(encoding="utf-8"))
+        report.pop("manifest")
+        return _sha256(json.dumps(report, sort_keys=True, separators=(",", ":")).encode())
+    return _sha256(path.read_bytes())
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    d = tmp_path_factory.mktemp("golden")
+    corpus, cleaned = d / "corpus.csv", d / "cleaned.csv"
+    commands = [
+        ["synth", "--output", str(corpus), "--rows", "2000", "--vocab-size", "400",
+         "--seed", "11"],
+        ["clean", "--input", str(corpus), "--output", str(cleaned)],
+    ]
+    for model in MODELS:
+        commands.append(["train", "--input", str(cleaned), "--output",
+                         str(d / f"{model}.lex"), "--model", model])
+        for fmt in ("json", "csv"):
+            commands.append(["eval", "--input", str(cleaned), "--output",
+                             str(d / f"eval_{model}.{fmt}"), "--model", model,
+                             "--report-format", fmt, *EVAL_FLAGS])
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv
+    return {name: _digest(d / name) for name in GOLDEN}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_digest(outputs, name):
+    assert outputs[name] == GOLDEN[name]
