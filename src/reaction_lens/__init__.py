@@ -50,7 +50,18 @@ from .star import (
     star_scale,
     star_sentiment,
 )
-from .synth import SynthSpec, write_corpus
+
+_SYNTH_NAMES = ("SynthSpec", "write_corpus")
+
+
+def __getattr__(name):
+    # synth imports numpy; load it only when one of its names is asked for.
+    if name in _SYNTH_NAMES:
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALL_SCHEMA",

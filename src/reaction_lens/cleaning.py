@@ -18,8 +18,6 @@ Steps never rewrite a surviving token, which makes the pipeline idempotent.
 
 from __future__ import annotations
 
-import sys
-import unicodedata
 from dataclasses import dataclass
 
 ZWJ = "‍"
@@ -33,19 +31,37 @@ _DIGIT_CHARS = frozenset("0123456789") | frozenset(
 _URL_PREFIXES = ("http://", "https://", "www.")
 
 _translate_cache: dict[tuple[bool, bool, bool], dict[int, int | None]] = {}
-_control_codepoints: list[int] | None = None
 
-
-def _controls() -> list[int]:
-    """All Cc/Cf codepoints except ZWJ (scanned once, cached)."""
-    global _control_codepoints
-    if _control_codepoints is None:
-        _control_codepoints = [
-            cp
-            for cp in range(sys.maxunicode + 1)
-            if cp != 0x200D and unicodedata.category(chr(cp)) in ("Cc", "Cf")
-        ]
-    return _control_codepoints
+# Every Cc/Cf codepoint except ZWJ, as inclusive (first, last) ranges,
+# generated from unicodedata.category over all codepoints of the Unicode
+# version below; tests/test_cleaning.py re-derives it from that scan.
+CONTROL_RANGES_UNICODE = "14.0.0"
+_CONTROL_RANGES = (
+    (0x0000, 0x001F),
+    (0x007F, 0x009F),
+    (0x00AD, 0x00AD),
+    (0x0600, 0x0605),
+    (0x061C, 0x061C),
+    (0x06DD, 0x06DD),
+    (0x070F, 0x070F),
+    (0x0890, 0x0891),
+    (0x08E2, 0x08E2),
+    (0x180E, 0x180E),
+    (0x200B, 0x200C),
+    (0x200E, 0x200F),
+    (0x202A, 0x202E),
+    (0x2060, 0x2064),
+    (0x2066, 0x206F),
+    (0xFEFF, 0xFEFF),
+    (0xFFF9, 0xFFFB),
+    (0x110BD, 0x110BD),
+    (0x110CD, 0x110CD),
+    (0x13430, 0x13438),
+    (0x1BCA0, 0x1BCA3),
+    (0x1D173, 0x1D17A),
+    (0xE0001, 0xE0001),
+    (0xE0020, 0xE007F),
+)
 
 
 def _translate_table(
@@ -58,8 +74,8 @@ def _translate_table(
         if delete_zwj:
             table[0x200D] = None
         if replace_controls:
-            for cp in _controls():
-                table[cp] = 0x20
+            for first, last in _CONTROL_RANGES:
+                table.update(dict.fromkeys(range(first, last + 1), 0x20))
         if casefold_ascii:
             for cp in range(ord("A"), ord("Z") + 1):
                 table[cp] = cp + 32
@@ -159,8 +175,10 @@ def clean_message(
         if config.delete_zwj:
             stats.zwj_deleted += raw.count(ZWJ)
         if config.replace_controls:
-            ctrl_table = _translate_table(False, True, False)
-            stats.controls_replaced += sum(1 for c in raw if ord(c) in ctrl_table)
+            # Cc/Cf characters are all non-printable, so printable text has none.
+            if not raw.isprintable():
+                ctrl_table = _translate_table(False, True, False)
+                stats.controls_replaced += sum(1 for c in raw if ord(c) in ctrl_table)
     text = raw.translate(
         _translate_table(
             config.delete_zwj, config.replace_controls, config.casefold_ascii

@@ -47,7 +47,6 @@ from .evaluation import (
     MODELS, ExperimentConfig, fit, format_float, prepare, report_emit, run_experiment,
 )
 from .star import POLAR_REACTIONS
-from .synth import SynthSpec, write_corpus
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,7 +56,7 @@ EXIT_DATA = 5
 
 CONFIG_ENV = "REACTION_LENS_CONFIG"
 
-_IO_ERRORS = (UnreadableSource, OSError)
+_IO_ERRORS = (UnreadableSource, OSError, UnicodeDecodeError)
 _SCHEMA_ERRORS = (SchemaMismatch, VersionMismatch, CorruptArtifact)
 _DATA_ERRORS = (
     ZeroReactionTotal,
@@ -464,6 +463,8 @@ def _cmd_eval(args, config) -> int:
 
 
 def _cmd_synth(args, config) -> int:
+    from .synth import SynthSpec, write_corpus  # the only command that loads numpy
+
     affinity = _resolve(args, config, "affinity", str, None)
     spec = SynthSpec(
         rows=_resolve(args, config, "rows", int, 10_000),

@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import logging
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -95,9 +96,12 @@ class CorpusStats:
     core_percent: dict[str, float] | None
 
 
+# errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF.
+_SURROGATE = re.compile("[\udc80-\udcff]")
+
+
 def _has_surrogates(s: str) -> bool:
-    # errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF.
-    return any(0xDC80 <= ord(c) <= 0xDCFF for c in s)
+    return not s.isascii() and _SURROGATE.search(s) is not None
 
 
 def _open_text(source, newline=None):
@@ -193,7 +197,17 @@ def load_corpus(
 def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
     try:
         needed = max(indices.values())
-        for row in reader:
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                # e.g. a field over csv.field_size_limit(); the reader
+                # resumes at the next line.
+                line = reader.line_num
+                _record_error(errors, MalformedRow(line, str(exc)), (line, exc))
+                continue
             line = reader.line_num
             if not row:
                 continue

@@ -1,11 +1,17 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import unicodedata
 from pathlib import Path
 
 import pytest
 
+import reaction_lens
 from reaction_lens.cleaning import (
+    _CONTROL_RANGES,
+    CONTROL_RANGES_UNICODE,
     CleanConfig,
     CleanStats,
     clean_message,
@@ -172,3 +178,48 @@ class TestStopwordFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             read_stopwords(tmp_path / "nope.txt")
+
+
+class TestControlTable:
+    def test_ranges_sorted_disjoint_without_zwj(self):
+        for first, last in _CONTROL_RANGES:
+            assert first <= last
+            assert not first <= 0x200D <= last
+        for (_, last), (first, _) in zip(_CONTROL_RANGES, _CONTROL_RANGES[1:]):
+            assert last + 1 < first
+
+    def test_ranges_match_unicodedata_scan(self):
+        if unicodedata.unidata_version != CONTROL_RANGES_UNICODE:
+            pytest.skip(
+                f"table pinned to Unicode {CONTROL_RANGES_UNICODE}, "
+                f"this Python has {unicodedata.unidata_version}"
+            )
+        scanned = {
+            cp
+            for cp in range(sys.maxunicode + 1)
+            if cp != 0x200D and unicodedata.category(chr(cp)) in ("Cc", "Cf")
+        }
+        table = {
+            cp for first, last in _CONTROL_RANGES for cp in range(first, last + 1)
+        }
+        assert table == scanned
+
+
+def test_import_does_not_load_numpy():
+    # numpy is loaded only by synth, on first use of its names.
+    code = (
+        "import sys, reaction_lens, reaction_lens.cli\n"
+        "assert 'numpy' not in sys.modules, 'numpy loaded at import'\n"
+        "spec, write = reaction_lens.SynthSpec, reaction_lens.write_corpus\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert spec is reaction_lens.synth.SynthSpec\n"
+        "assert write is reaction_lens.synth.write_corpus\n"
+    )
+    src = str(Path(reaction_lens.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr

@@ -114,6 +114,20 @@ class TestCleanCommand:
         assert row["message"] == "hi there"
         assert row["love"] == 2
 
+    def test_oversized_field_is_a_malformed_row(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            HEADER + "a,1,0,0,0,0,0,0\n" + "x" * 200_000 + ",1,0,0,0,0,0,0\n"
+            + "b,0,1,0,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        cleaned = tmp_path / "c.csv"
+        assert main(["clean", "--input", str(raw), "--output", str(cleaned)]) == EXIT_OK
+        assert "(1 malformed" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["row_drops"]["malformed_rows"] == 1
+        assert manifest["row_drops"]["rows_out"] == 2
+
 
 class TestStatsCommand:
     def test_reference_percentages(self, tmp_path, capsys):
@@ -186,6 +200,20 @@ class TestTrainPredict:
         msgs = tmp_path / "m.txt"
         msgs.write_text("a\n", encoding="utf-8")
         assert main(["predict", "--lexicon", str(bad), "--input", str(msgs)]) == EXIT_SCHEMA
+
+    def test_predict_invalid_utf8_input_is_io_error(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        msgs = tmp_path / "m.txt"
+        msgs.write_bytes(b"ok\n\xff\xfe bad\n")
+        code = main([
+            "predict", "--lexicon", str(lexicon), "--input", str(msgs),
+            "--output", str(tmp_path / "p.txt"),
+        ])
+        assert code == EXIT_IO
+        assert "i/o error" in capsys.readouterr().err
 
     def test_star_training(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"

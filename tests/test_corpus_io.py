@@ -115,12 +115,36 @@ class TestLoadCsv:
         assert len(errors) == 1
 
     def test_bad_encoding_is_row_level(self):
-        body = HEADER.encode("utf-8") + b'"a\xff",1,0,0,0,0,0,0\nb,1,0,0,0,0,0,0\n'
+        body = HEADER.encode("utf-8") + (
+            b'"a\xff",1,0,0,0,0,0,0\nb,1,0,0,0,0,0,0\n'
+            b"c,1,0,\xfe,0,0,0,0\n"
+            + "\u0dc1\u0dca\u200d\u0dbb\u0dd3 ok,0,1,0,0,0,0,0\n".encode("utf-8")
+        )
         errors: list[MalformedRow] = []
         records = list(load_corpus(io.BytesIO(body), errors=errors))
-        assert [r.message for r in records] == ["b"]
-        assert len(errors) == 1
+        assert [r.message for r in records] == ["b", "\u0dc1\u0dca\u200d\u0dbb\u0dd3 ok"]
+        assert [e.line for e in errors] == [2, 4]
         assert "UTF-8" in errors[0].reason
+        assert "'wow'" in errors[1].reason and "UTF-8" in errors[1].reason
+
+        jsonl = (
+            b'{"message": "x\xff", "like": 1, "love": 0, "wow": 0, "haha": 0,'
+            b' "sad": 0, "angry": 0, "thankful": 0}\n'
+            + '{"message": "\u0dc1\u0dd4\u0db6", "like": 1, "love": 0, "wow": 0,'
+            ' "haha": 0, "sad": 0, "angry": 0, "thankful": 0}\n'.encode("utf-8")
+        )
+        errors = []
+        records = list(load_corpus(io.BytesIO(jsonl), "jsonl", errors=errors))
+        assert [r.message for r in records] == ["\u0dc1\u0dd4\u0db6"]
+        assert [(e.line, e.reason) for e in errors] == [(1, "invalid UTF-8 bytes")]
+
+    def test_oversized_field_is_row_level(self):
+        body = "a,1,0,0,0,0,0,0\n" + "x" * 200_000 + ",1,0,0,0,0,0,0\nb,0,1,0,0,0,0,0\n"
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(csv_source(body), errors=errors))
+        assert [r.message for r in records] == ["a", "b"]
+        assert [e.line for e in errors] == [3]
+        assert "field limit" in errors[0].reason
 
     def test_quoted_newline_in_message(self):
         records = list(load_corpus(csv_source('"line1\nline2",1,0,0,0,0,0,0\n')))
