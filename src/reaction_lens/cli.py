@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -382,21 +383,16 @@ def _cmd_train(args, config) -> int:
         started,
     )
     errors: list[MalformedRow] = []
-    rows_read = 0
-
-    def entries():
-        nonlocal rows_read
-        for entry in _iter_cleaned_entries(args.input, corpus_format, columns, errors):
-            rows_read += 1
-            yield entry
-
-    lexicon, _ = fit(prepare(entries(), model), model)
-    skipped_zero = rows_read - lexicon.train_entry_count
+    ids: dict = {}
+    tally: Counter = Counter()
+    entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
+    fold, _ = fit(prepare(entries, model, ids, tally), model, ids)
+    lexicon = fold.lexicon()
     save_lexicon(lexicon, args.output, manifest_id=manifest.run_id)
     _finish_manifest(manifest, [args.output])
     print(
         f"trained {model} lexicon: {len(lexicon.entries)} words from "
-        f"{lexicon.train_entry_count} entries ({skipped_zero} zero-total rows skipped, "
+        f"{lexicon.train_entry_count} entries ({tally['excluded']} zero-total rows skipped, "
         f"{len(errors)} malformed)"
     )
     return EXIT_OK
@@ -451,13 +447,18 @@ def _cmd_eval(args, config) -> int:
     report.manifest = manifest.run_id
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(report_emit(report, report_format))
-    _finish_manifest(manifest, [args.output])
+    accounting = report.accounting
+    _finish_manifest(manifest, [args.output], {"malformed_rows": len(errors), **accounting})
     first = report.split_labels[0]
     summary = "  ".join(
         f"{reaction}={report.value(first, reaction, 'f1'):.4f}"
         for reaction in report.reactions
     )
-    print(f"eval {model}: wrote {args.output} ({len(errors)} malformed rows skipped)")
+    print(
+        f"eval {model}: wrote {args.output} ({accounting['entries_used']} entries used, "
+        f"{accounting['entries_excluded_zero_total']} excluded for a zero total, "
+        f"{len(errors)} malformed rows skipped)"
+    )
     print(f"F1 @ {first}% train: {summary}")
     return EXIT_OK
 

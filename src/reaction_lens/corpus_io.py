@@ -38,6 +38,8 @@ logger = logging.getLogger(__name__)
 REACTION_NAMES = ALL_SCHEMA.reactions
 CORE_NAMES = CORE_SCHEMA.reactions
 
+LOGGED_MALFORMED_ROWS = 5
+
 LEXICON_MAGIC = "#reaction-lexicon"
 LEXICON_VERSION = "v1"
 
@@ -139,10 +141,40 @@ def _parse_count(text: str, column: str) -> int:
     return value
 
 
-def _record_error(errors, ledger_entry, fmt_args):
-    logger.warning("skipping malformed row at line %d: %s", *fmt_args)
-    if errors is not None:
-        errors.append(ledger_entry)
+class _Quarantine:
+    """The malformed rows of one stream.
+
+    Every row goes to the caller's ledger (if any).  The first
+    ``LOGGED_MALFORMED_ROWS`` are logged one by one; ``close`` logs how many
+    more there were, if any.
+    """
+
+    def __init__(self, errors: list[MalformedRow] | None):
+        self.errors = errors
+        self.count = 0
+
+    def add(self, line: int, reason: str, detail) -> None:
+        self.count += 1
+        if self.count <= LOGGED_MALFORMED_ROWS:
+            logger.warning("skipping malformed row at line %d: %s", line, detail)
+        if self.errors is not None:
+            self.errors.append(MalformedRow(line, reason))
+
+    def close(self) -> None:
+        hidden = self.count - LOGGED_MALFORMED_ROWS
+        if hidden > 0:
+            logger.warning("%d more malformed rows not shown", hidden)
+
+
+def _ingested_counts(counts: dict[str, int]) -> ReactionCounts:
+    """ReactionCounts from counts the parser has already checked.
+
+    The stream validates each count once, as it parses it, so the record is
+    built without ``ReactionCounts.__post_init__`` checking them again.
+    """
+    record = object.__new__(ReactionCounts)
+    record.__dict__.update(counts)
+    return record
 
 
 def load_corpus(
@@ -167,6 +199,10 @@ def load_corpus(
         reader = csv.reader(stream)
         try:
             header = next(reader, None)
+        except csv.Error as exc:
+            if should_close:
+                stream.close()
+            raise SchemaMismatch(f"unreadable CSV header: {exc}") from exc
         except Exception:
             if should_close:
                 stream.close()
@@ -195,6 +231,7 @@ def load_corpus(
 
 
 def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
+    bad = _Quarantine(errors)
     try:
         needed = max(indices.values())
         while True:
@@ -205,18 +242,13 @@ def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
             except csv.Error as exc:
                 # e.g. a field over csv.field_size_limit(); the reader
                 # resumes at the next line.
-                line = reader.line_num
-                _record_error(errors, MalformedRow(line, str(exc)), (line, exc))
+                bad.add(reader.line_num, str(exc), exc)
                 continue
             line = reader.line_num
             if not row:
                 continue
             if len(row) <= needed:
-                _record_error(
-                    errors,
-                    MalformedRow(line, f"expected at least {needed + 1} fields, got {len(row)}"),
-                    (line, "short row"),
-                )
+                bad.add(line, f"expected at least {needed + 1} fields, got {len(row)}", "short row")
                 continue
             try:
                 message = row[indices["message"]]
@@ -229,39 +261,33 @@ def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
                         raise ValueError(f"column {mapping[name]!r}: invalid UTF-8 bytes")
                     counts[name] = _parse_count(text, mapping[name])
             except ValueError as exc:
-                _record_error(errors, MalformedRow(line, str(exc)), (line, exc))
+                bad.add(line, str(exc), exc)
                 continue
             record_id = row[id_index] if id_index is not None and id_index < len(row) else None
-            yield PostRecord(message, ReactionCounts(**counts), record_id)
+            yield PostRecord(message, _ingested_counts(counts), record_id)
     finally:
+        bad.close()
         if should_close:
             stream.close()
 
 
 def _iter_jsonl(stream, should_close, mapping, errors):
+    bad = _Quarantine(errors)
     try:
         for line_num, line in enumerate(stream, 1):
             line = line.strip()
             if not line:
                 continue
             if _has_surrogates(line):
-                _record_error(
-                    errors,
-                    MalformedRow(line_num, "invalid UTF-8 bytes"),
-                    (line_num, "invalid UTF-8"),
-                )
+                bad.add(line_num, "invalid UTF-8 bytes", "invalid UTF-8")
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                _record_error(errors, MalformedRow(line_num, f"bad JSON: {exc}"), (line_num, exc))
+                bad.add(line_num, f"bad JSON: {exc}", exc)
                 continue
             if not isinstance(obj, dict):
-                _record_error(
-                    errors,
-                    MalformedRow(line_num, "JSONL row is not an object"),
-                    (line_num, "not an object"),
-                )
+                bad.add(line_num, "JSONL row is not an object", "not an object")
                 continue
             try:
                 column = mapping["message"]
@@ -282,13 +308,14 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                         raise ValueError(f"key {column!r}: negative count {value}")
                     counts[name] = value
             except ValueError as exc:
-                _record_error(errors, MalformedRow(line_num, str(exc)), (line_num, exc))
+                bad.add(line_num, str(exc), exc)
                 continue
             record_id = None
             if "id" in mapping and mapping["id"] in obj:
                 record_id = str(obj[mapping["id"]])
-            yield PostRecord(message, ReactionCounts(**counts), record_id)
+            yield PostRecord(message, _ingested_counts(counts), record_id)
     finally:
+        bad.close()
         if should_close:
             stream.close()
 

@@ -2,7 +2,8 @@
 
 A post's reaction counts are normalized into a distribution over a declared
 reaction schema.  Training folds each post's distribution into every unique
-word of its message; finalizing averages the per-word sums.  Prediction
+word of its message (``Fold``, keyed by integer word id); finalizing
+averages the per-word sums into a word-keyed ``ReactionLexicon``.  Prediction
 averages the vectors of a message's known words and falls back to the
 training mean when no word is known.
 
@@ -14,7 +15,8 @@ the schema declares which invariants apply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import add, truediv
+from typing import Collection, Iterable, Sequence
 
 from .errors import (
     EmptyTrainingSet,
@@ -97,14 +99,84 @@ def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
     return tuple(n / total for n in raw)
 
 
+class Fold:
+    """Training sums keyed by integer word id.
+
+    ``ids`` maps each word to its id; ids are ``0 .. len(ids) - 1`` in the
+    order words were first given one.  The fold keeps one list of floats per
+    schema component and one list of counts, all indexed by id, plus the
+    component sums over all entries.  Several folds may share one ``ids``
+    map; a fold grows its lists when words were added to the map after it.
+
+    Every sum is taken left to right in the order entries are added.
+    """
+
+    def __init__(self, schema: ReactionSchema, ids: dict | None = None):
+        self.schema = schema
+        self.ids = {} if ids is None else ids
+        size = len(self.ids)
+        self.columns = [[0.0] * size for _ in schema.reactions]
+        self.counts = [0] * size
+        self.train_sum = [0.0] * schema.size
+        self.entries = 0
+
+    def _grow(self) -> None:
+        extra = len(self.ids) - len(self.counts)
+        self.counts.extend([0] * extra)
+        for column in self.columns:
+            column.extend([0.0] * extra)
+
+    def add(self, word_ids: Collection[int], vector: Sequence[float]) -> None:
+        """Fold one training entry: the distinct ids of its words, its vector."""
+        counts = self.counts
+        if len(counts) < len(self.ids):
+            self._grow()
+        for i in word_ids:
+            counts[i] += 1
+        for column, x in zip(self.columns, vector):
+            for i in word_ids:
+                column[i] += x
+        self.train_sum = list(map(add, self.train_sum, vector))
+        self.entries += 1
+
+    def merge(self, other: "Fold") -> None:
+        """Add another fold's sums, matching words by name (shard merge)."""
+        ids = self.ids
+        remap = [ids.setdefault(w, len(ids)) for w in other.ids]
+        self._grow()
+        for column, sums in zip(self.columns, other.columns):
+            for j, s in zip(remap, sums):
+                column[j] += s
+        for j, n in zip(remap, other.counts):
+            self.counts[j] += n
+        self.train_sum = list(map(add, self.train_sum, other.train_sum))
+        self.entries += other.entries
+
+    def means(self) -> tuple[list[tuple[float, ...]], tuple[float, ...] | None]:
+        """Mean vector per id, and the mean over all entries.
+
+        An id that no entry contained has count 0 and a zero vector; callers
+        check ``counts``.  The entry mean is None when no entry was added.
+        """
+        if len(self.counts) < len(self.ids):
+            self._grow()
+        divisors = [n or 1 for n in self.counts]
+        vectors = list(zip(*(list(map(truediv, column, divisors)) for column in self.columns)))
+        mean = tuple(s / self.entries for s in self.train_sum) if self.entries else None
+        return vectors, mean
+
+    def lexicon(self) -> "ReactionLexicon":
+        """The finalized lexicon of every word an entry contained."""
+        return ReactionLexicon(self.schema, _fold=self).finalize()
+
+
 @dataclass
 class ReactionLexicon:
-    """Mapping word -> reaction vector, built by summing then averaging.
+    """Mapping word -> (mean reaction vector, number of training entries).
 
-    While accumulating, ``entries`` maps each word to its running component
-    sums and the number of training entries containing it.  ``finalize()``
-    replaces the sums with their averages and freezes the lexicon; only a
-    finalized lexicon can predict or be persisted.
+    A lexicon is built by ``add_entry`` (and ``merge``) into a Fold, then
+    ``finalize()`` averages the sums and freezes it; only a finalized
+    lexicon can predict or be persisted, and ``entries`` is filled then.
 
     ``train_mean`` is the component-wise mean over all training entries'
     vectors (not over words); it is the fallback prediction for messages
@@ -117,33 +189,25 @@ class ReactionLexicon:
     train_mean: tuple[float, ...] | None = None
     finalized: bool = False
     meta: dict = field(default_factory=dict, compare=False)
-    _train_sum: list = field(default_factory=list, repr=False, compare=False)
+    _fold: Fold | None = field(default=None, repr=False, compare=False)
+
+    def _accumulator(self) -> Fold:
+        if self.finalized:
+            raise ValueError("cannot add entries to a finalized lexicon")
+        if self._fold is None:
+            self._fold = Fold(self.schema)
+        return self._fold
 
     def add_entry(self, words: Iterable[str], vector: Sequence[float]) -> None:
         """Fold one training entry (its unique words, its vector) into the sums."""
-        if self.finalized:
-            raise ValueError("cannot add entries to a finalized lexicon")
+        fold = self._accumulator()
         if len(vector) != self.schema.size:
             raise SchemaMismatch(
                 f"vector has {len(vector)} components, schema "
                 f"{self.schema.name!r} expects {self.schema.size}"
             )
-        k = self.schema.size
-        if not self._train_sum:
-            self._train_sum = [0.0] * k
-        for i in range(k):
-            self._train_sum[i] += vector[i]
-        self.train_entry_count += 1
-        entries = self.entries
-        for w in set(words):
-            rec = entries.get(w)
-            if rec is None:
-                entries[w] = (list(vector), 1)
-            else:
-                sums, n = rec
-                for i in range(k):
-                    sums[i] += vector[i]
-                entries[w] = (sums, n + 1)
+        ids = fold.ids
+        fold.add({ids.setdefault(w, len(ids)) for w in words}, vector)
 
     def merge(self, other: "ReactionLexicon") -> None:
         """Fold another accumulating lexicon into this one (shard merge)."""
@@ -153,38 +217,23 @@ class ReactionLexicon:
             raise SchemaMismatch(
                 f"cannot merge schema {other.schema.name!r} into {self.schema.name!r}"
             )
-        k = self.schema.size
-        if other.train_entry_count:
-            if not self._train_sum:
-                self._train_sum = [0.0] * k
-            for i in range(k):
-                self._train_sum[i] += other._train_sum[i]
-            self.train_entry_count += other.train_entry_count
-        entries = self.entries
-        for w, (osums, on) in other.entries.items():
-            rec = entries.get(w)
-            if rec is None:
-                entries[w] = (list(osums), on)
-            else:
-                sums, n = rec
-                for i in range(k):
-                    sums[i] += osums[i]
-                entries[w] = (sums, n + on)
+        if other._fold is not None:
+            self._accumulator().merge(other._fold)
 
     def finalize(self) -> "ReactionLexicon":
-        """Average the sums in place and freeze the lexicon.  Returns self."""
+        """Average the sums and freeze the lexicon.  Returns self."""
         if self.finalized:
             raise ValueError("lexicon already finalized")
-        for w, (sums, n) in self.entries.items():
-            self.entries[w] = (tuple(s / n for s in sums), n)
-        if self.train_entry_count > 0:
-            self.train_mean = tuple(
-                s / self.train_entry_count for s in self._train_sum
-            )
-        else:
-            self.train_mean = None
-        self._train_sum = []
+        fold = self._accumulator()
+        vectors, self.train_mean = fold.means()
+        self.entries = {
+            word: (vector, n)
+            for word, vector, n in zip(fold.ids, vectors, fold.counts)
+            if n
+        }
+        self.train_entry_count = fold.entries
         self.finalized = True
+        self._fold = None
         return self
 
 
@@ -201,6 +250,23 @@ def build_lexicon(
     for words, vector in training:
         lexicon.add_entry(words, vector)
     return lexicon.finalize()
+
+
+def mean_vector(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:
+    """Component-wise mean of one or more vectors, each sum taken in order.
+
+    This is the known-word average of every prediction.  The sums are plain
+    left-to-right float additions; ``sum()`` compensates from Python 3.12 on
+    and would change the last digits between versions.
+    """
+    n = len(vectors)
+    means = []
+    for column in zip(*vectors):
+        total = 0.0
+        for x in column:
+            total += x
+        means.append(total / n)
+    return tuple(means)
 
 
 def predict(
@@ -226,11 +292,4 @@ def predict(
             )
         return lexicon.train_mean, 0.0
     known.sort()
-    k = lexicon.schema.size
-    sums = [0.0] * k
-    for w in known:
-        vec = entries[w][0]
-        for i in range(k):
-            sums[i] += vec[i]
-    n = len(known)
-    return tuple(s / n for s in sums), n / len(unique)
+    return mean_vector([entries[w][0] for w in known]), len(known) / len(unique)

@@ -7,12 +7,14 @@ predicted mass (each defined as 1 when its denominator is zero, so perfect
 agreement on absence scores 1 and a one-sided miss scores 0 through F1).
 
 ``prepare`` and ``fit`` are the model layer the ``train`` command shares:
-entries become (words, base) pairs, and a training side becomes a lexicon.
-``run_experiment`` repeats seeded train/test partitions per train fraction,
-fits the train side, predicts the test side, averages the per-entry metrics
-within a run, then across runs.  Star adds to its positive/negative overlap
-rows a star-rating row: Gaussian kernel similarity as accuracy and exact
-0.5-bin matches of the discretized star as recall/precision/F1.
+entries become (word_ids, base) pairs, and a training side becomes an
+``engine.Fold``.  ``run_experiment`` turns words into ids once, then repeats
+seeded train/test partitions per train fraction, folds the train side,
+predicts the test side from the fold's id-indexed mean vectors, averages
+the per-entry metrics within a run, then across runs.  Star adds to its
+positive/negative overlap rows a star-rating row: Gaussian kernel
+similarity as accuracy and exact 0.5-bin matches of the discretized star
+as recall/precision/F1.
 """
 
 from __future__ import annotations
@@ -21,18 +23,11 @@ import csv
 import io
 import json
 import random
-import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .engine import (
-    STAR_SCHEMA,
-    ReactionSchema,
-    build_lexicon,
-    get_schema,
-    normalize,
-    predict,
-)
+from .engine import STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
 from .errors import DegenerateRange, EmptySide, SchemaMismatch, ZeroReactionTotal
 from .star import discretize_star, gaussian_similarity, star_normalize, star_range, star_vector
 
@@ -53,22 +48,20 @@ class EntryMetrics:
     f1: tuple[float, ...]
 
 
-def _overlap(actual: float, predicted: float) -> tuple[float, float, float, float]:
-    a = min(actual, predicted)
-    r = a / actual if actual > 0 else 1.0
-    p = a / predicted if predicted > 0 else 1.0
-    f1 = 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
-    return a, r, p, f1
-
-
 def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
-    """Add each component's overlap metrics to that component's row of sums."""
+    """Add each component's overlap metrics to that component's row of sums.
+
+    Accuracy is ``min(actual, predicted)``; recall and precision divide it by
+    the actual and the predicted mass, 1 when that mass is zero.
+    """
     for row, n, m in zip(sums, actual, predicted):
-        a, r, p, f = _overlap(n, m)
+        a = m if m < n else n
+        r = a / n if n > 0 else 1.0
+        p = a / m if m > 0 else 1.0
         row[0] += a
         row[1] += r
         row[2] += p
-        row[3] += f
+        row[3] += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
 
 
 def entry_metrics(
@@ -147,6 +140,7 @@ class EvalReport:
     mean: dict = field(default_factory=dict)
     per_run: dict = field(default_factory=dict)
     manifest: str | None = None
+    accounting: dict = field(default_factory=dict, compare=False)
 
     def value(self, split: str, reaction: str, metric: str) -> float:
         return self.mean[split][reaction][metric]
@@ -158,47 +152,76 @@ def model_schema(model: str) -> ReactionSchema:
     return STAR_SCHEMA if model == "star" else get_schema(model)
 
 
-def prepare(entries: Iterable[tuple[Iterable[str], object]], model: str):
-    """Yield (unique_words, base) per entry in order, dropping zero-total ones.
+def prepare(
+    entries: Iterable[tuple[Iterable[str], object]],
+    model: str,
+    ids: dict,
+    tally: Counter | None = None,
+):
+    """Yield (word_ids, base) per entry in order, dropping zero-total ones.
 
-    ``base`` is the distribution for core/all, the (positive, negative)
-    masses for star.  Interned word tuples are far lighter than frozensets
-    when millions of entries are held for splitting.
+    Each distinct word becomes its id in ``ids``; a word seen for the first
+    time gets the next free id.  ``base`` is the distribution for core/all,
+    the (positive, negative) masses for star.  Entries dropped for a zero
+    total are counted in ``tally["excluded"]`` when a tally is given.
     """
     schema = model_schema(model)
+    star = model == "star"
     for words, counts in entries:
         try:
-            base = star_normalize(counts) if model == "star" else normalize(counts, schema)
+            base = star_normalize(counts) if star else normalize(counts, schema)
         except ZeroReactionTotal:
+            if tally is not None:
+                tally["excluded"] += 1
             continue
-        yield tuple({sys.intern(w) for w in words}), base
+        yield tuple({ids.setdefault(w, len(ids)) for w in words}), base
 
 
-def fit(prepared, model: str):
-    """Fold one prepared training side into ``(lexicon, vectorize)``.
+def fit(prepared, model: str, ids: dict):
+    """Fold one prepared training side into ``(fold, vectorize)``.
 
-    core/all bases are their vectors, so the side streams and vectorize is
-    None; star holds the side to take its range, and vectorize maps a base
-    onto its star4 vector at that range.
+    ``ids`` is the word-id map the side was prepared with.  core/all bases
+    are their vectors, so the side streams and vectorize is None; star holds
+    the side to take its range, and vectorize maps a base onto its star4
+    vector at that range.
     """
-    schema = model_schema(model)
-    if model != "star":
-        return build_lexicon(prepared, schema), None
-    prepared = list(prepared)
-    lo, hi = star_range(base for _, base in prepared)
+    fold = Fold(model_schema(model), ids)
+    vectorize = None
+    if model == "star":
+        prepared = list(prepared)
+        lo, hi = star_range(base for _, base in prepared)
 
-    def vectorize(base):
-        return star_vector(base[0], base[1], lo, hi)
+        def vectorize(base):
+            return star_vector(base[0], base[1], lo, hi)
 
-    return build_lexicon(((w, vectorize(base)) for w, base in prepared), schema), vectorize
+        prepared = ((word_ids, vectorize(base)) for word_ids, base in prepared)
+    for word_ids, vector in prepared:
+        fold.add(word_ids, vector)
+    return fold, vectorize
 
 
-def _score(test, lexicon, vectorize, sigma) -> list[list[float]]:
+def _rank_ids(prepared: list, ids: dict) -> dict:
+    """Renumber word ids in sorted-word order, in place; return the new map.
+
+    Each entry's ids become ascending, so the known ids of a test entry come
+    out in sorted-word order, the order ``predict`` averages in.
+    """
+    ranks = {w: r for r, w in enumerate(sorted(ids))}
+    rank_of = [ranks[w] for w in ids]
+    for j, (word_ids, base) in enumerate(prepared):
+        prepared[j] = (tuple(sorted([rank_of[i] for i in word_ids])), base)
+    return ranks
+
+
+def _score(test, fold, vectorize, sigma) -> list[list[float]]:
     """Mean metrics per report row: overlap rows, then star's star_rating row."""
-    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if vectorize else lexicon.schema.reactions)]
+    vectors, train_mean = fold.means()
+    counts = fold.counts
+    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if vectorize else fold.schema.reactions)]
     overlap_rows, star_row = (sums[:2], sums[2]) if vectorize else (sums, None)
-    for words, actual in test:
-        predicted, _ = predict(words, lexicon)
+    for word_ids, actual in test:
+        known = [vectors[i] for i in word_ids if counts[i]]
+        predicted = mean_vector(known) if known else train_mean
         if star_row is not None:
             actual = vectorize(actual)
             match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
@@ -210,17 +233,36 @@ def _score(test, lexicon, vectorize, sigma) -> list[list[float]]:
     return [[s / len(test) for s in row] for row in sums]
 
 
+def _run_accounting(label: str, run: int, train, test, counts) -> dict:
+    """Sizes of one run and the share of distinct test words not trained on."""
+    test_ids = set().union(*(word_ids for word_ids, _ in test))
+    oov = len([i for i in test_ids if not counts[i]])
+    return {
+        "split": label,
+        "run": run,
+        "n_train": len(train),
+        "n_test": len(test),
+        "vocab_size": len(counts) - counts.count(0),
+        "test_oov_rate": oov / len(test_ids) if test_ids else 0.0,
+    }
+
+
 def run_experiment(
-    entries: Sequence[tuple[Iterable[str], object]], config: ExperimentConfig
+    entries: Iterable[tuple[Iterable[str], object]], config: ExperimentConfig
 ) -> EvalReport:
     """Evaluate one model over every (train fraction, run) combination.
 
     ``entries`` are (words, reaction_counts) pairs from a cleaned corpus.
-    Entries whose schema total is zero are excluded up front.  Each run uses
-    seed ``config.seed + run_index`` for its shuffle, so runs are
-    independent partitions while the whole experiment stays reproducible.
+    Entries whose schema total is zero are excluded up front.  Every word
+    becomes an id once; each run uses seed ``config.seed + run_index`` for
+    its shuffle, so runs are independent partitions while the whole
+    experiment stays reproducible.  ``report.accounting`` records the
+    entries used and excluded and each run's sizes and test OOV rate.
     """
-    prepared = list(prepare(entries, config.model))
+    tally = Counter()
+    ids: dict = {}
+    prepared = list(prepare(entries, config.model, ids, tally))
+    ids = _rank_ids(prepared, ids)
     reactions = STAR_ROWS if config.model == "star" else model_schema(config.model).reactions
     report = EvalReport(
         model=config.model,
@@ -230,16 +272,22 @@ def run_experiment(
         reactions=tuple(reactions),
         split_labels=tuple(split_label(f) for f in config.train_fractions),
     )
+    report.accounting = {
+        "entries_used": len(prepared),
+        "entries_excluded_zero_total": tally["excluded"],
+        "runs": [],
+    }
     for fraction in config.train_fractions:
         label = split_label(fraction)
         runs = []
         for run in range(config.runs):
             try:
                 train, test = split(prepared, fraction, config.seed + run)
-                lexicon, vectorize = fit(train, config.model)
-                runs.append(_score(test, lexicon, vectorize, config.sigma))
+                fold, vectorize = fit(train, config.model, ids)
+                runs.append(_score(test, fold, vectorize, config.sigma))
             except (EmptySide, DegenerateRange) as exc:
                 raise type(exc)(f"{exc} (split {label}%, run {run})") from exc
+            report.accounting["runs"].append(_run_accounting(label, run, train, test, fold.counts))
         report.per_run[label] = {
             reaction: {metric: [means[i][j] for means in runs] for j, metric in enumerate(METRICS)}
             for i, reaction in enumerate(reactions)

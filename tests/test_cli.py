@@ -1,8 +1,13 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
 from reaction_lens.corpus_io import load_corpus, load_lexicon
 
@@ -15,6 +20,17 @@ def write_two_entry_corpus(path):
     # Two training entries: {a,b} all-love and {b,c} all-wow.
     path.write_text(
         HEADER + "a b,0,1,0,0,0,0,0\nb c,0,0,1,0,0,0,0\n", encoding="utf-8"
+    )
+
+
+def run_python(*args):
+    """Run a fresh interpreter with this package on its path."""
+    src = str(Path(reaction_lens.__file__).parents[1])
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
     )
 
 
@@ -160,6 +176,15 @@ class TestStatsCommand:
         assert main(["stats", "--input", str(path)]) == EXIT_SCHEMA
 
 
+    def test_oversized_header_field_exits_schema(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("x" * 200_000 + "," + HEADER + "a,1,0,0,0,0,0,0\n", encoding="utf-8")
+        result = run_python("-m", "reaction_lens.cli", "stats", "--input", str(path))
+        assert result.returncode == EXIT_SCHEMA
+        assert "unreadable CSV header" in result.stderr
+        assert "Traceback" not in result.stderr
+
+
 class TestTrainPredict:
     def test_end_to_end_two_entry_example(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"
@@ -290,6 +315,43 @@ class TestEvalCommand:
         assert payload["runs"] == 2
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert payload["manifest"] == manifest["run_id"]
+
+    def test_manifest_accounts_for_entries_and_runs(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(
+            HEADER + "a b,0,1,0,0,0,0,0\nb c,0,0,1,0,0,0,0\nc d,0,1,1,0,0,0,0\n"
+            "d e,0,0,0,1,0,0,0\nlikes only,5,0,0,0,0,0,0\nbroken,x,0,0,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        report_path = tmp_path / "r.json"
+        assert main([
+            "eval", "--input", str(corpus), "--output", str(report_path),
+            "--model", "core", "--splits", "50", "--runs", "2", "--seed", "1",
+        ]) == EXIT_OK
+        assert "(4 entries used, 1 excluded for a zero total, 1 malformed rows skipped)" in (
+            capsys.readouterr().out
+        )
+        drops = json.loads((tmp_path / "r.json.manifest.json").read_text())["row_drops"]
+        assert drops["malformed_rows"] == 1
+        assert drops["entries_used"] == 4
+        assert drops["entries_excluded_zero_total"] == 1
+        assert [(r["split"], r["run"], r["n_train"], r["n_test"]) for r in drops["runs"]] == [
+            ("50", 0, 2, 2), ("50", 1, 2, 2),
+        ]
+        for record in drops["runs"]:
+            assert 2 <= record["vocab_size"] <= 4
+            assert 0.0 <= record["test_oov_rate"] <= 1.0
+
+    def test_eval_does_not_load_numpy(self, synth_corpus, tmp_path):
+        code = (
+            "import sys\n"
+            "from reaction_lens import cli\n"
+            f"assert cli.main(['eval', '--input', {str(synth_corpus)!r}, '--output', "
+            f"{str(tmp_path / 'r.json')!r}, '--splits', '80', '--runs', '1']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded by eval'\n"
+        )
+        result = run_python("-c", code)
+        assert result.returncode == 0, result.stderr
 
     def test_csv_report_shape(self, synth_corpus, tmp_path):
         report_path = tmp_path / "report.csv"

@@ -1,4 +1,5 @@
 import io
+import logging
 import random
 import tracemalloc
 
@@ -145,6 +146,25 @@ class TestLoadCsv:
         assert [r.message for r in records] == ["a", "b"]
         assert [e.line for e in errors] == [3]
         assert "field limit" in errors[0].reason
+
+    def test_oversized_header_field_is_schema_mismatch(self):
+        source = io.BytesIO(("x" * 200_000 + "," + HEADER).encode("utf-8"))
+        with pytest.raises(SchemaMismatch, match="unreadable CSV header"):
+            load_corpus(source)
+
+    def test_malformed_rows_logged_then_summarised(self, caplog):
+        body = "".join(f"m{i},x,0,0,0,0,0,0\n" for i in range(12)) + "ok,1,0,0,0,0,0,0\n"
+        errors: list[MalformedRow] = []
+        with caplog.at_level(logging.WARNING, logger="reaction_lens.corpus_io"):
+            records = list(load_corpus(csv_source(body), errors=errors))
+        assert [r.message for r in records] == ["ok"]
+        assert len(errors) == 12
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 6
+        assert [w.split(":")[0] for w in warnings[:5]] == [
+            f"skipping malformed row at line {line}" for line in range(2, 7)
+        ]
+        assert warnings[5] == "7 more malformed rows not shown"
 
     def test_quoted_newline_in_message(self):
         records = list(load_corpus(csv_source('"line1\nline2",1,0,0,0,0,0,0\n')))

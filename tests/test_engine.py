@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reaction_lens.corpus_io import ReactionCounts
 from reaction_lens.engine import (
@@ -257,3 +259,56 @@ class TestPredict:
             words = frozenset(rng.sample(vocab, rng.randint(1, 8)))
             vector, _ = predict(words, lex)
             assert is_valid_vector(vector, CORE_SCHEMA)
+
+
+def literal_fold(entries, k):
+    """Word table and train mean by one plain left-to-right pass in entry order."""
+    sums, counts = {}, {}
+    total = [0.0] * k
+    for words, vector in entries:
+        for i in range(k):
+            total[i] = total[i] + vector[i]
+        for word in set(words):
+            row = sums.setdefault(word, [0.0] * k)
+            for i in range(k):
+                row[i] = row[i] + vector[i]
+            counts[word] = counts.get(word, 0) + 1
+    table = {w: (tuple(s / counts[w] for s in row), counts[w]) for w, row in sums.items()}
+    mean = tuple(t / len(entries) for t in total) if entries else None
+    return table, mean
+
+
+@st.composite
+def shuffled_training_sets(draw):
+    schema = draw(st.sampled_from((CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA)))
+    component = st.floats(min_value=0.0, max_value=5.0, allow_nan=False)
+    entry = st.tuples(
+        st.lists(st.sampled_from("abcdefgh"), max_size=6),
+        st.tuples(*[component] * schema.size),
+    )
+    entries = draw(st.lists(entry, max_size=30))
+    return schema, draw(st.permutations(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_training_sets())
+def test_build_lexicon_equals_literal_fold(case):
+    # Bit-equal, not approximately equal: the id-keyed fold adds in entry
+    # order, and predict averages known words in sorted order, exactly as
+    # the literal loops do.
+    schema, entries = case
+    lexicon = build_lexicon(entries, schema)
+    table, mean = literal_fold(entries, schema.size)
+    assert lexicon.entries == table
+    assert lexicon.train_mean == mean
+    assert lexicon.train_entry_count == len(entries)
+    for message in ("abc", "dh", "xy", "hgfedcba"):
+        known = sorted(w for w in set(message) if w in table)
+        if not known:
+            continue
+        expected = [0.0] * schema.size
+        for word in known:
+            for i in range(schema.size):
+                expected[i] = expected[i] + table[word][0][i]
+        vector, _ = predict(message, lexicon)
+        assert vector == tuple(s / len(known) for s in expected)

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from reaction_lens.corpus_io import ReactionCounts
-from reaction_lens.errors import EmptySide, SchemaMismatch
+from reaction_lens.engine import STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
+from reaction_lens.errors import EmptySide, SchemaMismatch, ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
@@ -15,6 +16,14 @@ from reaction_lens.evaluation import (
     split,
     split_label,
 )
+from reaction_lens.star import (
+    discretize_star,
+    gaussian_similarity,
+    star_normalize,
+    star_range,
+    star_vector,
+)
+from reaction_lens.synth import SynthSpec, iter_rows
 
 
 def random_distribution(rng, k=5, allow_zero_components=True):
@@ -251,3 +260,92 @@ class TestReportEmit:
     def test_split_labels(self):
         assert split_label(0.95) == "95"
         assert split_label(0.5) == "50"
+
+
+def synth_corpus(seed=4, rows=600):
+    spec = SynthSpec(rows=rows, vocab_size=150, seed=seed)
+    return [(m.split(), ReactionCounts(*c)) for m, c in iter_rows(spec)]
+
+
+def literal_experiment(corpus, config):
+    """Per-run means by the plain loop: split, build_lexicon, predict,
+    entry_metrics, and for star the star_rating row."""
+    star = config.model == "star"
+    entries = []
+    for words, counts in corpus:
+        try:
+            base = star_normalize(counts) if star else normalize(counts, get_schema(config.model))
+        except ZeroReactionTotal:
+            continue
+        entries.append((words, base))
+    per_run = {}
+    for fraction in config.train_fractions:
+        runs = []
+        for run in range(config.runs):
+            train, test = split(entries, fraction, config.seed + run)
+            if star:
+                lo, hi = star_range(base for _, base in train)
+                train = [(words, star_vector(*base, lo, hi)) for words, base in train]
+                test = [(words, star_vector(*base, lo, hi)) for words, base in test]
+            lexicon = build_lexicon(train, STAR_SCHEMA if star else get_schema(config.model))
+            rows = 3 if star else lexicon.schema.size
+            sums = [[0.0] * len(METRICS) for _ in range(rows)]
+            for words, actual in test:
+                predicted, _ = predict(words, lexicon)
+                overlap = 2 if star else rows
+                metrics = entry_metrics(actual[:overlap], predicted[:overlap])
+                for i in range(overlap):
+                    for j, values in enumerate(
+                        (metrics.accuracy, metrics.recall, metrics.precision, metrics.f1)
+                    ):
+                        sums[i][j] += values[i]
+                if star:
+                    match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
+                    sums[2][0] += gaussian_similarity(predicted[3], actual[3], config.sigma)
+                    for j in (1, 2, 3):
+                        sums[2][j] += match
+            runs.append([[s / len(test) for s in row] for row in sums])
+        per_run[split_label(fraction)] = runs
+    return per_run
+
+
+class TestRunExperimentMatchesLiteralLoop:
+    @pytest.mark.parametrize("model", ["core", "all", "star"])
+    def test_bit_equal(self, model):
+        corpus = synth_corpus()
+        config = ExperimentConfig(model=model, train_fractions=(0.9, 0.5), runs=2, seed=11)
+        report = run_experiment(corpus, config)
+        expected = literal_experiment(corpus, config)
+        for label, runs in expected.items():
+            for i, reaction in enumerate(report.reactions):
+                for j, metric in enumerate(METRICS):
+                    values = [means[i][j] for means in runs]
+                    assert report.per_run[label][reaction][metric] == values
+                    assert report.value(label, reaction, metric) == sum(values) / len(values)
+
+    def test_accounting(self):
+        corpus = synth_corpus(rows=300) + [(["only", "likes"], ReactionCounts(like=4))] * 7
+        corpus += [([f"rare{i}", "w0001"], ReactionCounts(sad=1)) for i in range(30)]
+        config = ExperimentConfig(model="core", train_fractions=(0.8,), runs=2, seed=2)
+        accounting = run_experiment(corpus, config).accounting
+        core = get_schema("core").reactions
+        entries = [
+            (set(words), counts) for words, counts in corpus
+            if any(getattr(counts, r) for r in core)
+        ]
+        assert accounting["entries_used"] == len(entries)
+        assert accounting["entries_excluded_zero_total"] == len(corpus) - len(entries)
+        assert len(accounting["runs"]) == 2
+        assert all(record["test_oov_rate"] > 0 for record in accounting["runs"])
+        for run, record in enumerate(accounting["runs"]):
+            train, test = split(entries, 0.8, config.seed + run)
+            vocabulary = set().union(*(words for words, _ in train))
+            test_words = set().union(*(words for words, _ in test))
+            assert record == {
+                "split": "80",
+                "run": run,
+                "n_train": len(train),
+                "n_test": len(test),
+                "vocab_size": len(vocabulary),
+                "test_oov_rate": len(test_words - vocabulary) / len(test_words),
+            }
