@@ -30,7 +30,7 @@ _DIGIT_CHARS = frozenset("0123456789") | frozenset(
 
 _URL_PREFIXES = ("http://", "https://", "www.")
 
-_translate_cache: dict[tuple[bool, bool, bool], dict[int, int | None]] = {}
+_translate_cache: dict[bool, dict[int, int | None]] = {}
 
 # Every Cc/Cf codepoint except ZWJ, as inclusive (first, last) ranges,
 # generated from unicodedata.category over all codepoints of the Unicode
@@ -64,28 +64,23 @@ _CONTROL_RANGES = (
 )
 
 
-def _translate_table(
-    delete_zwj: bool, replace_controls: bool, casefold_ascii: bool
-) -> dict[int, int | None]:
-    key = (delete_zwj, replace_controls, casefold_ascii)
-    table = _translate_cache.get(key)
+def _translate_table(casefold_ascii: bool) -> dict[int, int | None]:
+    """ZWJ -> deleted, controls -> space, optionally A-Z -> a-z."""
+    table = _translate_cache.get(casefold_ascii)
     if table is None:
-        table = {}
-        if delete_zwj:
-            table[0x200D] = None
-        if replace_controls:
-            for first, last in _CONTROL_RANGES:
-                table.update(dict.fromkeys(range(first, last + 1), 0x20))
+        table = {0x200D: None}
+        for first, last in _CONTROL_RANGES:
+            table.update(dict.fromkeys(range(first, last + 1), 0x20))
         if casefold_ascii:
             for cp in range(ord("A"), ord("Z") + 1):
                 table[cp] = cp + 32
-        _translate_cache[key] = table
+        _translate_cache[casefold_ascii] = table
     return table
 
 
 @dataclass(frozen=True)
 class CleanConfig:
-    """Stopword set plus per-step toggles (all steps on by default).
+    """Stopword set for step 5, plus optional ASCII case folding.
 
     ``casefold_ascii`` lowercases ASCII letters before tokenization; it is
     off by default and exists only to trade faithfulness for sparsity.
@@ -93,12 +88,6 @@ class CleanConfig:
 
     stopwords: frozenset[str] = frozenset()
     casefold_ascii: bool = False
-    delete_zwj: bool = True
-    replace_controls: bool = True
-    drop_links: bool = True
-    drop_foreign: bool = True
-    drop_stopwords: bool = True
-    drop_digits: bool = True
 
     def __post_init__(self):
         for w in self.stopwords:
@@ -171,51 +160,35 @@ def clean_message(
     Degenerate inputs yield an empty CleanedMessage; nothing raises.  When
     ``stats`` is given, per-step removal counters are incremented on it.
     """
+    table = _translate_table(config.casefold_ascii)
     if stats is not None:
-        if config.delete_zwj:
-            stats.zwj_deleted += raw.count(ZWJ)
-        if config.replace_controls:
-            # Cc/Cf characters are all non-printable, so printable text has none.
-            if not raw.isprintable():
-                ctrl_table = _translate_table(False, True, False)
-                stats.controls_replaced += sum(1 for c in raw if ord(c) in ctrl_table)
-    text = raw.translate(
-        _translate_table(
-            config.delete_zwj, config.replace_controls, config.casefold_ascii
-        )
-    )
+        stats.zwj_deleted += raw.count(ZWJ)
+        # Cc/Cf characters are all non-printable, so printable text has none;
+        # they are the characters the table maps to a space.
+        if not raw.isprintable():
+            stats.controls_replaced += sum(1 for c in raw if table.get(ord(c)) == 0x20)
+    text = raw.translate(table)
     kept: list[str] = []
     for token in text.split():
-        if config.drop_links:
-            if _is_url(token):
-                if stats is not None:
-                    stats.url_tokens += 1
-                continue
-            if _is_email(token):
-                if stats is not None:
-                    stats.email_tokens += 1
-                continue
-            if token.startswith("@"):
-                if stats is not None:
-                    stats.tag_tokens += 1
-                continue
-            if token.startswith("#"):
-                if stats is not None:
-                    stats.hashtag_tokens += 1
-                continue
-        if config.drop_foreign and not is_eligible_word(token):
-            if stats is not None:
-                stats.foreign_tokens += 1
+        if _is_url(token):
+            dropped = "url_tokens"
+        elif _is_email(token):
+            dropped = "email_tokens"
+        elif token.startswith("@"):
+            dropped = "tag_tokens"
+        elif token.startswith("#"):
+            dropped = "hashtag_tokens"
+        elif not is_eligible_word(token):
+            dropped = "foreign_tokens"
+        elif token in config.stopwords:
+            dropped = "stopword_tokens"
+        elif _is_digits(token):
+            dropped = "digit_tokens"
+        else:
+            kept.append(token)
             continue
-        if config.drop_stopwords and token in config.stopwords:
-            if stats is not None:
-                stats.stopword_tokens += 1
-            continue
-        if config.drop_digits and _is_digits(token):
-            if stats is not None:
-                stats.digit_tokens += 1
-            continue
-        kept.append(token)
+        if stats is not None:
+            setattr(stats, dropped, getattr(stats, dropped) + 1)
     return CleanedMessage(" ".join(kept), tuple(kept), frozenset(kept))
 
 

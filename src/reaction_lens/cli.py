@@ -13,12 +13,12 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import os
 import sys
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
@@ -27,9 +27,12 @@ from .cleaning import CleanConfig, CleanStats, clean_message, read_stopwords
 from .corpus_io import (
     REACTION_NAMES,
     MalformedRow,
+    PostRecord,
+    atomic_write,
     corpus_stats,
     load_corpus,
     load_lexicon,
+    save_corpus,
     save_lexicon,
 )
 from .engine import CORE_SCHEMA, predict
@@ -81,7 +84,7 @@ class RunManifest:
     row_drops: dict | None = None
 
     def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(asdict(self), fh, indent=2, sort_keys=False)
             fh.write("\n")
 
@@ -288,52 +291,37 @@ def _cmd_clean(args, config) -> int:
     )
     errors: list[MalformedRow] = []
     clean_stats = CleanStats()
-    rows_out = 0
-    empty_after = 0
-    zero_core = 0
-    zero_polar = 0
-    records = load_corpus(args.input, corpus_format, columns, errors)
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n") if corpus_format == "csv" else None
-        if writer is not None:
-            writer.writerow(("message",) + REACTION_NAMES)
+    tally: Counter = Counter()
+
+    def kept(records):
         for record in records:
             cleaned = clean_message(record.message, clean_config, clean_stats)
             if cleaned.empty:
-                empty_after += 1
+                tally["empty"] += 1
                 continue
             counts = record.reactions
             if not any(getattr(counts, r) for r in CORE_SCHEMA.reactions):
-                zero_core += 1
+                tally["zero_core"] += 1
             if not any(getattr(counts, r) for r in POLAR_REACTIONS):
-                zero_polar += 1
-            rows_out += 1
-            if writer is not None:
-                writer.writerow((cleaned.text,) + counts.as_tuple())
-            else:
-                obj = {"message": cleaned.text}
-                obj.update(zip(REACTION_NAMES, counts.as_tuple()))
-                if record.id is not None:
-                    obj["id"] = record.id
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+                tally["zero_polar"] += 1
+            yield PostRecord(cleaned.text, counts, record.id)
+
+    records = load_corpus(args.input, corpus_format, columns, errors)
+    rows_out = save_corpus(kept(records), args.output, corpus_format)
     drops = {
-        "rows_read": rows_out + empty_after + len(errors),
+        "rows_read": rows_out + tally["empty"] + len(errors),
         "malformed_rows": len(errors),
-        "empty_after_cleaning": empty_after,
+        "empty_after_cleaning": tally["empty"],
         "rows_out": rows_out,
-        "kept_with_zero_core_total": zero_core,
-        "kept_with_zero_polar_total": zero_polar,
+        "kept_with_zero_core_total": tally["zero_core"],
+        "kept_with_zero_polar_total": tally["zero_polar"],
         "token_removals": clean_stats.as_dict(),
     }
     _finish_manifest(manifest, [args.output], drops)
     print(
         f"cleaned {drops['rows_read']} rows -> {rows_out} kept "
-        f"({len(errors)} malformed, {empty_after} empty after cleaning)"
+        f"({len(errors)} malformed, {tally['empty']} empty after cleaning)"
     )
-    for entry in errors[:10]:
-        print(f"  line {entry.line}: {entry.reason}", file=sys.stderr)
-    if len(errors) > 10:
-        print(f"  ... {len(errors) - 10} more malformed rows", file=sys.stderr)
     return EXIT_OK
 
 
@@ -359,7 +347,7 @@ def _cmd_stats(args, config) -> int:
             "core_percent": stats.core_percent,
             "malformed_rows": len(errors),
         }
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with atomic_write(args.output) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
     return EXIT_OK
@@ -401,19 +389,18 @@ def _cmd_train(args, config) -> int:
 def _cmd_predict(args, config) -> int:
     lexicon = load_lexicon(args.lexicon)
     clean_config = _clean_config(args, config)
-    source = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    sink = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
-    try:
+    with ExitStack() as stack:
+        source = sys.stdin if args.input == "-" else stack.enter_context(
+            open(args.input, encoding="utf-8")
+        )
+        sink = sys.stdout if args.output == "-" else stack.enter_context(
+            atomic_write(args.output)
+        )
         for line in source:
             words = clean_message(line.rstrip("\n"), clean_config).unique_words
             vector, coverage = predict(words, lexicon)
             values = ",".join(format_float(v) for v in vector)
             sink.write(f"{values} coverage={format_float(coverage)}\n")
-    finally:
-        if source is not sys.stdin:
-            source.close()
-        if sink is not sys.stdout:
-            sink.close()
     return EXIT_OK
 
 
@@ -445,7 +432,7 @@ def _cmd_eval(args, config) -> int:
     entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
     report = run_experiment(entries, experiment)
     report.manifest = manifest.run_id
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with atomic_write(args.output) as fh:
         fh.write(report_emit(report, report_format))
     accounting = report.accounting
     _finish_manifest(manifest, [args.output], {"malformed_rows": len(errors), **accounting})

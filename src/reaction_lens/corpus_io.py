@@ -4,6 +4,10 @@
 than the current row in memory.  Malformed rows are recorded in a caller
 ledger (and logged) with their line number, then skipped; only structural
 problems (unreadable source, missing columns) abort the stream.
+``save_corpus`` writes records back in the format ``load_corpus`` reads.
+
+Every file written by path goes through ``atomic_write``: a temporary file
+in the same directory that replaces the target only once it is complete.
 
 The lexicon artifact is line-oriented UTF-8 text: a handful of ``#`` header
 lines (format version, schema, entry count, train-mean fallback, checksum)
@@ -19,7 +23,9 @@ import hashlib
 import io
 import json
 import logging
+import os
 import re
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -28,7 +34,6 @@ from .engine import ALL_SCHEMA, CORE_SCHEMA, SCHEMAS, ReactionLexicon, ReactionS
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
-    UnfinalizedLexicon,
     UnreadableSource,
     VersionMismatch,
 )
@@ -96,6 +101,25 @@ class CorpusStats:
     totals: dict[str, int]
     all_percent: dict[str, float] | None
     core_percent: dict[str, float] | None
+
+
+@contextmanager
+def atomic_write(path, newline=None):
+    """Open ``path`` for UTF-8 text writing, all or nothing.
+
+    The text goes to a temporary file beside ``path``, which ``os.replace``
+    moves onto ``path`` when the block ends.  If the block raises, the
+    temporary file is removed and a file already at ``path`` is untouched.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise
 
 
 # errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF.
@@ -320,6 +344,36 @@ def _iter_jsonl(stream, should_close, mapping, errors):
             stream.close()
 
 
+def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int:
+    """Write records to ``sink`` (path or text file) as ``load_corpus`` reads them.
+
+    CSV rows are the message and the seven counts under a header line; a
+    JSONL object carries ``id`` after them only when the record has one.
+    Returns the number of records written.
+    """
+    if format not in ("csv", "jsonl"):
+        raise ValueError(f"unknown corpus format {format!r}")
+    if isinstance(sink, (str, Path)):
+        with atomic_write(sink, newline="") as fh:
+            return save_corpus(records, fh, format)
+    if format == "csv":
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(("message",) + REACTION_NAMES)
+    rows = 0
+    for record in records:
+        counts = record.reactions.as_tuple()
+        if format == "csv":
+            writer.writerow((record.message,) + counts)
+        else:
+            obj = {"message": record.message}
+            obj.update(zip(REACTION_NAMES, counts))
+            if record.id is not None:
+                obj["id"] = record.id
+            sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
+        rows += 1
+    return rows
+
+
 def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
     """Exact totals per reaction plus all/core percentage columns."""
     totals = {name: 0 for name in REACTION_NAMES}
@@ -349,9 +403,7 @@ def _format_floats(values) -> str:
 
 
 def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None) -> None:
-    """Write a finalized lexicon to ``sink`` (path or text file object)."""
-    if not lexicon.finalized:
-        raise UnfinalizedLexicon("only finalized lexicons can be persisted")
+    """Write a lexicon to ``sink`` (path or text file object)."""
     schema = lexicon.schema
     body_lines = []
     for word in sorted(lexicon.entries):
@@ -374,14 +426,14 @@ def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None)
     header.append(f"#sha256\t{digest}\n")
     text = "".join(header) + body
     if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(sink, newline="\n") as fh:
             fh.write(text)
     else:
         sink.write(text)
 
 
 def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) -> ReactionLexicon:
-    """Read a lexicon artifact back into a finalized ReactionLexicon.
+    """Read a lexicon artifact back into a ReactionLexicon.
 
     Raises VersionMismatch for unsupported format versions, SchemaMismatch
     when the artifact's schema differs from ``expected_schema``, and
@@ -498,6 +550,5 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
         entries=entries,
         train_entry_count=train_entries,
         train_mean=train_mean,
-        finalized=True,
         meta=meta,
     )

@@ -2,10 +2,10 @@
 
 A post's reaction counts are normalized into a distribution over a declared
 reaction schema.  Training folds each post's distribution into every unique
-word of its message (``Fold``, keyed by integer word id); finalizing
-averages the per-word sums into a word-keyed ``ReactionLexicon``.  Prediction
-averages the vectors of a message's known words and falls back to the
-training mean when no word is known.
+word of its message (``Fold``, keyed by integer word id); ``Fold.lexicon``
+averages the per-word sums into a frozen, word-keyed ``ReactionLexicon``.
+Prediction averages the vectors of a message's known words and falls back
+to the training mean when no word is known.
 
 The same engine serves the 5-reaction and 7-reaction models (both unit-sum
 distributions) and the 4-component star-sentiment vectors (not unit-sum);
@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 from operator import add, truediv
 from typing import Collection, Iterable, Sequence
 
-from .errors import (
-    EmptyTrainingSet,
-    SchemaMismatch,
-    UnfinalizedLexicon,
-    ZeroReactionTotal,
-)
+from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 
 VECTOR_SUM_TOL = 1e-9
 
@@ -139,44 +134,35 @@ class Fold:
         self.train_sum = list(map(add, self.train_sum, vector))
         self.entries += 1
 
-    def merge(self, other: "Fold") -> None:
-        """Add another fold's sums, matching words by name (shard merge)."""
-        ids = self.ids
-        remap = [ids.setdefault(w, len(ids)) for w in other.ids]
-        self._grow()
-        for column, sums in zip(self.columns, other.columns):
-            for j, s in zip(remap, sums):
-                column[j] += s
-        for j, n in zip(remap, other.counts):
-            self.counts[j] += n
-        self.train_sum = list(map(add, self.train_sum, other.train_sum))
-        self.entries += other.entries
-
     def means(self) -> tuple[list[tuple[float, ...]], tuple[float, ...] | None]:
         """Mean vector per id, and the mean over all entries.
 
         An id that no entry contained has count 0 and a zero vector; callers
         check ``counts``.  The entry mean is None when no entry was added.
         """
-        if len(self.counts) < len(self.ids):
-            self._grow()
+        self._grow()
         divisors = [n or 1 for n in self.counts]
         vectors = list(zip(*(list(map(truediv, column, divisors)) for column in self.columns)))
         mean = tuple(s / self.entries for s in self.train_sum) if self.entries else None
         return vectors, mean
 
     def lexicon(self) -> "ReactionLexicon":
-        """The finalized lexicon of every word an entry contained."""
-        return ReactionLexicon(self.schema, _fold=self).finalize()
+        """The lexicon of every word an entry contained."""
+        vectors, train_mean = self.means()
+        entries = {
+            word: (vector, n)
+            for word, vector, n in zip(self.ids, vectors, self.counts)
+            if n
+        }
+        return ReactionLexicon(self.schema, entries, self.entries, train_mean)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReactionLexicon:
     """Mapping word -> (mean reaction vector, number of training entries).
 
-    A lexicon is built by ``add_entry`` (and ``merge``) into a Fold, then
-    ``finalize()`` averages the sums and freezes it; only a finalized
-    lexicon can predict or be persisted, and ``entries`` is filled then.
+    A lexicon is a finished table: ``Fold.lexicon`` and
+    ``corpus_io.load_lexicon`` are the only places that make one.
 
     ``train_mean`` is the component-wise mean over all training entries'
     vectors (not over words); it is the fallback prediction for messages
@@ -184,72 +170,31 @@ class ReactionLexicon:
     """
 
     schema: ReactionSchema
-    entries: dict = field(default_factory=dict)
-    train_entry_count: int = 0
-    train_mean: tuple[float, ...] | None = None
-    finalized: bool = False
+    entries: dict
+    train_entry_count: int
+    train_mean: tuple[float, ...] | None
     meta: dict = field(default_factory=dict, compare=False)
-    _fold: Fold | None = field(default=None, repr=False, compare=False)
-
-    def _accumulator(self) -> Fold:
-        if self.finalized:
-            raise ValueError("cannot add entries to a finalized lexicon")
-        if self._fold is None:
-            self._fold = Fold(self.schema)
-        return self._fold
-
-    def add_entry(self, words: Iterable[str], vector: Sequence[float]) -> None:
-        """Fold one training entry (its unique words, its vector) into the sums."""
-        fold = self._accumulator()
-        if len(vector) != self.schema.size:
-            raise SchemaMismatch(
-                f"vector has {len(vector)} components, schema "
-                f"{self.schema.name!r} expects {self.schema.size}"
-            )
-        ids = fold.ids
-        fold.add({ids.setdefault(w, len(ids)) for w in words}, vector)
-
-    def merge(self, other: "ReactionLexicon") -> None:
-        """Fold another accumulating lexicon into this one (shard merge)."""
-        if self.finalized or other.finalized:
-            raise ValueError("merge operates on accumulating lexicons only")
-        if other.schema != self.schema:
-            raise SchemaMismatch(
-                f"cannot merge schema {other.schema.name!r} into {self.schema.name!r}"
-            )
-        if other._fold is not None:
-            self._accumulator().merge(other._fold)
-
-    def finalize(self) -> "ReactionLexicon":
-        """Average the sums and freeze the lexicon.  Returns self."""
-        if self.finalized:
-            raise ValueError("lexicon already finalized")
-        fold = self._accumulator()
-        vectors, self.train_mean = fold.means()
-        self.entries = {
-            word: (vector, n)
-            for word, vector, n in zip(fold.ids, vectors, fold.counts)
-            if n
-        }
-        self.train_entry_count = fold.entries
-        self.finalized = True
-        self._fold = None
-        return self
 
 
 def build_lexicon(
     training: Iterable[tuple[Iterable[str], Sequence[float]]],
     schema: ReactionSchema,
 ) -> ReactionLexicon:
-    """Build and finalize a lexicon from (unique_words, vector) pairs.
+    """Build a lexicon from (unique_words, vector) pairs.
 
-    An empty training iterable still yields a finalized lexicon, but with
+    An empty training iterable still yields a lexicon, but with
     ``train_mean`` None; prediction against it raises EmptyTrainingSet.
     """
-    lexicon = ReactionLexicon(schema)
+    fold = Fold(schema)
+    ids = fold.ids
     for words, vector in training:
-        lexicon.add_entry(words, vector)
-    return lexicon.finalize()
+        if len(vector) != schema.size:
+            raise SchemaMismatch(
+                f"vector has {len(vector)} components, schema "
+                f"{schema.name!r} expects {schema.size}"
+            )
+        fold.add({ids.setdefault(w, len(ids)) for w in words}, vector)
+    return fold.lexicon()
 
 
 def mean_vector(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:
@@ -280,8 +225,6 @@ def predict(
     independent of the caller's iteration order; with no known word the
     training-mean fallback is returned with coverage 0.
     """
-    if not lexicon.finalized:
-        raise UnfinalizedLexicon("predict requires a finalized lexicon")
     unique = set(message_words)
     entries = lexicon.entries
     known = [w for w in unique if w in entries]

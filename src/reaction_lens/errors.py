@@ -29,10 +29,6 @@ class EmptyTrainingSet(ReactionLensError):
     """The lexicon was built from zero entries; the fallback vector is undefined."""
 
 
-class UnfinalizedLexicon(ReactionLensError):
-    """Operation requires a finalized (averaged) lexicon."""
-
-
 class DegenerateRange(ReactionLensError):
     """All training sentiment values are equal; star scaling is undefined."""
 

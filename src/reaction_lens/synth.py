@@ -15,7 +15,6 @@ given spec always produces byte-identical output.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -23,7 +22,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus_io import CORE_NAMES, REACTION_NAMES
+from .corpus_io import (
+    CORE_NAMES, REACTION_NAMES, PostRecord, ReactionCounts, atomic_write, save_corpus,
+)
 from .errors import InvalidSpec
 
 _CHUNK = 10_000
@@ -167,26 +168,14 @@ def write_corpus(
     if truth_path is None:
         truth_path = output.with_name(output.name + ".affinities.json")
     totals = dict.fromkeys(REACTION_NAMES, 0)
-    rows = 0
-    with open(output, "w", encoding="utf-8", newline="") as fh:
-        if format == "csv":
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("message",) + REACTION_NAMES)
-            for message, counts in iter_rows(spec):
-                writer.writerow((message,) + counts)
-                rows += 1
-                for name, value in zip(REACTION_NAMES, counts):
-                    totals[name] += value
-        elif format == "jsonl":
-            for message, counts in iter_rows(spec):
-                obj = {"message": message}
-                obj.update(zip(REACTION_NAMES, counts))
-                fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-                rows += 1
-                for name, value in zip(REACTION_NAMES, counts):
-                    totals[name] += value
-        else:
-            raise ValueError(f"unknown corpus format {format!r}")
+
+    def records():
+        for message, counts in iter_rows(spec):
+            for name, value in zip(REACTION_NAMES, counts):
+                totals[name] += value
+            yield PostRecord(message, ReactionCounts(*counts))
+
+    rows = save_corpus(records(), output, format)
     affinities = word_affinities(spec)
     truth = {
         "spec": asdict(spec),
@@ -196,7 +185,7 @@ def write_corpus(
             for word, row in zip(vocabulary(spec), affinities)
         },
     }
-    with open(truth_path, "w", encoding="utf-8") as fh:
+    with atomic_write(truth_path) as fh:
         json.dump(truth, fh, indent=2)
         fh.write("\n")
     grand = sum(totals.values())

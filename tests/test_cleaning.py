@@ -85,11 +85,6 @@ class TestPipelineRules:
         folded = clean_message("MiXeD සABC", CleanConfig(casefold_ascii=True))
         assert folded.text == "mixed සabc"
 
-    def test_step_toggles(self):
-        config = CleanConfig(drop_links=False, drop_digits=False)
-        cleaned = clean_message("#tag 42", config)
-        assert cleaned.text == "#tag 42"
-
     def test_stats_counters(self):
         stats = CleanStats()
         clean_message(

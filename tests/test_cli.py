@@ -1,8 +1,10 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -130,6 +132,20 @@ class TestCleanCommand:
         assert row["message"] == "hi there"
         assert row["love"] == 2
 
+    def test_malformed_rows_reported_once(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        bad = "".join(f"bad{i},x,0,0,0,0,0,0\n" for i in range(12))
+        raw.write_text(HEADER + bad + "ok,1,0,0,0,0,0,0\n", encoding="utf-8")
+        result = run_python(
+            "-m", "reaction_lens.cli", "clean", "--input", str(raw),
+            "--output", str(tmp_path / "c.csv"),
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert "13 rows -> 1 kept (12 malformed" in result.stdout
+        lines = Counter(re.findall(r"\bline (\d+)\b", result.stderr))
+        assert lines, result.stderr
+        assert max(lines.values()) == 1, result.stderr
+
     def test_oversized_field_is_a_malformed_row(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
         raw.write_text(
@@ -233,12 +249,17 @@ class TestTrainPredict:
         assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
         msgs = tmp_path / "m.txt"
         msgs.write_bytes(b"ok\n\xff\xfe bad\n")
+        out = tmp_path / "p.txt"
+        out.write_text("earlier output\n", encoding="utf-8")
         code = main([
             "predict", "--lexicon", str(lexicon), "--input", str(msgs),
-            "--output", str(tmp_path / "p.txt"),
+            "--output", str(out),
         ])
         assert code == EXIT_IO
         assert "i/o error" in capsys.readouterr().err
+        # the write is atomic: the earlier file is untouched, no temp file is left
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+        assert not list(tmp_path.glob("p.txt.*"))
 
     def test_star_training(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"

@@ -11,12 +11,14 @@ from reaction_lens.corpus_io import (
     MalformedRow,
     PostRecord,
     ReactionCounts,
+    atomic_write,
     corpus_stats,
     load_corpus,
     load_lexicon,
+    save_corpus,
     save_lexicon,
 )
-from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, STAR_SCHEMA, ReactionLexicon, build_lexicon
+from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, STAR_SCHEMA, build_lexicon
 from reaction_lens.errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -282,7 +284,7 @@ class TestLexiconPersistence:
         rng = random.Random(31337)
         for trial in range(25):
             schema = rng.choice([CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA])
-            lex = ReactionLexicon(schema)
+            entries = []
             for i in range(rng.randint(0, 40)):
                 word = rng.choice(
                     ["w%d" % i, "සි%d" % i, "x!%d" % i, "#h%d" % i]
@@ -293,8 +295,8 @@ class TestLexiconPersistence:
                     vector = tuple(v / total for v in raw)
                 else:
                     vector = tuple(rng.uniform(0, 5) for _ in schema.reactions)
-                lex.add_entry({word}, vector)
-            lex.finalize()
+                entries.append(({word}, vector))
+            lex = build_lexicon(entries, schema)
             path = tmp_path / f"lex{trial}"
             save_lexicon(lex, path)
             loaded = load_lexicon(path)
@@ -343,13 +345,6 @@ class TestLexiconPersistence:
         with pytest.raises(CorruptArtifact):
             load_lexicon(path)
 
-    def test_unfinalized_rejected(self, tmp_path):
-        lex = ReactionLexicon(CORE_SCHEMA)
-        from reaction_lens.errors import UnfinalizedLexicon
-
-        with pytest.raises(UnfinalizedLexicon):
-            save_lexicon(lex, tmp_path / "x")
-
     def test_manifest_id_preserved_in_meta(self, tmp_path):
         lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
         path = tmp_path / "m.lex"
@@ -357,6 +352,62 @@ class TestLexiconPersistence:
         loaded = load_lexicon(path)
         assert loaded.meta["manifest"] == "abc123"
         assert loaded == lex  # meta does not affect equality
+
+
+class TestSaveCorpus:
+    RECORDS = [
+        PostRecord("ආයුබෝවන් hi", ReactionCounts(like=3, love=1), "p1"),
+        PostRecord('say "x", y', ReactionCounts(sad=2, thankful=1)),
+    ]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_round_trip(self, tmp_path, fmt):
+        path = tmp_path / f"c.{fmt}"
+        assert save_corpus(self.RECORDS, path, fmt) == 2
+        loaded = list(load_corpus(path, fmt, {"id": "id"}))
+        assert [(r.message, r.reactions) for r in loaded] == [
+            (r.message, r.reactions) for r in self.RECORDS
+        ]
+        # CSV has no id column; JSONL keeps the id of the record that has one.
+        expected_ids = ["p1", None] if fmt == "jsonl" else [None, None]
+        assert [r.id for r in loaded] == expected_ids
+
+    def test_jsonl_id_only_when_present(self):
+        sink = io.StringIO()
+        save_corpus(self.RECORDS, sink, "jsonl")
+        first, second = sink.getvalue().splitlines()
+        assert first.endswith('"thankful": 0, "id": "p1"}')
+        assert second.endswith('"thankful": 1}')
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "c.txt"
+        with pytest.raises(ValueError):
+            save_corpus(self.RECORDS, path, "xml")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temp(self, tmp_path):
+        path = tmp_path / "out.csv"
+        save_corpus(TestSaveCorpus.RECORDS, path)
+        before = path.read_bytes()
+
+        def failing():
+            yield from TestSaveCorpus.RECORDS
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            save_corpus(failing(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_creates_nothing(self, tmp_path):
+        path = tmp_path / "new.txt"
+        with pytest.raises(KeyError):
+            with atomic_write(path) as fh:
+                fh.write("partial")
+                raise KeyError("boom")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestStreaming:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -9,19 +10,13 @@ from reaction_lens.engine import (
     ALL_SCHEMA,
     CORE_SCHEMA,
     STAR_SCHEMA,
-    ReactionLexicon,
     build_lexicon,
     get_schema,
     is_valid_vector,
     normalize,
     predict,
 )
-from reaction_lens.errors import (
-    EmptyTrainingSet,
-    SchemaMismatch,
-    UnfinalizedLexicon,
-    ZeroReactionTotal,
-)
+from reaction_lens.errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 
 from oracles import oracle_lexicon, oracle_predict, oracle_train_mean
 
@@ -139,20 +134,18 @@ class TestLexiconBuild:
 
     def test_empty_training_set(self):
         lex = build_lexicon([], CORE_SCHEMA)
-        assert lex.finalized
         assert lex.train_mean is None
         with pytest.raises(EmptyTrainingSet):
             predict({"a"}, lex)
 
     def test_wrong_vector_size(self):
-        lex = ReactionLexicon(CORE_SCHEMA)
         with pytest.raises(SchemaMismatch):
-            lex.add_entry({"a"}, (1.0, 0.0))
+            build_lexicon([({"a"}, (1.0, 0.0))], CORE_SCHEMA)
 
-    def test_add_after_finalize_rejected(self):
+    def test_lexicon_is_frozen(self):
         lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
-        with pytest.raises(ValueError):
-            lex.add_entry({"b"}, (1, 0, 0, 0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lex.train_mean = None
 
     def test_oracle_equivalence(self):
         # 50 random small entries against the literal loop implementation.
@@ -166,35 +159,6 @@ class TestLexiconBuild:
             assert got == pytest.approx(vector, abs=1e-12)
         mean = oracle_train_mean(entries, CORE_SCHEMA.size)
         assert lex.train_mean == pytest.approx(mean, abs=1e-12)
-
-    def test_merge_associativity(self):
-        # Shard-built lexicons merged in random order match the single pass.
-        rng = random.Random(7)
-        for trial in range(20):
-            entries = random_corpus(rng, rng.randint(2, 60))
-            single = build_lexicon(entries, CORE_SCHEMA)
-            cut_a = rng.randint(0, len(entries))
-            cut_b = rng.randint(cut_a, len(entries))
-            shards = [entries[:cut_a], entries[cut_a:cut_b], entries[cut_b:]]
-            merged = ReactionLexicon(CORE_SCHEMA)
-            for shard in shards:
-                part = ReactionLexicon(CORE_SCHEMA)
-                for words, vector in shard:
-                    part.add_entry(words, vector)
-                merged.merge(part)
-            merged.finalize()
-            assert set(merged.entries) == set(single.entries)
-            for word, (vector, count) in single.entries.items():
-                got_vector, got_count = merged.entries[word]
-                assert got_count == count
-                assert got_vector == pytest.approx(vector, abs=1e-12)
-            assert merged.train_mean == pytest.approx(single.train_mean, abs=1e-12)
-
-    def test_merge_schema_mismatch(self):
-        a = ReactionLexicon(CORE_SCHEMA)
-        b = ReactionLexicon(ALL_SCHEMA)
-        with pytest.raises(SchemaMismatch):
-            a.merge(b)
 
 
 class TestPredict:
@@ -226,12 +190,6 @@ class TestPredict:
 
     def test_duplicates_count_once(self, lexicon):
         assert predict(["a", "a", "c"], lexicon) == predict({"a", "c"}, lexicon)
-
-    def test_unfinalized_rejected(self):
-        lex = ReactionLexicon(CORE_SCHEMA)
-        lex.add_entry({"a"}, (1, 0, 0, 0, 0))
-        with pytest.raises(UnfinalizedLexicon):
-            predict({"a"}, lex)
 
     def test_oracle_equivalence(self):
         rng = random.Random(101)

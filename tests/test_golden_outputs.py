@@ -1,7 +1,8 @@
 """Golden outputs: the CLI pipeline reproduces recorded sha256 digests.
 
 One fixed synthetic corpus goes through ``synth -> clean -> train`` (core,
-all, star) and ``eval`` (core, all, star; JSON and CSV reports).  Every
+all, star) and ``eval`` (core, all, star; JSON and CSV reports); the same
+spec also goes through ``synth -> clean`` as JSONL.  Every
 output must hash to the digest recorded below, so a refactor that changes
 any lexicon value, report value or row by a single bit fails here.
 
@@ -20,11 +21,14 @@ import pytest
 from reaction_lens.cli import EXIT_OK, main
 
 MODELS = ("core", "all", "star")
+SYNTH_FLAGS = ["--rows", "2000", "--vocab-size", "400", "--seed", "11"]
 EVAL_FLAGS = ["--splits", "90,50", "--runs", "2", "--seed", "0"]
 
 GOLDEN = {
     "corpus.csv": "6ff93cfbf057854ba507769fa565f1b8bbc6b207f0d0040b6b84c1ecb9a47611",
     "cleaned.csv": "6ff93cfbf057854ba507769fa565f1b8bbc6b207f0d0040b6b84c1ecb9a47611",
+    "corpus.jsonl": "af7afd0f537283564c8cd79260763db4cb355989e922460ca95879e80fd4a623",
+    "cleaned.jsonl": "af7afd0f537283564c8cd79260763db4cb355989e922460ca95879e80fd4a623",
     "core.lex": "29c72e5d9014354148ad412c909a28e4dceaf9dd5b9fc16b106030432d4b8c83",
     "all.lex": "7642edf743f95fc89f49026f3843ff7328bf0ac190e945f914785f4c7f3e195a",
     "star.lex": "c68ac05c8024ae522f34d44d126d5fae5c8626ccbc63221a5a72680e11b12bb7",
@@ -57,9 +61,11 @@ def outputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("golden")
     corpus, cleaned = d / "corpus.csv", d / "cleaned.csv"
     commands = [
-        ["synth", "--output", str(corpus), "--rows", "2000", "--vocab-size", "400",
-         "--seed", "11"],
+        ["synth", "--output", str(corpus), *SYNTH_FLAGS],
         ["clean", "--input", str(corpus), "--output", str(cleaned)],
+        ["synth", "--output", str(d / "corpus.jsonl"), "--format", "jsonl", *SYNTH_FLAGS],
+        ["clean", "--input", str(d / "corpus.jsonl"), "--output", str(d / "cleaned.jsonl"),
+         "--format", "jsonl"],
     ]
     for model in MODELS:
         commands.append(["train", "--input", str(cleaned), "--output",
