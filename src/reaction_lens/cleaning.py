@@ -99,9 +99,11 @@ class CleanConfig:
 
 @dataclass(frozen=True)
 class CleanedMessage:
-    text: str
     tokens: tuple[str, ...]
-    unique_words: frozenset[str]
+
+    @property
+    def text(self) -> str:
+        return " ".join(self.tokens)
 
     @property
     def empty(self) -> bool:
@@ -189,7 +191,7 @@ def clean_message(
             continue
         if stats is not None:
             setattr(stats, dropped, getattr(stats, dropped) + 1)
-    return CleanedMessage(" ".join(kept), tuple(kept), frozenset(kept))
+    return CleanedMessage(tuple(kept))
 
 
 def read_stopwords(path) -> frozenset[str]:

@@ -25,7 +25,6 @@ from datetime import datetime, timezone
 from . import __version__
 from .cleaning import CleanConfig, CleanStats, clean_message, read_stopwords
 from .corpus_io import (
-    REACTION_NAMES,
     MalformedRow,
     PostRecord,
     atomic_write,
@@ -35,7 +34,7 @@ from .corpus_io import (
     save_corpus,
     save_lexicon,
 )
-from .engine import CORE_SCHEMA, predict
+from .engine import ALL_SCHEMA, CORE_SCHEMA, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -332,7 +331,7 @@ def _cmd_stats(args, config) -> int:
     stats = corpus_stats(load_corpus(args.input, corpus_format, columns, errors))
     print(f"rows: {stats.rows}   (malformed skipped: {len(errors)})")
     print(f"{'reaction':<10}{'count':>14}{'all %':>10}{'core %':>10}")
-    for name in REACTION_NAMES:
+    for name in ALL_SCHEMA.reactions:
         all_pct = f"{stats.all_percent[name]:.2f}" if stats.all_percent else "-"
         if stats.core_percent and name in stats.core_percent:
             core_pct = f"{stats.core_percent[name]:.2f}"
@@ -397,8 +396,8 @@ def _cmd_predict(args, config) -> int:
             atomic_write(args.output)
         )
         for line in source:
-            words = clean_message(line.rstrip("\n"), clean_config).unique_words
-            vector, coverage = predict(words, lexicon)
+            tokens = clean_message(line.rstrip("\n"), clean_config).tokens
+            vector, coverage = predict(tokens, lexicon)
             values = ",".join(format_float(v) for v in vector)
             sink.write(f"{values} coverage={format_float(coverage)}\n")
     return EXIT_OK

@@ -40,16 +40,13 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-REACTION_NAMES = ALL_SCHEMA.reactions
-CORE_NAMES = CORE_SCHEMA.reactions
-
 LOGGED_MALFORMED_ROWS = 5
 
 LEXICON_MAGIC = "#reaction-lexicon"
 LEXICON_VERSION = "v1"
 
 # Logical field -> file column; every field defaults to its own name.
-DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + REACTION_NAMES}
+DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + ALL_SCHEMA.reactions}
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class ReactionCounts:
     thankful: int = 0
 
     def __post_init__(self):
-        for name in REACTION_NAMES:
+        for name in ALL_SCHEMA.reactions:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(
@@ -71,7 +68,7 @@ class ReactionCounts:
                 )
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in REACTION_NAMES)
+        return tuple(getattr(self, name) for name in ALL_SCHEMA.reactions)
 
 
 @dataclass(frozen=True)
@@ -103,6 +100,11 @@ class CorpusStats:
     core_percent: dict[str, float] | None
 
 
+def _naming_target(exc: OSError, path) -> OSError:
+    """The same error, naming the target instead of the temporary file."""
+    return type(exc)(exc.errno, exc.strerror, str(path))
+
+
 @contextmanager
 def atomic_write(path, newline=None):
     """Open ``path`` for UTF-8 text writing, all or nothing.
@@ -110,20 +112,30 @@ def atomic_write(path, newline=None):
     The text goes to a temporary file beside ``path``, which ``os.replace``
     moves onto ``path`` when the block ends.  If the block raises, the
     temporary file is removed and a file already at ``path`` is untouched.
+    An OSError from creating or moving the temporary file names ``path``.
     """
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", encoding="utf-8", newline=newline) as fh:
+        fh = open(temp, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise _naming_target(exc, path) from None
+    try:
+        with fh:
             yield fh
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise _naming_target(exc, path) from None
     except BaseException:
         with suppress(FileNotFoundError):
             os.unlink(temp)
         raise
 
 
-# errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF.
-_SURROGATE = re.compile("[\udc80-\udcff]")
+# errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF; a JSON
+# string can hold any lone surrogate as an escape.  Neither can be written
+# back as UTF-8.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _has_surrogates(s: str) -> bool:
@@ -237,7 +249,7 @@ def load_corpus(
             return iter(())
         columns = {name: idx for idx, name in enumerate(header)}
         indices = {}
-        for field_name in ("message",) + REACTION_NAMES:
+        for field_name in ("message",) + ALL_SCHEMA.reactions:
             column = mapping[field_name]
             if column not in columns:
                 if should_close:
@@ -279,7 +291,7 @@ def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
                 if _has_surrogates(message):
                     raise ValueError("message column: invalid UTF-8 bytes")
                 counts = {}
-                for name in REACTION_NAMES:
+                for name in ALL_SCHEMA.reactions:
                     text = row[indices[name]]
                     if _has_surrogates(text):
                         raise ValueError(f"column {mapping[name]!r}: invalid UTF-8 bytes")
@@ -307,7 +319,9 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, an integer over the int digit limit, or
+                # nesting too deep for the parser.
                 bad.add(line_num, f"bad JSON: {exc}", exc)
                 continue
             if not isinstance(obj, dict):
@@ -320,8 +334,10 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                 message = obj[column]
                 if not isinstance(message, str):
                     raise ValueError(f"key {column!r} is not a string")
+                if _has_surrogates(message):
+                    raise ValueError(f"key {column!r}: lone surrogate")
                 counts = {}
-                for name in REACTION_NAMES:
+                for name in ALL_SCHEMA.reactions:
                     column = mapping[name]
                     if column not in obj:
                         raise ValueError(f"missing key {column!r}")
@@ -331,12 +347,14 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                     if value < 0:
                         raise ValueError(f"key {column!r}: negative count {value}")
                     counts[name] = value
+                record_id = None
+                if "id" in mapping and mapping["id"] in obj:
+                    record_id = str(obj[mapping["id"]])
+                    if _has_surrogates(record_id):
+                        raise ValueError(f"key {mapping['id']!r}: lone surrogate")
             except ValueError as exc:
                 bad.add(line_num, str(exc), exc)
                 continue
-            record_id = None
-            if "id" in mapping and mapping["id"] in obj:
-                record_id = str(obj[mapping["id"]])
             yield PostRecord(message, _ingested_counts(counts), record_id)
     finally:
         bad.close()
@@ -358,7 +376,7 @@ def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int
             return save_corpus(records, fh, format)
     if format == "csv":
         writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(("message",) + REACTION_NAMES)
+        writer.writerow(("message",) + ALL_SCHEMA.reactions)
     rows = 0
     for record in records:
         counts = record.reactions.as_tuple()
@@ -366,7 +384,7 @@ def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int
             writer.writerow((record.message,) + counts)
         else:
             obj = {"message": record.message}
-            obj.update(zip(REACTION_NAMES, counts))
+            obj.update(zip(ALL_SCHEMA.reactions, counts))
             if record.id is not None:
                 obj["id"] = record.id
             sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
@@ -376,22 +394,22 @@ def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int
 
 def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
     """Exact totals per reaction plus all/core percentage columns."""
-    totals = {name: 0 for name in REACTION_NAMES}
+    totals = {name: 0 for name in ALL_SCHEMA.reactions}
     rows = 0
     for record in corpus:
         rows += 1
         counts = record.reactions
-        for name in REACTION_NAMES:
+        for name in ALL_SCHEMA.reactions:
             totals[name] += getattr(counts, name)
     grand = sum(totals.values())
-    core = sum(totals[name] for name in CORE_NAMES)
+    core = sum(totals[name] for name in CORE_SCHEMA.reactions)
     all_percent = (
-        {name: 100.0 * totals[name] / grand for name in REACTION_NAMES}
+        {name: 100.0 * totals[name] / grand for name in ALL_SCHEMA.reactions}
         if grand > 0
         else None
     )
     core_percent = (
-        {name: 100.0 * totals[name] / core for name in CORE_NAMES}
+        {name: 100.0 * totals[name] / core for name in CORE_SCHEMA.reactions}
         if core > 0
         else None
     )

@@ -8,8 +8,7 @@ Prediction averages the vectors of a message's known words and falls back
 to the training mean when no word is known.
 
 The same engine serves the 5-reaction and 7-reaction models (both unit-sum
-distributions) and the 4-component star-sentiment vectors (not unit-sum);
-the schema declares which invariants apply.
+distributions) and the 4-component star-sentiment vectors (not unit-sum).
 """
 
 from __future__ import annotations
@@ -20,21 +19,13 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 
-VECTOR_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ReactionSchema:
-    """An ordered, named list of reaction components.
-
-    ``unit_sum`` marks schemas whose vectors are probability distributions
-    (components in [0, 1] summing to 1).  Star-sentiment vectors carry
-    independent components and set it to False.
-    """
+    """An ordered, named list of reaction components."""
 
     name: str
     reactions: tuple[str, ...]
-    unit_sum: bool = True
 
     def __post_init__(self):
         if len(set(self.reactions)) != len(self.reactions):
@@ -51,9 +42,7 @@ CORE_SCHEMA = ReactionSchema("core", ("love", "wow", "haha", "sad", "angry"))
 ALL_SCHEMA = ReactionSchema(
     "all", ("like", "love", "wow", "haha", "sad", "angry", "thankful")
 )
-STAR_SCHEMA = ReactionSchema(
-    "star4", ("positive", "negative", "star_disc", "star_cont"), unit_sum=False
-)
+STAR_SCHEMA = ReactionSchema("star4", ("positive", "negative", "star_disc", "star_cont"))
 
 SCHEMAS = {s.name: s for s in (CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA)}
 
@@ -63,18 +52,6 @@ def get_schema(name: str) -> ReactionSchema:
         return SCHEMAS[name]
     except KeyError:
         raise SchemaMismatch(f"unknown reaction schema {name!r}") from None
-
-
-def is_valid_vector(vector: Sequence[float], schema: ReactionSchema) -> bool:
-    """True if ``vector`` satisfies the schema's shape and range invariants."""
-    if len(vector) != schema.size:
-        return False
-    if schema.unit_sum:
-        if any(v < 0.0 or v > 1.0 for v in vector):
-            return False
-        if abs(sum(vector) - 1.0) > VECTOR_SUM_TOL:
-            return False
-    return True
 
 
 def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
@@ -180,7 +157,7 @@ def build_lexicon(
     training: Iterable[tuple[Iterable[str], Sequence[float]]],
     schema: ReactionSchema,
 ) -> ReactionLexicon:
-    """Build a lexicon from (unique_words, vector) pairs.
+    """Build a lexicon from (words, vector) pairs; repeated words count once.
 
     An empty training iterable still yields a lexicon, but with
     ``train_mean`` None; prediction against it raises EmptyTrainingSet.

@@ -33,10 +33,6 @@ class DegenerateRange(ReactionLensError):
     """All training sentiment values are equal; star scaling is undefined."""
 
 
-class NonPositiveSigma(ReactionLensError):
-    """Gaussian similarity width must be positive."""
-
-
 class EmptySide(ReactionLensError):
     """A train/test split would leave one side empty."""
 

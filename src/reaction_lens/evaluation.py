@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .engine import STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
-from .errors import DegenerateRange, EmptySide, SchemaMismatch, ZeroReactionTotal
+from .errors import DegenerateRange, EmptySide, ZeroReactionTotal
 from .star import discretize_star, gaussian_similarity, star_normalize, star_range, star_vector
 
 METRICS = ("accuracy", "recall", "precision", "f1")
@@ -36,16 +36,6 @@ MODELS = ("core", "all", "star")
 STAR_ROWS = ("positive", "negative", "star_rating")
 
 DEFAULT_FRACTIONS = (0.95, 0.90, 0.80, 0.70, 0.50)
-
-
-@dataclass(frozen=True)
-class EntryMetrics:
-    """Per-component accuracy/recall/precision/F1 for one test entry."""
-
-    accuracy: tuple[float, ...]
-    recall: tuple[float, ...]
-    precision: tuple[float, ...]
-    f1: tuple[float, ...]
 
 
 def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
@@ -62,19 +52,6 @@ def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
         row[1] += r
         row[2] += p
         row[3] += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
-
-
-def entry_metrics(
-    actual: Sequence[float], predicted: Sequence[float]
-) -> EntryMetrics:
-    """Overlap metrics for one (actual, predicted) distribution pair."""
-    if len(actual) != len(predicted):
-        raise SchemaMismatch(
-            f"vectors have different sizes: {len(actual)} vs {len(predicted)}"
-        )
-    rows = [[0.0] * len(METRICS) for _ in actual]
-    _add_overlaps(rows, actual, predicted)
-    return EntryMetrics(*(tuple(row[j] for row in rows) for j in range(len(METRICS))))
 
 
 def split(corpus: Sequence, train_fraction: float, seed: int) -> tuple[list, list]:
@@ -351,27 +328,3 @@ def report_emit(report: EvalReport, format: str = "json") -> str:
 
 def format_float(value: float) -> str:
     return format(value, ".17g")
-
-
-def report_from_json(text: str) -> EvalReport:
-    payload = json.loads(text)
-    report = EvalReport(
-        model=payload["model"],
-        seed=payload["seed"],
-        runs=payload["runs"],
-        sigma=payload["sigma"],
-        reactions=tuple(payload["reactions"]),
-        split_labels=tuple(payload["split_labels"]),
-        manifest=payload.get("manifest"),
-    )
-    for label, reactions in payload["splits"].items():
-        report.mean[label] = {}
-        report.per_run[label] = {}
-        for reaction, metrics in reactions.items():
-            report.mean[label][reaction] = {
-                metric: metrics[metric]["mean"] for metric in METRICS
-            }
-            report.per_run[label][reaction] = {
-                metric: list(metrics[metric]["per_run"]) for metric in METRICS
-            }
-    return report

@@ -12,10 +12,9 @@ snapped to the nearest 0.5 bin.  The resulting 4-component vectors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import DegenerateRange, NonPositiveSigma, ZeroReactionTotal
+from .errors import DegenerateRange, ZeroReactionTotal
 
 POLARITY = {
     "love": "positive",
@@ -30,28 +29,6 @@ POLAR_REACTIONS = tuple(r for r, polarity in POLARITY.items() if polarity != "un
 STAR_MIN = 1.0
 STAR_MAX = 5.0
 STAR_BIN = 0.5
-
-
-@dataclass(frozen=True)
-class StarSentiment:
-    """Per-entry sentiment record: masses and star values, in star4 order.
-
-    ``positive + negative == 1`` by construction, ``aggregate`` lies in
-    [-1, 1], ``star`` in [1, 5], and ``star_disc`` is a multiple of 0.5.
-    """
-
-    positive: float
-    negative: float
-    star_disc: float
-    star: float
-
-    @property
-    def aggregate(self) -> float:
-        return self.positive - self.negative
-
-    def vector(self) -> tuple[float, float, float, float]:
-        """Components in the star4 schema order."""
-        return (self.positive, self.negative, self.star_disc, self.star)
 
 
 def star_normalize(counts) -> tuple[float, float]:
@@ -110,24 +87,10 @@ def star_vector(positive: float, negative: float, lo: float, hi: float) -> tuple
     return (positive, negative, discretize_star(star), star)
 
 
-def star_sentiment(counts, corpus_min: float, corpus_max: float) -> StarSentiment:
-    """Full sentiment record for one entry, scaled against a training range."""
-    return StarSentiment(*star_vector(*star_normalize(counts), corpus_min, corpus_max))
-
-
-def build_star_vectors(
-    train_counts: Sequence,
-) -> tuple[list[StarSentiment], float, float]:
-    """Sentiment records for a training set plus its aggregate range."""
-    bases = [star_normalize(c) for c in train_counts]
-    corpus_min, corpus_max = star_range(bases)
-    records = [StarSentiment(*star_vector(p, n, corpus_min, corpus_max)) for p, n in bases]
-    return records, corpus_min, corpus_max
-
-
 def gaussian_similarity(predicted: float, actual: float, sigma: float = 1.0) -> float:
-    """Gaussian kernel similarity in (0, 1]; 1 at zero distance."""
-    if sigma <= 0:
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
+    """Gaussian kernel similarity in (0, 1]; 1 at zero distance.
+
+    ``sigma`` must be positive; ``ExperimentConfig`` checks it.
+    """
     d = predicted - actual
     return math.exp(-(d * d) / (2.0 * sigma * sigma))

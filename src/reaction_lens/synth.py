@@ -22,9 +22,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus_io import (
-    CORE_NAMES, REACTION_NAMES, PostRecord, ReactionCounts, atomic_write, save_corpus,
-)
+from .corpus_io import PostRecord, ReactionCounts, atomic_write, save_corpus
+from .engine import ALL_SCHEMA, CORE_SCHEMA
 from .errors import InvalidSpec
 
 _CHUNK = 10_000
@@ -53,9 +52,9 @@ class SynthSpec:
             raise InvalidSpec("affinity_concentration must be positive")
         if self.fixed_affinity is not None:
             affinity = tuple(float(v) for v in self.fixed_affinity)
-            if len(affinity) != len(CORE_NAMES):
+            if len(affinity) != CORE_SCHEMA.size:
                 raise InvalidSpec(
-                    f"fixed_affinity needs {len(CORE_NAMES)} components"
+                    f"fixed_affinity needs {CORE_SCHEMA.size} components"
                 )
             if any(v < 0 for v in affinity) or sum(affinity) <= 0:
                 raise InvalidSpec("fixed_affinity must be non-negative, total > 0")
@@ -88,7 +87,7 @@ def word_affinities(spec: SynthSpec) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     if spec.fixed_affinity is not None:
         return np.tile(np.asarray(spec.fixed_affinity), (spec.vocab_size, 1))
-    alpha = np.full(len(CORE_NAMES), spec.affinity_concentration)
+    alpha = np.full(CORE_SCHEMA.size, spec.affinity_concentration)
     return rng.dirichlet(alpha, size=spec.vocab_size)
 
 
@@ -109,16 +108,16 @@ def _multinomial_rows(rng, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Yield (message, reaction_counts_tuple) rows in REACTION_NAMES order."""
+    """Yield (message, reaction_counts_tuple) rows in ALL_SCHEMA order."""
     vocab = np.array(vocabulary(spec))
     affinities = word_affinities(spec)
     # word_affinities consumed draws from its own generator; generation below
     # re-seeds so the affinity matrix and the rows stay independent and the
     # whole corpus remains a pure function of the spec.
     rng = np.random.default_rng(spec.seed + 1)
-    like_col = REACTION_NAMES.index("like")
-    thankful_col = REACTION_NAMES.index("thankful")
-    core_cols = [REACTION_NAMES.index(name) for name in CORE_NAMES]
+    like_col = ALL_SCHEMA.reactions.index("like")
+    thankful_col = ALL_SCHEMA.reactions.index("thankful")
+    core_cols = [ALL_SCHEMA.reactions.index(name) for name in CORE_SCHEMA.reactions]
     odds_mean = (
         spec.like_dominance / (1.0 - spec.like_dominance)
         if spec.like_dominance > 0
@@ -145,7 +144,7 @@ def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
             thankfuls = rng.binomial(1, spec.thankful_rate, size=m)
         else:
             thankfuls = np.zeros(m, dtype=np.int64)
-        row = np.zeros(len(REACTION_NAMES), dtype=np.int64)
+        row = np.zeros(ALL_SCHEMA.size, dtype=np.int64)
         for i in range(m):
             words = vocab[word_ids[offsets[i] : offsets[i + 1]]]
             row[:] = 0
@@ -167,11 +166,11 @@ def write_corpus(
     output = Path(output)
     if truth_path is None:
         truth_path = output.with_name(output.name + ".affinities.json")
-    totals = dict.fromkeys(REACTION_NAMES, 0)
+    totals = dict.fromkeys(ALL_SCHEMA.reactions, 0)
 
     def records():
         for message, counts in iter_rows(spec):
-            for name, value in zip(REACTION_NAMES, counts):
+            for name, value in zip(ALL_SCHEMA.reactions, counts):
                 totals[name] += value
             yield PostRecord(message, ReactionCounts(*counts))
 
@@ -179,7 +178,7 @@ def write_corpus(
     affinities = word_affinities(spec)
     truth = {
         "spec": asdict(spec),
-        "reactions": list(CORE_NAMES),
+        "reactions": list(CORE_SCHEMA.reactions),
         "affinities": {
             word: [float(v) for v in row]
             for word, row in zip(vocabulary(spec), affinities)

@@ -27,11 +27,12 @@ from reaction_lens.engine import (
 )
 from reaction_lens.errors import ZeroReactionTotal
 from reaction_lens.evaluation import (
+    METRICS,
     ExperimentConfig,
-    entry_metrics,
+    _add_overlaps,
     run_experiment,
 )
-from reaction_lens.star import build_star_vectors
+from reaction_lens.star import star_normalize, star_range, star_vector
 from reaction_lens.synth import SynthSpec, iter_rows
 
 from oracles import (
@@ -51,6 +52,20 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
     print(f"\nacceptance {criterion}: {status}{suffix}", flush=True)
     assert ok, f"{criterion} failed {detail}"
+
+
+def star_vectors(counts_list):
+    """Star4 vectors of a training set at its own range, as ``fit`` makes them."""
+    bases = [star_normalize(c) for c in counts_list]
+    lo, hi = star_range(bases)
+    return [star_vector(p, n, lo, hi) for p, n in bases], lo, hi
+
+
+def entry_metrics(actual, predicted):
+    """Per-metric tuples of one entry's overlaps, from the scorer's accumulator."""
+    rows = [[0.0] * len(METRICS) for _ in actual]
+    _add_overlaps(rows, actual, predicted)
+    return dict(zip(METRICS, zip(*rows)))
 
 
 def synth_entries(seed: int, rows: int, **overrides):
@@ -94,13 +109,13 @@ def test_criterion_1_oracle_equivalence():
         # star vectors against the literal equations
         polar = [c for c in counts_list if c.love + c.wow + c.sad + c.angry > 0]
         if len({(c.love + c.wow) - (c.sad + c.angry) for c in polar}) >= 2:
-            records, lo, hi = build_star_vectors(polar)
+            vectors, lo, hi = star_vectors(polar)
             expected, elo, ehi = oracle_star_vectors(polar)
             ok &= abs(lo - elo) <= 1e-12 and abs(hi - ehi) <= 1e-12
-            for record, (p, ng, agg, star) in zip(records, expected):
-                ok &= abs(record.positive - p) <= 1e-12
-                ok &= abs(record.negative - ng) <= 1e-12
-                ok &= abs(record.star - star) <= 1e-12
+            for (positive, negative, _, star), (p, ng, agg, e_star) in zip(vectors, expected):
+                ok &= abs(positive - p) <= 1e-12
+                ok &= abs(negative - ng) <= 1e-12
+                ok &= abs(star - e_star) <= 1e-12
     elapsed = time.time() - start
     ok &= elapsed < 10.0
     _verdict("1 oracle-equivalence", ok, f"{elapsed:.1f}s")
@@ -147,12 +162,12 @@ def test_criterion_3_metric_contracts():
             pair.append(tuple(v / total for v in raw))
         actual, predicted = pair
         m = entry_metrics(actual, predicted)
-        ok &= all(m.accuracy[i] == min(actual[i], predicted[i]) for i in range(5))
-        ok &= sum(m.accuracy) <= 1.0 + 1e-12
-        f1_samples.extend(m.f1)
+        ok &= all(m["accuracy"][i] == min(actual[i], predicted[i]) for i in range(5))
+        ok &= sum(m["accuracy"]) <= 1.0 + 1e-12
+        f1_samples.extend(m["f1"])
         identity = entry_metrics(actual, actual)
         ok &= all(
-            identity.f1[i] == 1.0 for i in range(5) if actual[i] > 0
+            identity["f1"][i] == 1.0 for i in range(5) if actual[i] > 0
         )
     forward = sum(f1_samples) / len(f1_samples)
     shuffled = f1_samples[:]
@@ -242,16 +257,18 @@ def test_criterion_7_star_properties_and_binary_advantage():
         )
         if c.love + c.wow + c.sad + c.angry > 0:
             counts.append(c)
-    records, lo, hi = build_star_vectors(counts)
-    stars = [r.star for r in records]
-    aggregates = [r.aggregate for r in records]
+    vectors, lo, hi = star_vectors(counts)
+    expected, _, _ = oracle_star_vectors(counts)
+    stars = [star for _, _, _, star in vectors]
+    aggregates = [positive - negative for positive, negative, _, _ in vectors]
     ok &= min(stars) == 1.0 and max(stars) == 5.0
     ok &= aggregates[stars.index(1.0)] == lo
     ok &= aggregates[stars.index(5.0)] == hi
-    for r in records:
-        ok &= 1.0 <= r.star <= 5.0
-        ok &= r.star_disc in {1.0 + 0.5 * k for k in range(9)}
-        ok &= abs(r.star - r.star_disc) <= 0.25 + 1e-12
+    for (_, _, star_disc, star), (_, _, _, e_star) in zip(vectors, expected):
+        ok &= abs(star - e_star) <= 1e-12
+        ok &= 1.0 <= star <= 5.0
+        ok &= star_disc in {1.0 + 0.5 * k for k in range(9)}
+        ok &= abs(star - star_disc) <= 0.25 + 1e-12
     # directional comparison on synthetic corpora
     details = []
     for seed in range(5):

@@ -16,6 +16,10 @@ from reaction_lens.corpus_io import load_corpus, load_lexicon
 from oracles import oracle_lexicon, oracle_nearest_half, oracle_star_vectors, oracle_train_mean
 
 HEADER = "message,like,love,wow,haha,sad,angry,thankful\n"
+JSONL_ROW = (
+    '{"message": "%s", "like": 0, "love": 1, "wow": 0, "haha": 0,'
+    ' "sad": 0, "angry": 0, "thankful": 0}\n'
+)
 
 
 def write_two_entry_corpus(path):
@@ -132,6 +136,22 @@ class TestCleanCommand:
         assert row["message"] == "hi there"
         assert row["love"] == 2
 
+    def test_escaped_surrogate_id_is_a_malformed_row(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(
+            JSONL_ROW.replace("}", ', "id": "a1"}') % "kept"
+            + JSONL_ROW.replace("}", ', "id": "b\\udc99"}') % "dropped",
+            encoding="utf-8",
+        )
+        cleaned = tmp_path / "c.jsonl"
+        assert main([
+            "clean", "--input", str(raw), "--output", str(cleaned),
+            "--format", "jsonl", "--columns", "id=id",
+        ]) == EXIT_OK
+        assert "(1 malformed" in capsys.readouterr().out
+        rows = [json.loads(line) for line in cleaned.read_text(encoding="utf-8").splitlines()]
+        assert [(row["message"], row["id"]) for row in rows] == [("kept", "a1")]
+
     def test_malformed_rows_reported_once(self, tmp_path):
         raw = tmp_path / "raw.csv"
         bad = "".join(f"bad{i},x,0,0,0,0,0,0\n" for i in range(12))
@@ -192,6 +212,26 @@ class TestStatsCommand:
         assert main(["stats", "--input", str(path)]) == EXIT_SCHEMA
 
 
+    def test_missing_output_dir_names_target(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        write_two_entry_corpus(path)
+        target = tmp_path / "nodir" / "x.json"
+        assert main(["stats", "--input", str(path), "--output", str(target)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"'{target}'" in err
+        assert f"{target}." not in err  # the temporary file is <target>.<pid>.tmp
+
+    def test_output_onto_directory_names_target(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        write_two_entry_corpus(path)
+        target = tmp_path / "out"
+        target.mkdir()
+        assert main(["stats", "--input", str(path), "--output", str(target)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"'{target}'" in err
+        assert f"{target}." not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "t.csv"]
+
     def test_oversized_header_field_exits_schema(self, tmp_path):
         path = tmp_path / "wide.csv"
         path.write_text("x" * 200_000 + "," + HEADER + "a,1,0,0,0,0,0,0\n", encoding="utf-8")
@@ -226,6 +266,25 @@ class TestTrainPredict:
         fallback = [float(v) for v in lines[1].split(" ")[0].split(",")]
         assert fallback == [0.5, 0.5, 0.0, 0.0, 0.0]
         assert lines[1].endswith("coverage=0")
+
+    def test_missing_output_dir_names_target(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        target = tmp_path / "nodir" / "m.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(target)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"'{target}'" in err
+        assert f"{target}." not in err  # the temporary file is <target>.<pid>.tmp
+
+    def test_escaped_surrogate_message_is_a_malformed_row(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(JSONL_ROW % "a b" + JSONL_ROW % "bad \\ud800x", encoding="utf-8")
+        lexicon = tmp_path / "m.lex"
+        assert main([
+            "train", "--input", str(corpus), "--output", str(lexicon), "--format", "jsonl",
+        ]) == EXIT_OK
+        assert "1 malformed" in capsys.readouterr().out
+        assert sorted(load_lexicon(lexicon).entries) == ["a", "b"]
 
     def test_lexicon_embeds_manifest_id(self, tmp_path):
         corpus = tmp_path / "c.csv"

@@ -6,8 +6,6 @@ import tracemalloc
 import pytest
 
 from reaction_lens.corpus_io import (
-    CORE_NAMES,
-    REACTION_NAMES,
     MalformedRow,
     PostRecord,
     ReactionCounts,
@@ -27,6 +25,10 @@ from reaction_lens.errors import (
 )
 
 HEADER = "message,like,love,wow,haha,sad,angry,thankful\n"
+GOOD_JSONL = (
+    '{"message": "%s", "like": 0, "love": 1, "wow": 0, "haha": 0,'
+    ' "sad": 0, "angry": 0, "thankful": 0}\n'
+)
 
 # Reaction totals of a real decade-scale Facebook corpus; pins the
 # percentage arithmetic against independently computed values.
@@ -206,6 +208,32 @@ class TestLoadJsonl:
         assert list(load_corpus(io.BytesIO(body), "jsonl", errors=errors)) == []
         assert len(errors) == 1
 
+    def test_oversized_int_and_deep_nesting_are_malformed_rows(self):
+        # A count past Python's int digit limit makes json.loads raise a plain
+        # ValueError, and deep nesting a RecursionError; neither may end the stream.
+        huge = (GOOD_JSONL % "x").replace('"like": 0', '"like": ' + "9" * 5000)
+        deep = "[" * 100_000 + "\n"
+        body = GOOD_JSONL % "a" + huge + GOOD_JSONL % "b" + deep + GOOD_JSONL % "c"
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(io.BytesIO(body.encode("utf-8")), "jsonl", errors=errors))
+        assert [r.message for r in records] == ["a", "b", "c"]
+        assert [e.line for e in errors] == [2, 4]
+
+    def test_escaped_surrogate_is_malformed_row(self):
+        # An escaped line is ASCII, so only the decoded strings show the
+        # surrogate; UTF-8 output cannot encode it.
+        bad_message = GOOD_JSONL % "bad \\ud800x"
+        bad_id = GOOD_JSONL.replace("}", ', "id": "b\\udc99"}') % "c"
+        good_id = GOOD_JSONL.replace("}", ', "id": "d7"}') % "d"
+        body = GOOD_JSONL % "a" + bad_message + GOOD_JSONL % "b" + bad_id + good_id
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(
+            io.BytesIO(body.encode("ascii")), "jsonl", {"id": "id"}, errors,
+        ))
+        assert [(r.message, r.id) for r in records] == [("a", None), ("b", None), ("d", "d7")]
+        assert [e.line for e in errors] == [2, 4]
+        assert all("surrogate" in e.reason for e in errors)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             load_corpus(io.BytesIO(b""), "xml")
@@ -217,7 +245,7 @@ class TestCorpusStats:
         # five-reaction core total, and so on.
         rows = [
             PostRecord("x", ReactionCounts(**{name: REFERENCE_TOTALS[name]}))
-            for name in REACTION_NAMES
+            for name in ALL_SCHEMA.reactions
         ]
         stats = corpus_stats(rows)
         assert stats.totals == REFERENCE_TOTALS
@@ -248,7 +276,7 @@ class TestCorpusStats:
         stats = corpus_stats([PostRecord("m", ReactionCounts(love=1))])
         assert stats.core_percent["love"] == 100.0
         assert all(
-            stats.core_percent[name] == 0.0 for name in CORE_NAMES if name != "love"
+            stats.core_percent[name] == 0.0 for name in CORE_SCHEMA.reactions if name != "love"
         )
 
     def test_empty_corpus(self):
@@ -265,7 +293,7 @@ class TestCorpusStats:
             for _ in range(300)
         ]
         stats = corpus_stats(rows)
-        for i, name in enumerate(REACTION_NAMES):
+        for i, name in enumerate(ALL_SCHEMA.reactions):
             assert stats.totals[name] == sum(r.reactions.as_tuple()[i] for r in rows)
 
 
@@ -289,7 +317,7 @@ class TestLexiconPersistence:
                 word = rng.choice(
                     ["w%d" % i, "සි%d" % i, "x!%d" % i, "#h%d" % i]
                 )
-                if schema.unit_sum:
+                if schema is not STAR_SCHEMA:
                     raw = [rng.random() for _ in schema.reactions]
                     total = sum(raw)
                     vector = tuple(v / total for v in raw)

@@ -5,13 +5,12 @@ import pytest
 
 from reaction_lens.corpus_io import ReactionCounts
 from reaction_lens.engine import STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
-from reaction_lens.errors import EmptySide, SchemaMismatch, ZeroReactionTotal
+from reaction_lens.errors import EmptySide, ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
-    entry_metrics,
+    _add_overlaps,
     report_emit,
-    report_from_json,
     run_experiment,
     split,
     split_label,
@@ -34,44 +33,48 @@ def random_distribution(rng, k=5, allow_zero_components=True):
     return tuple(v / total for v in raw)
 
 
+def entry_metrics(actual, predicted):
+    """Per-metric tuples of one entry's component overlaps, from the one
+    accumulator the scorer runs, started at zero."""
+    rows = [[0.0] * len(METRICS) for _ in actual]
+    _add_overlaps(rows, actual, predicted)
+    return dict(zip(METRICS, zip(*rows)))
+
+
 class TestEntryMetrics:
     def test_hand_computed_example(self):
         m = entry_metrics((0.5, 0.5), (0.4, 0.6))
-        assert m.accuracy[0] == pytest.approx(0.4)
-        assert m.recall[0] == pytest.approx(0.8)
-        assert m.precision[0] == pytest.approx(1.0)
-        assert m.f1[0] == pytest.approx(0.8888888888888889)
+        assert m["accuracy"][0] == pytest.approx(0.4)
+        assert m["recall"][0] == pytest.approx(0.8)
+        assert m["precision"][0] == pytest.approx(1.0)
+        assert m["f1"][0] == pytest.approx(0.8888888888888889)
 
     def test_identity_gives_perfect_scores(self):
         vector = (0.5, 0.25, 0.25, 0.0, 0.0)
         m = entry_metrics(vector, vector)
         for i, n in enumerate(vector):
-            assert m.accuracy[i] == n
-            assert m.recall[i] == 1.0
-            assert m.precision[i] == 1.0
-            assert m.f1[i] == 1.0
+            assert m["accuracy"][i] == n
+            assert m["recall"][i] == 1.0
+            assert m["precision"][i] == 1.0
+            assert m["f1"][i] == 1.0
 
     def test_zero_actual_nonzero_predicted(self):
         m = entry_metrics((0.0, 1.0), (0.3, 0.7))
-        assert m.accuracy[0] == 0.0
-        assert m.recall[0] == 1.0  # vacuous
-        assert m.precision[0] == 0.0
-        assert m.f1[0] == 0.0
+        assert m["accuracy"][0] == 0.0
+        assert m["recall"][0] == 1.0  # vacuous
+        assert m["precision"][0] == 0.0
+        assert m["f1"][0] == 0.0
 
     def test_nonzero_actual_zero_predicted(self):
         m = entry_metrics((0.3, 0.7), (0.0, 1.0))
-        assert m.accuracy[0] == 0.0
-        assert m.recall[0] == 0.0
-        assert m.precision[0] == 1.0  # vacuous
-        assert m.f1[0] == 0.0
+        assert m["accuracy"][0] == 0.0
+        assert m["recall"][0] == 0.0
+        assert m["precision"][0] == 1.0  # vacuous
+        assert m["f1"][0] == 0.0
 
     def test_both_zero_is_perfect_agreement_on_absence(self):
         m = entry_metrics((0.0, 1.0), (0.0, 1.0))
-        assert m.recall[0] == m.precision[0] == m.f1[0] == 1.0
-
-    def test_size_mismatch(self):
-        with pytest.raises(SchemaMismatch):
-            entry_metrics((1.0,), (0.5, 0.5))
+        assert m["recall"][0] == m["precision"][0] == m["f1"][0] == 1.0
 
     def test_contract_properties_random(self):
         # 10000 random pairs: A_r = min, sum A <= 1, symmetry, F1 iff overlap.
@@ -81,15 +84,15 @@ class TestEntryMetrics:
             predicted = random_distribution(rng)
             m = entry_metrics(actual, predicted)
             back = entry_metrics(predicted, actual)
-            assert sum(m.accuracy) <= 1.0 + 1e-12
+            assert sum(m["accuracy"]) <= 1.0 + 1e-12
             for i in range(5):
-                assert m.accuracy[i] == min(actual[i], predicted[i])
-                assert m.accuracy[i] == back.accuracy[i]
-                assert 0.0 <= m.recall[i] <= 1.0
-                assert 0.0 <= m.precision[i] <= 1.0
-                assert m.f1[i] <= 1.0
+                assert m["accuracy"][i] == min(actual[i], predicted[i])
+                assert m["accuracy"][i] == back["accuracy"][i]
+                assert 0.0 <= m["recall"][i] <= 1.0
+                assert 0.0 <= m["precision"][i] <= 1.0
+                assert m["f1"][i] <= 1.0
                 if actual[i] > 0 or predicted[i] > 0:
-                    assert (m.f1[i] == 0.0) == (m.accuracy[i] == 0.0)
+                    assert (m["f1"][i] == 0.0) == (m["accuracy"][i] == 0.0)
 
 
 class TestSplit:
@@ -237,8 +240,22 @@ class TestReportEmit:
         )
 
     def test_json_round_trip(self, report):
-        text = report_emit(report, "json")
-        assert report_from_json(text) == report
+        payload = json.loads(report_emit(report, "json"))
+        assert payload["model"] == report.model
+        assert (payload["seed"], payload["runs"], payload["sigma"]) == (
+            report.seed, report.runs, report.sigma,
+        )
+        assert tuple(payload["reactions"]) == report.reactions
+        assert tuple(payload["split_labels"]) == report.split_labels
+        assert payload["manifest"] == report.manifest
+        assert list(payload["splits"]) == list(report.split_labels)
+        for label, reactions in payload["splits"].items():
+            assert list(reactions) == list(report.reactions)
+            for reaction, metrics in reactions.items():
+                assert list(metrics) == list(METRICS)
+                for metric, values in metrics.items():
+                    assert values["mean"] == report.mean[label][reaction][metric]
+                    assert values["per_run"] == report.per_run[label][reaction][metric]
 
     def test_json_deterministic(self, report):
         assert report_emit(report, "json") == report_emit(report, "json")
@@ -295,10 +312,8 @@ def literal_experiment(corpus, config):
                 overlap = 2 if star else rows
                 metrics = entry_metrics(actual[:overlap], predicted[:overlap])
                 for i in range(overlap):
-                    for j, values in enumerate(
-                        (metrics.accuracy, metrics.recall, metrics.precision, metrics.f1)
-                    ):
-                        sums[i][j] += values[i]
+                    for j, metric in enumerate(METRICS):
+                        sums[i][j] += metrics[metric][i]
                 if star:
                     match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
                     sums[2][0] += gaussian_similarity(predicted[3], actual[3], config.sigma)

@@ -4,18 +4,25 @@ import random
 import pytest
 
 from reaction_lens.corpus_io import ReactionCounts
-from reaction_lens.errors import DegenerateRange, NonPositiveSigma, ZeroReactionTotal
+from reaction_lens.errors import DegenerateRange, ZeroReactionTotal
 from reaction_lens.star import (
     POLARITY,
-    build_star_vectors,
     discretize_star,
     gaussian_similarity,
     star_normalize,
+    star_range,
     star_scale,
-    star_sentiment,
+    star_vector,
 )
 
 from oracles import oracle_nearest_half, oracle_star_vectors
+
+
+def star_vectors(counts_list):
+    """Star4 vectors of a training set at its own range, as ``fit`` makes them."""
+    bases = [star_normalize(c) for c in counts_list]
+    lo, hi = star_range(bases)
+    return [star_vector(p, n, lo, hi) for p, n in bases], lo, hi
 
 
 def random_polar_counts(rng, max_count=20):
@@ -126,10 +133,10 @@ class TestDiscretize:
 class TestBuildStarVectors:
     def test_two_entry_extremes(self):
         counts = [ReactionCounts(love=1), ReactionCounts(sad=1)]
-        records, lo, hi = build_star_vectors(counts)
+        vectors, lo, hi = star_vectors(counts)
         assert (lo, hi) == (-1.0, 1.0)
-        assert records[0].star == 5.0
-        assert records[1].star == 1.0
+        assert vectors[0][3] == 5.0
+        assert vectors[1][3] == 1.0
 
     def test_all_positive_corpus_spans_observed_range(self):
         counts = [
@@ -137,44 +144,43 @@ class TestBuildStarVectors:
             ReactionCounts(love=1, wow=1, sad=0, angry=0),  # aggregate 1.0
             ReactionCounts(love=1, sad=1),  # aggregate 0.0
         ]
-        records, lo, hi = build_star_vectors(counts)
-        assert all(r.negative == 0.0 or r.aggregate == 0.0 for r in records)
+        vectors, lo, hi = star_vectors(counts)
+        assert all(n == 0.0 or p - n == 0.0 for p, n, _, _ in vectors)
         assert (lo, hi) == (0.0, 1.0)
-        assert {r.star for r in records} == {1.0, 5.0}
+        assert {star for _, _, _, star in vectors} == {1.0, 5.0}
 
     def test_oracle_equivalence(self):
         rng = random.Random(20)
         counts = [random_polar_counts(rng) for _ in range(20)]
-        records, lo, hi = build_star_vectors(counts)
+        vectors, lo, hi = star_vectors(counts)
         expected, elo, ehi = oracle_star_vectors(counts)
         assert lo == pytest.approx(elo, abs=1e-12)
         assert hi == pytest.approx(ehi, abs=1e-12)
-        for record, (positive, negative, aggregate, star) in zip(records, expected):
-            assert record.positive == pytest.approx(positive, abs=1e-12)
-            assert record.negative == pytest.approx(negative, abs=1e-12)
-            assert record.aggregate == pytest.approx(aggregate, abs=1e-12)
-            assert record.star == pytest.approx(star, abs=1e-12)
-            assert record.star_disc == oracle_nearest_half(record.star)
+        for vector, (positive, negative, aggregate, star) in zip(vectors, expected):
+            assert vector[0] == pytest.approx(positive, abs=1e-12)
+            assert vector[1] == pytest.approx(negative, abs=1e-12)
+            assert vector[0] - vector[1] == pytest.approx(aggregate, abs=1e-12)
+            assert vector[3] == pytest.approx(star, abs=1e-12)
+            assert vector[2] == oracle_nearest_half(vector[3])
 
     def test_vector_component_order(self):
-        records, _, _ = build_star_vectors(
-            [ReactionCounts(love=1), ReactionCounts(sad=1)]
-        )
-        r = records[0]
-        assert r.vector() == (r.positive, r.negative, r.star_disc, r.star)
+        vectors, lo, hi = star_vectors([ReactionCounts(love=1), ReactionCounts(sad=1)])
+        positive, negative = star_normalize(ReactionCounts(love=1))
+        star = star_scale(positive - negative, lo, hi)
+        assert vectors[0] == (positive, negative, discretize_star(star), star)
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateRange):
-            build_star_vectors([])
+            star_vectors([])
         with pytest.raises(DegenerateRange):
-            build_star_vectors([ReactionCounts(love=1), ReactionCounts(wow=2)])
+            star_vectors([ReactionCounts(love=1), ReactionCounts(wow=2)])
 
 
 class TestStarSentiment:
     def test_test_entry_clamped(self):
-        record = star_sentiment(ReactionCounts(sad=5), 0.0, 1.0)
-        assert record.star == 1.0
-        assert record.star_disc == 1.0
+        vector = star_vector(*star_normalize(ReactionCounts(sad=5)), 0.0, 1.0)
+        assert vector[3] == 1.0
+        assert vector[2] == 1.0
 
 
 class TestGaussianSimilarity:
@@ -193,7 +199,3 @@ class TestGaussianSimilarity:
             a, b = rng.uniform(1, 5), rng.uniform(1, 5)
             sigma = rng.uniform(0.1, 3.0)
             assert gaussian_similarity(a, b, sigma) == gaussian_similarity(b, a, sigma)
-
-    def test_non_positive_sigma(self):
-        with pytest.raises(NonPositiveSigma):
-            gaussian_similarity(1.0, 2.0, sigma=0.0)

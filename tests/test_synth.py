@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from reaction_lens.corpus_io import REACTION_NAMES, load_corpus
-from reaction_lens.engine import CORE_SCHEMA, normalize
+from reaction_lens.corpus_io import load_corpus
+from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, normalize
 from reaction_lens.errors import InvalidSpec
 from reaction_lens.synth import SynthSpec, iter_rows, vocabulary, word_affinities, write_corpus
 
@@ -55,7 +55,7 @@ class TestGeneration:
         )
         for message, counts_tuple in iter_rows(spec):
             assert set(message.split()) == {"w0000"}
-            counts = dict(zip(REACTION_NAMES, counts_tuple))
+            counts = dict(zip(ALL_SCHEMA.reactions, counts_tuple))
 
             class Row:
                 pass
