@@ -404,12 +404,12 @@ def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
     grand = sum(totals.values())
     core = sum(totals[name] for name in CORE_SCHEMA.reactions)
     all_percent = (
-        {name: 100.0 * totals[name] / grand for name in ALL_SCHEMA.reactions}
+        {name: 100 * totals[name] / grand for name in ALL_SCHEMA.reactions}
         if grand > 0
         else None
     )
     core_percent = (
-        {name: 100.0 * totals[name] / core for name in CORE_SCHEMA.reactions}
+        {name: 100 * totals[name] / core for name in CORE_SCHEMA.reactions}
         if core > 0
         else None
     )

@@ -8,13 +8,15 @@ agreement on absence scores 1 and a one-sided miss scores 0 through F1).
 
 ``prepare`` and ``fit`` are the model layer the ``train`` command shares:
 entries become (word_ids, base) pairs, and a training side becomes an
-``engine.Fold``.  ``run_experiment`` turns words into ids once, then repeats
-seeded train/test partitions per train fraction, folds the train side,
-predicts the test side from the fold's id-indexed mean vectors, averages
-the per-entry metrics within a run, then across runs.  Star adds to its
-positive/negative overlap rows a star-rating row: Gaussian kernel
-similarity as accuracy and exact 0.5-bin matches of the discretized star
-as recall/precision/F1.
+``engine.Fold``.  ``run_experiment`` turns words into ids once and shuffles
+once per seeded run; the train sides of a run's fractions are nested
+prefixes of that shuffle, folded in ascending order into one growing fold
+(star refolds only when a prefix widens its training range), and each test
+side is predicted from the fold's id-indexed mean vectors.  Per-entry
+metrics are averaged within a run, then across runs; the report keeps the
+configured fraction order.  Star adds to its positive/negative overlap
+rows a star-rating row: Gaussian kernel similarity as accuracy and exact
+0.5-bin matches of the discretized star as recall/precision/F1.
 """
 
 from __future__ import annotations
@@ -22,10 +24,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .engine import STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
 from .errors import DegenerateRange, EmptySide, ZeroReactionTotal
@@ -52,28 +55,6 @@ def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
         row[1] += r
         row[2] += p
         row[3] += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
-
-
-def split(corpus: Sequence, train_fraction: float, seed: int) -> tuple[list, list]:
-    """Seeded uniform random partition into (train, test).
-
-    Deterministic for a given (seed, corpus order); the train size is
-    ``train_fraction * len(corpus)`` rounded half-up.  Raises EmptySide if
-    either partition would be empty.
-    """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
-    n = len(corpus)
-    n_train = int(train_fraction * n + 0.5)
-    if n_train == 0 or n_train == n:
-        raise EmptySide(
-            f"fraction {train_fraction} on {n} entries leaves an empty side"
-        )
-    indices = list(range(n))
-    random.Random(seed).shuffle(indices)
-    train = [corpus[i] for i in indices[:n_train]]
-    test = [corpus[i] for i in indices[n_train:]]
-    return train, test
 
 
 @dataclass(frozen=True)
@@ -210,14 +191,14 @@ def _score(test, fold, vectorize, sigma) -> list[list[float]]:
     return [[s / len(test) for s in row] for row in sums]
 
 
-def _run_accounting(label: str, run: int, train, test, counts) -> dict:
+def _run_accounting(label: str, run: int, n_train: int, test, counts) -> dict:
     """Sizes of one run and the share of distinct test words not trained on."""
     test_ids = set().union(*(word_ids for word_ids, _ in test))
     oov = len([i for i in test_ids if not counts[i]])
     return {
         "split": label,
         "run": run,
-        "n_train": len(train),
+        "n_train": n_train,
         "n_test": len(test),
         "vocab_size": len(counts) - counts.count(0),
         "test_oov_rate": oov / len(test_ids) if test_ids else 0.0,
@@ -229,42 +210,73 @@ def run_experiment(
 ) -> EvalReport:
     """Evaluate one model over every (train fraction, run) combination.
 
-    ``entries`` are (words, reaction_counts) pairs from a cleaned corpus.
-    Entries whose schema total is zero are excluded up front.  Every word
-    becomes an id once; each run uses seed ``config.seed + run_index`` for
-    its shuffle, so runs are independent partitions while the whole
-    experiment stays reproducible.  ``report.accounting`` records the
-    entries used and excluded and each run's sizes and test OOV rate.
+    ``entries`` are (words, reaction_counts) pairs from a cleaned corpus;
+    zero-total entries are excluded up front.  Run ``r`` shuffles once with
+    seed ``config.seed + r``; fraction ``f`` trains on the first
+    ``int(f * n + 0.5)`` shuffled entries and tests on the rest, so one fold
+    grows through the fractions in ascending order.  Sums keep shuffled
+    order, so each value equals a fresh fold of its train side.  The report
+    and ``report.accounting`` (entries used and excluded, each run's sizes
+    and test OOV rate) list runs fraction first, in config order.
     """
     tally = Counter()
     ids: dict = {}
     prepared = list(prepare(entries, config.model, ids, tally))
     ids = _rank_ids(prepared, ids)
-    reactions = STAR_ROWS if config.model == "star" else model_schema(config.model).reactions
+    star = config.model == "star"
+    reactions = STAR_ROWS if star else model_schema(config.model).reactions
+    fractions = config.train_fractions
     report = EvalReport(
         model=config.model,
         seed=config.seed,
         runs=config.runs,
         sigma=config.sigma,
         reactions=tuple(reactions),
-        split_labels=tuple(split_label(f) for f in config.train_fractions),
+        split_labels=tuple(split_label(f) for f in fractions),
     )
-    report.accounting = {
-        "entries_used": len(prepared),
-        "entries_excluded_zero_total": tally["excluded"],
-        "runs": [],
-    }
-    for fraction in config.train_fractions:
-        label = split_label(fraction)
-        runs = []
-        for run in range(config.runs):
+    n = len(prepared)
+    sizes = [int(f * n + 0.5) for f in fractions]
+    for fraction, label, n_train in zip(fractions, report.split_labels, sizes):
+        if n_train == 0 or n_train == n:
+            raise EmptySide(
+                f"fraction {fraction} on {n} entries leaves an empty side (split {label}%, run 0)"
+            )
+    scores = [[None] * config.runs for _ in fractions]
+    records = [[None] * config.runs for _ in fractions]
+    for run in range(config.runs):
+        order = list(range(n))
+        random.Random(config.seed + run).shuffle(order)
+        fold = vectorize = None
+        lo, hi = math.inf, -math.inf
+        done = 0
+        for k in sorted(range(len(fractions)), key=fractions.__getitem__):
+            label, n_train = report.split_labels[k], sizes[k]
+            new = [prepared[i] for i in order[done:n_train]]
+            refold = fold is None
+            if star and new:
+                aggregates = [positive - negative for _, (positive, negative) in new]
+                low, high = min(aggregates), max(aggregates)
+                if low < lo or high > hi:
+                    lo, hi = min(lo, low), max(hi, high)
+                    refold = True
             try:
-                train, test = split(prepared, fraction, config.seed + run)
-                fold, vectorize = fit(train, config.model, ids)
-                runs.append(_score(test, fold, vectorize, config.sigma))
-            except (EmptySide, DegenerateRange) as exc:
-                raise type(exc)(f"{exc} (split {label}%, run {run})") from exc
-            report.accounting["runs"].append(_run_accounting(label, run, train, test, fold.counts))
+                if refold:
+                    fold, vectorize = fit((prepared[i] for i in order[:n_train]), config.model, ids)
+                else:
+                    for word_ids, base in new:
+                        fold.add(word_ids, vectorize(base) if star else base)
+            except DegenerateRange as exc:
+                raise DegenerateRange(f"{exc} (split {label}%, run {run})") from exc
+            done = n_train
+            test = [prepared[i] for i in order[n_train:]]
+            scores[k][run] = _score(test, fold, vectorize, config.sigma)
+            records[k][run] = _run_accounting(label, run, n_train, test, fold.counts)
+    report.accounting = {
+        "entries_used": n,
+        "entries_excluded_zero_total": tally["excluded"],
+        "runs": [record for runs in records for record in runs],
+    }
+    for label, runs in zip(report.split_labels, scores):
         report.per_run[label] = {
             reaction: {metric: [means[i][j] for means in runs] for j, metric in enumerate(METRICS)}
             for i, reaction in enumerate(reactions)

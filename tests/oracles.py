@@ -5,6 +5,31 @@ deliberately ignoring the library's incremental/streaming code paths.
 
 from __future__ import annotations
 
+import random
+
+from reaction_lens.errors import EmptySide
+
+
+def split(corpus, train_fraction, seed):
+    """Seeded uniform random partition into (train, test).
+
+    The reference partition of one evaluation run: shuffle the indices with
+    ``random.Random(seed)``, the train side is the first
+    ``int(train_fraction * len(corpus) + 0.5)`` of them and the test side
+    the rest.  Raises EmptySide if either side would be empty.
+    """
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train fraction must be in (0, 1), got {train_fraction}")
+    n = len(corpus)
+    n_train = int(train_fraction * n + 0.5)
+    if n_train == 0 or n_train == n:
+        raise EmptySide(f"fraction {train_fraction} on {n} entries leaves an empty side")
+    indices = list(range(n))
+    random.Random(seed).shuffle(indices)
+    train = [corpus[i] for i in indices[:n_train]]
+    test = [corpus[i] for i in indices[n_train:]]
+    return train, test
+
 
 def oracle_lexicon(entries, dim):
     """Word table by looping words x entries: average vector over the

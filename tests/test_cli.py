@@ -211,6 +211,19 @@ class TestStatsCommand:
         path.write_text("message,like\nx,1\n", encoding="utf-8")
         assert main(["stats", "--input", str(path)]) == EXIT_SCHEMA
 
+    def test_count_beyond_float_range_exits_ok(self, tmp_path, capsys):
+        # 10**400 is a valid count but has no float value; the percentages
+        # are still finite.
+        path = tmp_path / "huge.csv"
+        path.write_text(HEADER + f"m,{10**400},1,0,0,0,0,0\n", encoding="utf-8")
+        out_json = tmp_path / "stats.json"
+        assert main(["stats", "--input", str(path), "--output", str(out_json)]) == EXIT_OK
+        assert "100.00" in capsys.readouterr().out
+        payload = json.loads(out_json.read_text(encoding="utf-8"))
+        assert payload["totals"]["like"] == 10**400
+        assert payload["all_percent"]["like"] == 100.0
+        assert payload["core_percent"]["love"] == 100.0
+
 
     def test_missing_output_dir_names_target(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
@@ -450,6 +463,15 @@ class TestEvalCommand:
         assert main([
             "eval", "--input", str(corpus), "--output", str(tmp_path / "r.json"),
             "--model", "core", "--splits", "95", "--runs", "1",
+        ]) == EXIT_DATA
+
+    def test_star_flat_range_exit(self, tmp_path):
+        corpus = tmp_path / "flat.csv"
+        corpus.write_text(HEADER + "".join(f"m{i},0,1,0,0,0,0,0\n" for i in range(10)),
+                          encoding="utf-8")
+        assert main([
+            "eval", "--input", str(corpus), "--output", str(tmp_path / "r.json"),
+            "--model", "star", "--splits", "90,50", "--runs", "2",
         ]) == EXIT_DATA
 
 

@@ -4,6 +4,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reaction_lens.corpus_io import (
     MalformedRow,
@@ -260,6 +262,21 @@ class TestCorpusStats:
         assert stats.core_percent["haha"] == pytest.approx(25.81, abs=0.005)
         assert stats.core_percent["sad"] == pytest.approx(11.82, abs=0.005)
         assert stats.core_percent["angry"] == pytest.approx(5.26, abs=0.005)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**53 // 700), min_size=7, max_size=7))
+    def test_percentages_match_float_formula_below_2_53(self, counts):
+        # With 100 * grand < 2**53 every total converts to a float exactly,
+        # so 100 * total / grand rounds once, as 100.0 * total / grand does.
+        stats = corpus_stats([PostRecord("m", ReactionCounts(*counts))])
+        totals = stats.totals
+        for percent, names in ((stats.all_percent, ALL_SCHEMA.reactions),
+                               (stats.core_percent, CORE_SCHEMA.reactions)):
+            grand = sum(totals[name] for name in names)
+            if grand == 0:
+                assert percent is None
+                continue
+            assert percent == {name: 100.0 * totals[name] / grand for name in names}
 
     def test_percentages_sum_to_100(self):
         rng = random.Random(1)

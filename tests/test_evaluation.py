@@ -5,14 +5,13 @@ import pytest
 
 from reaction_lens.corpus_io import ReactionCounts
 from reaction_lens.engine import STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
-from reaction_lens.errors import EmptySide, ZeroReactionTotal
+from reaction_lens.errors import DegenerateRange, EmptySide, ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
     _add_overlaps,
     report_emit,
     run_experiment,
-    split,
     split_label,
 )
 from reaction_lens.star import (
@@ -23,6 +22,8 @@ from reaction_lens.star import (
     star_vector,
 )
 from reaction_lens.synth import SynthSpec, iter_rows
+
+from oracles import split
 
 
 def random_distribution(rng, k=5, allow_zero_components=True):
@@ -95,20 +96,35 @@ class TestEntryMetrics:
                     assert (m["f1"][i] == 0.0) == (m["accuracy"][i] == 0.0)
 
 
+def numbered_corpus(n):
+    """``n`` entries, each with its own word and a core reaction."""
+    return [([f"w{i}"], ReactionCounts(love=1 + i % 3, sad=1)) for i in range(n)]
+
+
+def run_sizes(n, fraction, seed=0, runs=1):
+    """(n_train, n_test) of each run of ``run_experiment`` on ``n`` entries."""
+    config = ExperimentConfig(model="core", train_fractions=(fraction,), runs=runs, seed=seed)
+    records = run_experiment(numbered_corpus(n), config).accounting["runs"]
+    return [(record["n_train"], record["n_test"]) for record in records]
+
+
 class TestSplit:
+    """The partition ``run_experiment`` makes: train size ``int(f * n + 0.5)``."""
+
     def test_95_5(self):
-        train, test = split(list(range(100)), 0.95, seed=3)
-        assert len(train) == 95 and len(test) == 5
-        assert sorted(train + test) == list(range(100))
+        assert run_sizes(100, 0.95, seed=3, runs=2) == [(95, 5), (95, 5)]
 
     def test_deterministic(self):
-        corpus = list(range(57))
-        assert split(corpus, 0.8, seed=9) == split(corpus, 0.8, seed=9)
-        assert split(corpus, 0.8, seed=9) != split(corpus, 0.8, seed=10)
+        corpus = synth_corpus(rows=200)
+        config = ExperimentConfig(model="core", train_fractions=(0.8,), runs=1, seed=9)
+        first = run_experiment(corpus, config)
+        assert run_experiment(corpus, config) == first
+        assert run_experiment(corpus, ExperimentConfig(
+            model="core", train_fractions=(0.8,), runs=1, seed=10,
+        )) != first
 
     def test_three_entries_half(self):
-        train, test = split([1, 2, 3], 0.5, seed=0)
-        assert sorted((len(train), len(test))) == [1, 2]
+        assert run_sizes(3, 0.5) == [(2, 1)]
 
     def test_sizes_within_one_of_target(self):
         rng = random.Random(0)
@@ -116,18 +132,31 @@ class TestSplit:
             n = rng.randint(2, 500)
             fraction = rng.uniform(0.05, 0.95)
             try:
-                train, _ = split(list(range(n)), fraction, seed=1)
+                [(n_train, n_test)] = run_sizes(n, fraction, seed=1)
             except EmptySide:
+                assert int(fraction * n + 0.5) in (0, n)
                 continue
-            assert abs(len(train) - fraction * n) <= 1.0
+            assert n_train == int(fraction * n + 0.5)
+            assert n_train + n_test == n
+            assert abs(n_train - fraction * n) <= 1.0
 
     def test_empty_side(self):
-        with pytest.raises(EmptySide):
-            split([1, 2, 3], 0.95, seed=0)
+        with pytest.raises(EmptySide) as info:
+            run_sizes(3, 0.95)
+        assert str(info.value) == (
+            "fraction 0.95 on 3 entries leaves an empty side (split 95%, run 0)"
+        )
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
-            split([1, 2], 1.0, seed=0)
+            ExperimentConfig(train_fractions=(1.0,))
+
+    def test_empty_side_is_named_in_config_order(self):
+        # 0.95 and 0.05 both leave an empty side of 3 entries; the first
+        # configured fraction is named, before any run is folded.
+        config = ExperimentConfig(model="core", train_fractions=(0.5, 0.95, 0.05), runs=2)
+        with pytest.raises(EmptySide, match=r"^fraction 0.95 .*\(split 95%, run 0\)$"):
+            run_experiment(numbered_corpus(3), config)
 
 
 class TestExperimentConfig:
@@ -205,6 +234,14 @@ class TestRunExperiment:
                 ExperimentConfig(model="core", train_fractions=(0.95,), runs=1),
             )
         assert "split 95%" in str(info.value)
+
+    def test_flat_star_range_names_the_first_prefix_folded(self):
+        # Every train side is flat; the first prefix folded is run 0's
+        # smallest fraction, which the message names.
+        corpus = [([f"w{i}"], ReactionCounts(love=1 + i % 2)) for i in range(10)]
+        config = ExperimentConfig(model="star", train_fractions=(0.9, 0.5), runs=2)
+        with pytest.raises(DegenerateRange, match=r"\(split 50%, run 0\)$"):
+            run_experiment(corpus, config)
 
     def test_seeded_runs_reproducible(self):
         rng = random.Random(21)
@@ -324,13 +361,56 @@ def literal_experiment(corpus, config):
     return per_run
 
 
+def literal_accounting(corpus, config):
+    """Per-run accounting records by the plain loop over ``split``."""
+    schema = get_schema(config.model).reactions
+    entries = [
+        (set(words), counts) for words, counts in corpus
+        if any(getattr(counts, r) for r in schema)
+    ]
+    records = []
+    for fraction in config.train_fractions:
+        for run in range(config.runs):
+            train, test = split(entries, fraction, config.seed + run)
+            vocabulary = set().union(*(words for words, _ in train))
+            test_words = set().union(*(words for words, _ in test))
+            records.append({
+                "split": split_label(fraction),
+                "run": run,
+                "n_train": len(train),
+                "n_test": len(test),
+                "vocab_size": len(vocabulary),
+                "test_oov_rate": len(test_words - vocabulary) / len(test_words),
+            })
+    return entries, records
+
+
+def star_widening_corpus():
+    """Moderate star entries plus one extreme at each end of the range.
+
+    Wherever an extreme falls outside a run's smallest train prefix but
+    inside a larger one, that larger prefix widens the star range.
+    """
+    rng = random.Random(8)
+    corpus = [
+        (
+            [f"w{rng.randint(0, 12)}" for _ in range(3)],
+            ReactionCounts(love=rng.randint(1, 3), wow=rng.randint(0, 2),
+                           sad=rng.randint(1, 3), angry=rng.randint(0, 2)),
+        )
+        for _ in range(60)
+    ]
+    corpus[17] = (["w1", "w2"], ReactionCounts(love=5))
+    corpus[41] = (["w3", "w4"], ReactionCounts(angry=4))
+    return corpus
+
+
 class TestRunExperimentMatchesLiteralLoop:
-    @pytest.mark.parametrize("model", ["core", "all", "star"])
-    def test_bit_equal(self, model):
-        corpus = synth_corpus()
-        config = ExperimentConfig(model=model, train_fractions=(0.9, 0.5), runs=2, seed=11)
+    @staticmethod
+    def assert_matches_literal_loop(corpus, config):
         report = run_experiment(corpus, config)
         expected = literal_experiment(corpus, config)
+        assert list(expected) == list(report.split_labels)
         for label, runs in expected.items():
             for i, reaction in enumerate(report.reactions):
                 for j, metric in enumerate(METRICS):
@@ -338,29 +418,38 @@ class TestRunExperimentMatchesLiteralLoop:
                     assert report.per_run[label][reaction][metric] == values
                     assert report.value(label, reaction, metric) == sum(values) / len(values)
 
+    @pytest.mark.parametrize("model", ["core", "all", "star"])
+    def test_bit_equal(self, model):
+        config = ExperimentConfig(model=model, train_fractions=(0.9, 0.5), runs=2, seed=11)
+        self.assert_matches_literal_loop(synth_corpus(), config)
+
+    @pytest.mark.parametrize("model", ["core", "all", "star"])
+    def test_bit_equal_unsorted_fractions(self, model):
+        config = ExperimentConfig(model=model, train_fractions=(0.5, 0.95, 0.7), runs=3, seed=11)
+        self.assert_matches_literal_loop(synth_corpus(), config)
+
+    def test_star_range_widening_after_the_smallest_prefix(self):
+        corpus = star_widening_corpus()
+        config = ExperimentConfig(model="star", train_fractions=(0.5, 0.95, 0.7), runs=3, seed=4)
+        bases = [star_normalize(counts) for _, counts in corpus]
+        widened = [
+            star_range(split(bases, 0.5, config.seed + run)[0])
+            != star_range(split(bases, 0.95, config.seed + run)[0])
+            for run in range(config.runs)
+        ]
+        assert any(widened)
+        self.assert_matches_literal_loop(corpus, config)
+
     def test_accounting(self):
         corpus = synth_corpus(rows=300) + [(["only", "likes"], ReactionCounts(like=4))] * 7
         corpus += [([f"rare{i}", "w0001"], ReactionCounts(sad=1)) for i in range(30)]
-        config = ExperimentConfig(model="core", train_fractions=(0.8,), runs=2, seed=2)
-        accounting = run_experiment(corpus, config).accounting
-        core = get_schema("core").reactions
-        entries = [
-            (set(words), counts) for words, counts in corpus
-            if any(getattr(counts, r) for r in core)
-        ]
-        assert accounting["entries_used"] == len(entries)
-        assert accounting["entries_excluded_zero_total"] == len(corpus) - len(entries)
-        assert len(accounting["runs"]) == 2
-        assert all(record["test_oov_rate"] > 0 for record in accounting["runs"])
-        for run, record in enumerate(accounting["runs"]):
-            train, test = split(entries, 0.8, config.seed + run)
-            vocabulary = set().union(*(words for words, _ in train))
-            test_words = set().union(*(words for words, _ in test))
-            assert record == {
-                "split": "80",
-                "run": run,
-                "n_train": len(train),
-                "n_test": len(test),
-                "vocab_size": len(vocabulary),
-                "test_oov_rate": len(test_words - vocabulary) / len(test_words),
-            }
+        for fractions, runs in [((0.8,), 2), ((0.5, 0.95, 0.7), 3)]:
+            config = ExperimentConfig(model="core", train_fractions=fractions, runs=runs, seed=2)
+            accounting = run_experiment(corpus, config).accounting
+            entries, records = literal_accounting(corpus, config)
+            assert accounting["entries_used"] == len(entries)
+            assert accounting["entries_excluded_zero_total"] == len(corpus) - len(entries)
+            assert all(
+                record["test_oov_rate"] > 0 for record in records if record["split"] != "95"
+            )
+            assert accounting["runs"] == records

@@ -1,8 +1,10 @@
 """Golden outputs: the CLI pipeline reproduces recorded sha256 digests.
 
 One fixed synthetic corpus goes through ``synth -> clean -> train`` (core,
-all, star) and ``eval`` (core, all, star; JSON and CSV reports); the same
-spec also goes through ``synth -> clean`` as JSONL.  Every
+all, star) and ``eval`` (core, all, star; JSON and CSV reports); core and
+star are also evaluated with unsorted splits and three runs, which pins the
+report order and values when the fractions are not given in descending
+order.  The same spec also goes through ``synth -> clean`` as JSONL.  Every
 output must hash to the digest recorded below, so a refactor that changes
 any lexicon value, report value or row by a single bit fails here.
 
@@ -23,6 +25,7 @@ from reaction_lens.cli import EXIT_OK, main
 MODELS = ("core", "all", "star")
 SYNTH_FLAGS = ["--rows", "2000", "--vocab-size", "400", "--seed", "11"]
 EVAL_FLAGS = ["--splits", "90,50", "--runs", "2", "--seed", "0"]
+UNSORTED_EVAL_FLAGS = ["--splits", "50,95,70", "--runs", "3", "--seed", "0"]
 
 GOLDEN = {
     "corpus.csv": "6ff93cfbf057854ba507769fa565f1b8bbc6b207f0d0040b6b84c1ecb9a47611",
@@ -38,6 +41,8 @@ GOLDEN = {
     "eval_all.csv": "32e20ebd7acefc8703c970a3444aaa0afcb1bcccf4e1f4ea460f54680985d351",
     "eval_star.json": "70df575a54f1a70293c5428cfca55773d94d9070cceebbeab5e0eaf26aa3be4b",
     "eval_star.csv": "a545f606e13a0b7611da0d89a1388dc43c5cc3ffaf0a80ed0c1e4dc78d87e085",
+    "eval_core_unsorted.json": "57a558ff71328a0edb48345acb4b68b50c0cb3674775ddb73ec5396421323d10",
+    "eval_star_unsorted.json": "73e4a9d8fa9f85483292c9ca4055cd8624ded8996f6199457688fc13e146a7b0",
 }
 
 
@@ -74,6 +79,10 @@ def outputs(tmp_path_factory):
             commands.append(["eval", "--input", str(cleaned), "--output",
                              str(d / f"eval_{model}.{fmt}"), "--model", model,
                              "--report-format", fmt, *EVAL_FLAGS])
+    for model in ("core", "star"):
+        commands.append(["eval", "--input", str(cleaned), "--output",
+                         str(d / f"eval_{model}_unsorted.json"), "--model", model,
+                         *UNSORTED_EVAL_FLAGS])
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
     return {name: _digest(d / name) for name in GOLDEN}
