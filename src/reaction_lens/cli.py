@@ -34,7 +34,7 @@ from .corpus_io import (
     save_corpus,
     save_lexicon,
 )
-from .engine import ALL_SCHEMA, CORE_SCHEMA, predict
+from .engine import ALL_SCHEMA, CORE_SCHEMA, count_getter, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -291,19 +291,20 @@ def _cmd_clean(args, config) -> int:
     errors: list[MalformedRow] = []
     clean_stats = CleanStats()
     tally: Counter = Counter()
+    core_counts = count_getter(CORE_SCHEMA.reactions)
+    polar_counts = count_getter(POLAR_REACTIONS)
 
     def kept(records):
-        for record in records:
-            cleaned = clean_message(record.message, clean_config, clean_stats)
+        for message, counts, record_id in records:
+            cleaned = clean_message(message, clean_config, clean_stats)
             if cleaned.empty:
                 tally["empty"] += 1
                 continue
-            counts = record.reactions
-            if not any(getattr(counts, r) for r in CORE_SCHEMA.reactions):
+            if not any(core_counts(counts)):
                 tally["zero_core"] += 1
-            if not any(getattr(counts, r) for r in POLAR_REACTIONS):
+            if not any(polar_counts(counts)):
                 tally["zero_polar"] += 1
-            yield PostRecord(cleaned.text, counts, record.id)
+            yield PostRecord(cleaned.text, counts, record_id)
 
     records = load_corpus(args.input, corpus_format, columns, errors)
     rows_out = save_corpus(kept(records), args.output, corpus_format)
@@ -327,6 +328,10 @@ def _cmd_clean(args, config) -> int:
 def _cmd_stats(args, config) -> int:
     corpus_format = _resolve(args, config, "format", str, "csv")
     columns = _parse_columns(_resolve(args, config, "columns", str, None))
+    if args.output:
+        settings = {"input": args.input, "output": args.output, "format": corpus_format,
+                    "columns": columns}
+        manifest = _make_manifest("stats", settings, [args.input], _now())
     errors: list[MalformedRow] = []
     stats = corpus_stats(load_corpus(args.input, corpus_format, columns, errors))
     print(f"rows: {stats.rows}   (malformed skipped: {len(errors)})")
@@ -349,6 +354,7 @@ def _cmd_stats(args, config) -> int:
         with atomic_write(args.output) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
+        _finish_manifest(manifest, [args.output], {"malformed_rows": len(errors)})
     return EXIT_OK
 
 

@@ -25,10 +25,12 @@ import json
 import logging
 import os
 import re
+from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .engine import ALL_SCHEMA, CORE_SCHEMA, SCHEMAS, ReactionLexicon, ReactionSchema, get_schema
 from .errors import (
@@ -49,30 +51,26 @@ LEXICON_VERSION = "v1"
 DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + ALL_SCHEMA.reactions}
 
 
-@dataclass(frozen=True)
-class ReactionCounts:
-    like: int = 0
-    love: int = 0
-    wow: int = 0
-    haha: int = 0
-    sad: int = 0
-    angry: int = 0
-    thankful: int = 0
+class ReactionCounts(
+    namedtuple("ReactionCounts", ALL_SCHEMA.reactions, defaults=(0,) * ALL_SCHEMA.size)
+):
+    """The seven reaction counts of a post, a tuple in ``ALL_SCHEMA`` order.
 
-    def __post_init__(self):
-        for name in ALL_SCHEMA.reactions:
-            value = getattr(self, name)
+    The constructor rejects a count that is negative, not an int, or a bool.
+    ``_make`` does not check; ingest uses it for counts it has checked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        counts = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(cls._fields, counts):
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"reaction count {name}={value!r} must be a non-negative integer"
-                )
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(getattr(self, name) for name in ALL_SCHEMA.reactions)
+                raise ValueError(f"reaction count {name}={value!r} must be a non-negative integer")
+        return counts
 
 
-@dataclass(frozen=True)
-class PostRecord:
+class PostRecord(NamedTuple):
     message: str
     reactions: ReactionCounts
     id: str | None = None
@@ -144,37 +142,18 @@ def _has_surrogates(s: str) -> bool:
 
 def _open_text(source, newline=None):
     """Return (text_stream, should_close). Accepts paths and open files."""
-    if isinstance(source, (str, Path)):
+    should_close = isinstance(source, (str, Path))
+    if should_close:
         try:
-            raw = open(source, "rb")
+            source = open(source, "rb")
         except OSError as exc:
             raise UnreadableSource(f"cannot open {source}: {exc}") from exc
-        return (
-            io.TextIOWrapper(
-                raw, encoding="utf-8", errors="surrogateescape", newline=newline
-            ),
-            True,
-        )
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        return (
-            io.TextIOWrapper(
-                source, encoding="utf-8", errors="surrogateescape", newline=newline
-            ),
-            False,
-        )
-    if hasattr(source, "read"):
-        return source, False
-    raise UnreadableSource(f"unsupported source type {type(source).__name__}")
-
-
-def _parse_count(text: str, column: str) -> int:
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        raise ValueError(f"column {column!r}: {text!r} is not an integer") from None
-    if value < 0:
-        raise ValueError(f"column {column!r}: negative count {value}")
-    return value
+    elif not isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        if hasattr(source, "read"):
+            return source, False
+        raise UnreadableSource(f"unsupported source type {type(source).__name__}")
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline=newline)
+    return text, should_close
 
 
 class _Quarantine:
@@ -189,10 +168,10 @@ class _Quarantine:
         self.errors = errors
         self.count = 0
 
-    def add(self, line: int, reason: str, detail) -> None:
+    def add(self, line: int, reason: str) -> None:
         self.count += 1
         if self.count <= LOGGED_MALFORMED_ROWS:
-            logger.warning("skipping malformed row at line %d: %s", line, detail)
+            logger.warning("skipping malformed row at line %d: %s", line, reason)
         if self.errors is not None:
             self.errors.append(MalformedRow(line, reason))
 
@@ -200,17 +179,6 @@ class _Quarantine:
         hidden = self.count - LOGGED_MALFORMED_ROWS
         if hidden > 0:
             logger.warning("%d more malformed rows not shown", hidden)
-
-
-def _ingested_counts(counts: dict[str, int]) -> ReactionCounts:
-    """ReactionCounts from counts the parser has already checked.
-
-    The stream validates each count once, as it parses it, so the record is
-    built without ``ReactionCounts.__post_init__`` checking them again.
-    """
-    record = object.__new__(ReactionCounts)
-    record.__dict__.update(counts)
-    return record
 
 
 def load_corpus(
@@ -227,38 +195,25 @@ def load_corpus(
     problems (bad encoding, non-integer counts, short rows) are appended to
     ``errors`` and logged, and the stream continues.
     """
-    mapping = dict(DEFAULT_SCHEMA_MAP)
-    if schema_map:
-        mapping.update(schema_map)
+    mapping = {**DEFAULT_SCHEMA_MAP, **(schema_map or {})}
     if format == "csv":
         stream, should_close = _open_text(source, newline="")
         reader = csv.reader(stream)
         try:
-            header = next(reader, None)
-        except csv.Error as exc:
+            columns = {name: idx for idx, name in enumerate(next(reader))}
+            for field_name in DEFAULT_SCHEMA_MAP:
+                if mapping[field_name] not in columns:
+                    raise SchemaMismatch(f"missing column {mapping[field_name]!r} in CSV header")
+        except Exception as exc:
             if should_close:
                 stream.close()
-            raise SchemaMismatch(f"unreadable CSV header: {exc}") from exc
-        except Exception:
-            if should_close:
-                stream.close()
+            if isinstance(exc, StopIteration):
+                return iter(())
+            if isinstance(exc, csv.Error):
+                raise SchemaMismatch(f"unreadable CSV header: {exc}") from exc
             raise
-        if header is None:
-            if should_close:
-                stream.close()
-            return iter(())
-        columns = {name: idx for idx, name in enumerate(header)}
-        indices = {}
-        for field_name in ("message",) + ALL_SCHEMA.reactions:
-            column = mapping[field_name]
-            if column not in columns:
-                if should_close:
-                    stream.close()
-                raise SchemaMismatch(f"missing column {column!r} in CSV header")
-            indices[field_name] = columns[column]
-        id_index = None
-        if "id" in mapping and mapping["id"] in columns:
-            id_index = columns[mapping["id"]]
+        indices = [columns[mapping[name]] for name in DEFAULT_SCHEMA_MAP]
+        id_index = columns.get(mapping["id"]) if "id" in mapping else None
         return _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors)
     if format == "jsonl":
         stream, should_close = _open_text(source)
@@ -266,10 +221,29 @@ def load_corpus(
     raise ValueError(f"unknown corpus format {format!r}")
 
 
+def _count_error(texts, columns) -> str:
+    """Why count fields failed to parse: the first bad column, as ingest reports it."""
+    for text, column in zip(texts, columns):
+        if _has_surrogates(text):
+            return f"column {column!r}: invalid UTF-8 bytes"
+        try:
+            value = int(text)
+        except ValueError:
+            return f"column {column!r}: {text!r} is not an integer"
+        if value < 0:
+            return f"column {column!r}: negative count {value}"
+    raise AssertionError(f"no bad count among {texts!r}")
+
+
 def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
+    """Records of CSV rows; ``indices`` are the message and count columns."""
     bad = _Quarantine(errors)
+    message_index = indices[0]
+    count_texts = itemgetter(*indices[1:])
+    count_columns = [mapping[name] for name in ALL_SCHEMA.reactions]
+    needed = max(indices)
+    make_counts = ReactionCounts._make
     try:
-        needed = max(indices.values())
         while True:
             try:
                 row = next(reader)
@@ -278,29 +252,28 @@ def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
             except csv.Error as exc:
                 # e.g. a field over csv.field_size_limit(); the reader
                 # resumes at the next line.
-                bad.add(reader.line_num, str(exc), exc)
+                bad.add(reader.line_num, str(exc))
                 continue
             line = reader.line_num
             if not row:
                 continue
             if len(row) <= needed:
-                bad.add(line, f"expected at least {needed + 1} fields, got {len(row)}", "short row")
+                bad.add(line, f"expected at least {needed + 1} fields, got {len(row)}")
                 continue
+            message = row[message_index]
+            if _has_surrogates(message):
+                bad.add(line, "message column: invalid UTF-8 bytes")
+                continue
+            texts = count_texts(row)
             try:
-                message = row[indices["message"]]
-                if _has_surrogates(message):
-                    raise ValueError("message column: invalid UTF-8 bytes")
-                counts = {}
-                for name in ALL_SCHEMA.reactions:
-                    text = row[indices[name]]
-                    if _has_surrogates(text):
-                        raise ValueError(f"column {mapping[name]!r}: invalid UTF-8 bytes")
-                    counts[name] = _parse_count(text, mapping[name])
-            except ValueError as exc:
-                bad.add(line, str(exc), exc)
+                counts = make_counts(map(int, texts))
+            except ValueError:
+                counts = None
+            if counts is None or min(counts) < 0:
+                bad.add(line, _count_error(texts, count_columns))
                 continue
             record_id = row[id_index] if id_index is not None and id_index < len(row) else None
-            yield PostRecord(message, _ingested_counts(counts), record_id)
+            yield PostRecord(message, counts, record_id)
     finally:
         bad.close()
         if should_close:
@@ -315,17 +288,17 @@ def _iter_jsonl(stream, should_close, mapping, errors):
             if not line:
                 continue
             if _has_surrogates(line):
-                bad.add(line_num, "invalid UTF-8 bytes", "invalid UTF-8")
+                bad.add(line_num, "invalid UTF-8 bytes")
                 continue
             try:
                 obj = json.loads(line)
             except (ValueError, RecursionError) as exc:
                 # JSONDecodeError, an integer over the int digit limit, or
                 # nesting too deep for the parser.
-                bad.add(line_num, f"bad JSON: {exc}", exc)
+                bad.add(line_num, f"bad JSON: {exc}")
                 continue
             if not isinstance(obj, dict):
-                bad.add(line_num, "JSONL row is not an object", "not an object")
+                bad.add(line_num, "JSONL row is not an object")
                 continue
             try:
                 column = mapping["message"]
@@ -336,7 +309,7 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                     raise ValueError(f"key {column!r} is not a string")
                 if _has_surrogates(message):
                     raise ValueError(f"key {column!r}: lone surrogate")
-                counts = {}
+                values = []
                 for name in ALL_SCHEMA.reactions:
                     column = mapping[name]
                     if column not in obj:
@@ -346,16 +319,16 @@ def _iter_jsonl(stream, should_close, mapping, errors):
                         raise ValueError(f"key {column!r}: {value!r} is not an integer")
                     if value < 0:
                         raise ValueError(f"key {column!r}: negative count {value}")
-                    counts[name] = value
+                    values.append(value)
                 record_id = None
                 if "id" in mapping and mapping["id"] in obj:
                     record_id = str(obj[mapping["id"]])
                     if _has_surrogates(record_id):
                         raise ValueError(f"key {mapping['id']!r}: lone surrogate")
             except ValueError as exc:
-                bad.add(line_num, str(exc), exc)
+                bad.add(line_num, str(exc))
                 continue
-            yield PostRecord(message, _ingested_counts(counts), record_id)
+            yield PostRecord(message, ReactionCounts._make(values), record_id)
     finally:
         bad.close()
         if should_close:
@@ -365,9 +338,9 @@ def _iter_jsonl(stream, should_close, mapping, errors):
 def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int:
     """Write records to ``sink`` (path or text file) as ``load_corpus`` reads them.
 
-    CSV rows are the message and the seven counts under a header line; a
-    JSONL object carries ``id`` after them only when the record has one.
-    Returns the number of records written.
+    CSV rows are the message and the seven counts (``ALL_SCHEMA`` order) under
+    a header line; a JSONL object carries ``id`` after them only when the
+    record has one.  Returns the number of records written.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown corpus format {format!r}")
@@ -379,12 +352,11 @@ def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int
         writer.writerow(("message",) + ALL_SCHEMA.reactions)
     rows = 0
     for record in records:
-        counts = record.reactions.as_tuple()
         if format == "csv":
-            writer.writerow((record.message,) + counts)
+            writer.writerow((record.message, *record.reactions))
         else:
             obj = {"message": record.message}
-            obj.update(zip(ALL_SCHEMA.reactions, counts))
+            obj.update(zip(ALL_SCHEMA.reactions, record.reactions))
             if record.id is not None:
                 obj["id"] = record.id
             sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
@@ -394,13 +366,12 @@ def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int
 
 def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
     """Exact totals per reaction plus all/core percentage columns."""
-    totals = {name: 0 for name in ALL_SCHEMA.reactions}
+    sums = [0] * ALL_SCHEMA.size
     rows = 0
     for record in corpus:
         rows += 1
-        counts = record.reactions
-        for name in ALL_SCHEMA.reactions:
-            totals[name] += getattr(counts, name)
+        sums = list(map(add, sums, record.reactions))
+    totals = dict(zip(ALL_SCHEMA.reactions, sums))
     grand = sum(totals.values())
     core = sum(totals[name] for name in CORE_SCHEMA.reactions)
     all_percent = (
@@ -520,7 +491,7 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
 
     body = "\n".join(lines[body_start:])
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if digest != headers["sha256"][0]:
+    if headers["sha256"] != [digest]:
         raise CorruptArtifact("checksum mismatch; artifact is corrupt or truncated")
 
     try:

@@ -14,7 +14,7 @@ distributions) and the 4-component star-sentiment vectors (not unit-sum).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, truediv
+from operator import add, itemgetter, truediv
 from typing import Collection, Iterable, Sequence
 
 from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
@@ -54,15 +54,24 @@ def get_schema(name: str) -> ReactionSchema:
         raise SchemaMismatch(f"unknown reaction schema {name!r}") from None
 
 
+def count_getter(names: Sequence[str]) -> itemgetter:
+    """Pick the counts of two or more ``names`` out of counts in ``ALL_SCHEMA`` order."""
+    return itemgetter(*map(ALL_SCHEMA.reactions.index, names))
+
+
+_PROJECTIONS = {schema.name: count_getter(schema.reactions) for schema in (CORE_SCHEMA, ALL_SCHEMA)}
+
+
 def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
     """Normalize raw reaction counts into a distribution over the schema.
 
-    ``counts`` is any object exposing one non-negative integer attribute per
-    schema reaction.  Only schema reactions enter the total, so a post whose
+    ``counts`` is a ``ReactionCounts`` or any sequence of seven non-negative
+    integers in ``ALL_SCHEMA`` order; ``schema`` is ``CORE_SCHEMA`` or
+    ``ALL_SCHEMA``.  Only schema reactions enter the total, so a post whose
     mass lies entirely outside the schema raises ZeroReactionTotal and must
     be excluded from training and evaluation.
     """
-    raw = [getattr(counts, r) for r in schema.reactions]
+    raw = _PROJECTIONS[schema.name](counts)
     total = sum(raw)
     if total <= 0:
         raise ZeroReactionTotal(

@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"duplicate train fractions in {self.train_fractions}")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def split_label(fraction: float) -> str:

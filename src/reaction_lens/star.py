@@ -32,11 +32,11 @@ STAR_BIN = 0.5
 
 
 def star_normalize(counts) -> tuple[float, float]:
-    """Positive and negative masses normalized over the four polar reactions."""
-    love = counts.love
-    wow = counts.wow
-    sad = counts.sad
-    angry = counts.angry
+    """Positive and negative masses normalized over the four polar reactions.
+
+    ``counts`` is a ``ReactionCounts`` or any 7-sequence in ``ALL_SCHEMA`` order.
+    """
+    _, love, wow, _, sad, angry, _ = counts
     total = love + wow + sad + angry
     if total <= 0:
         raise ZeroReactionTotal("no positive count among love/wow/sad/angry")

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from operator import add
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .corpus_io import PostRecord, ReactionCounts, atomic_write, save_corpus
+from .corpus_io import PostRecord, atomic_write, save_corpus
 from .engine import ALL_SCHEMA, CORE_SCHEMA
 from .errors import InvalidSpec
 
@@ -166,15 +167,15 @@ def write_corpus(
     output = Path(output)
     if truth_path is None:
         truth_path = output.with_name(output.name + ".affinities.json")
-    totals = dict.fromkeys(ALL_SCHEMA.reactions, 0)
+    sums = [0] * ALL_SCHEMA.size
 
     def records():
         for message, counts in iter_rows(spec):
-            for name, value in zip(ALL_SCHEMA.reactions, counts):
-                totals[name] += value
-            yield PostRecord(message, ReactionCounts(*counts))
+            sums[:] = map(add, sums, counts)
+            yield PostRecord(message, counts)
 
     rows = save_corpus(records(), output, format)
+    totals = dict(zip(ALL_SCHEMA.reactions, sums))
     affinities = word_affinities(spec)
     truth = {
         "spec": asdict(spec),

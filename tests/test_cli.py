@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import reaction_lens
-from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, main
+from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from reaction_lens.corpus_io import load_corpus, load_lexicon
 
 from oracles import oracle_lexicon, oracle_nearest_half, oracle_star_vectors, oracle_train_mean
@@ -224,6 +224,23 @@ class TestStatsCommand:
         assert payload["all_percent"]["like"] == 100.0
         assert payload["core_percent"]["love"] == 100.0
 
+    def test_output_writes_manifest(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text(HEADER + "a,1,0,0,0,0,0,0\nbad,x,0,0,0,0,0,0\n", encoding="utf-8")
+        out_json = tmp_path / "stats.json"
+        assert main(["stats", "--input", str(path), "--output", str(out_json)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "stats.json.manifest.json").read_text())
+        assert manifest["command"] == "stats"
+        assert [entry["path"] for entry in manifest["inputs"]] == [str(path)]
+        assert manifest["outputs"] == [str(out_json)]
+        assert manifest["row_drops"] == {"malformed_rows": 1}
+        assert manifest["finished_at"]
+
+    def test_no_output_writes_no_manifest(self, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        write_two_entry_corpus(path)
+        assert main(["stats", "--input", str(path)]) == EXIT_OK
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_missing_output_dir_names_target(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
@@ -473,6 +490,17 @@ class TestEvalCommand:
             "eval", "--input", str(corpus), "--output", str(tmp_path / "r.json"),
             "--model", "star", "--splits", "90,50", "--runs", "2",
         ]) == EXIT_DATA
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_a_usage_error(self, synth_corpus, tmp_path, capsys, sigma):
+        report_path = tmp_path / "r.json"
+        assert main([
+            "eval", "--input", str(synth_corpus), "--output", str(report_path),
+            "--model", "star", "--splits", "50", "--runs", "1", "--sigma", sigma,
+        ]) == EXIT_USAGE
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not report_path.exists()
+        assert not (tmp_path / "r.json.manifest.json").exists()
 
 
 class TestConfigFile:

@@ -1,4 +1,6 @@
+import csv
 import io
+import json
 import logging
 import random
 import tracemalloc
@@ -60,7 +62,7 @@ class TestReactionCounts:
 
     def test_tuple_order(self):
         counts = ReactionCounts(like=1, love=2, wow=3, haha=4, sad=5, angry=6, thankful=7)
-        assert counts.as_tuple() == (1, 2, 3, 4, 5, 6, 7)
+        assert tuple(counts) == (1, 2, 3, 4, 5, 6, 7)
 
 
 class TestLoadCsv:
@@ -241,6 +243,109 @@ class TestLoadJsonl:
             load_corpus(io.BytesIO(b""), "xml")
 
 
+def first_rejected(values) -> str | None:
+    """The first reaction whose value ``ReactionCounts`` rejects on its own."""
+    for name, value in zip(ALL_SCHEMA.reactions, values):
+        try:
+            ReactionCounts(**{name: value})
+        except ValueError:
+            return name
+    return None
+
+
+def as_count(text: str):
+    """A CSV cell as the constructor would see it: its int value, or the text."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+# A byte that no UTF-8 sequence contains, as surrogateescape reads it
+# (U+DC00 + byte); encoding with the same handler writes the byte back.
+BAD_BYTE = st.sampled_from([0xC0, 0xC1, *range(0xF5, 0x100)]).map(lambda b: chr(0xDC00 + b))
+COUNT = st.one_of(st.integers(-3, 3), st.integers(0, 10**30))
+CSV_JUNK = st.one_of(
+    st.sampled_from(["", " 7 ", "+3", "1_000", "-0", "1.5", "1e3", "0x1", "abc", "\u0663"]),
+    st.text(st.one_of(st.sampled_from("0123456789-+ .e"), BAD_BYTE), max_size=4),
+)
+JSON_JUNK = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=3))
+MESSAGE = st.text(st.one_of(st.sampled_from('ab ,"\n\u0dc1'), BAD_BYTE), max_size=6)
+# Low surrogates only: an escaped high-low pair would decode to one valid character.
+LONE_SURROGATE = st.integers(0xDC00, 0xDFFF).map(chr)
+JSON_MESSAGE = st.text(st.one_of(st.sampled_from("ab \u0dc1"), LONE_SURROGATE), max_size=6)
+
+
+def rows_of(message, junk):
+    """Rows of a message and seven counts, a few of them replaced by junk."""
+    def row(message, counts, replacements):
+        for i, value in replacements:
+            counts[i] = value
+        return message, counts
+
+    return st.lists(st.builds(
+        row, message, st.lists(COUNT, min_size=7, max_size=7),
+        st.lists(st.tuples(st.integers(0, 6), junk), max_size=2),
+    ), max_size=12)
+
+
+class TestIngestMatchesConstructor:
+    """Ingest builds counts with ``ReactionCounts._make``, which skips the
+    constructor's checks; it must keep exactly the rows the constructor
+    accepts, and name the column of each row it drops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_of(MESSAGE, CSV_JUNK))
+    def test_csv(self, rows):
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(("message",) + ALL_SCHEMA.reactions)
+        writer.writerows([message, *values] for message, values in rows)
+        errors: list[MalformedRow] = []
+        source = io.BytesIO(text.getvalue().encode("utf-8", "surrogateescape"))
+        records = list(load_corpus(source, errors=errors))
+
+        kept, reasons = [], []
+        for message, cells in rows:
+            values = [as_count(str(cell)) for cell in cells]
+            if any(0xDC80 <= ord(c) <= 0xDCFF for c in message):
+                reasons.append("message column: ")
+            elif (name := first_rejected(values)) is not None:
+                reasons.append(f"column {name!r}: ")
+            else:
+                kept.append(PostRecord(message, ReactionCounts(*values)))
+        assert records == kept
+        assert all(type(r.reactions) is ReactionCounts for r in records)
+        assert len(errors) == len(reasons)
+        for error, prefix in zip(errors, reasons):
+            assert error.reason.startswith(prefix), (error.reason, prefix)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows_of(JSON_MESSAGE, JSON_JUNK))
+    def test_jsonl(self, rows):
+        lines = [
+            json.dumps({"message": message, **dict(zip(ALL_SCHEMA.reactions, values))})
+            for message, values in rows
+        ]
+        errors: list[MalformedRow] = []
+        source = io.BytesIO("".join(line + "\n" for line in lines).encode("ascii"))
+        records = list(load_corpus(source, "jsonl", errors=errors))
+
+        kept, reasons = [], []
+        for message, values in rows:
+            if any(0xDC00 <= ord(c) <= 0xDFFF for c in message):
+                reasons.append("key 'message': ")
+            elif (name := first_rejected(values)) is not None:
+                reasons.append(f"key {name!r}: ")
+            else:
+                kept.append(PostRecord(message, ReactionCounts(*values)))
+        assert records == kept
+        assert all(type(r.reactions) is ReactionCounts for r in records)
+        assert len(errors) == len(reasons)
+        for error, prefix in zip(errors, reasons):
+            assert error.reason.startswith(prefix), (error.reason, prefix)
+
+
 class TestCorpusStats:
     def test_reference_totals_and_percentages(self):
         # Hand-verified: like share of the grand total, love share of the
@@ -311,7 +416,7 @@ class TestCorpusStats:
         ]
         stats = corpus_stats(rows)
         for i, name in enumerate(ALL_SCHEMA.reactions):
-            assert stats.totals[name] == sum(r.reactions.as_tuple()[i] for r in rows)
+            assert stats.totals[name] == sum(tuple(r.reactions)[i] for r in rows)
 
 
 class TestLexiconPersistence:
@@ -389,6 +494,11 @@ class TestLexiconPersistence:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CorruptArtifact):
             load_lexicon(path)
+
+    def test_checksum_header_without_value_is_corrupt(self):
+        text = "#reaction-lexicon v1\n#schema\tcore\tlove,wow,haha,sad,angry\n#entries\t0\n"
+        with pytest.raises(CorruptArtifact, match="checksum"):
+            load_lexicon(io.StringIO(text + "#mean\t-\n#sha256\n"))
 
     def test_manifest_id_preserved_in_meta(self, tmp_path):
         lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -172,8 +173,9 @@ class TestExperimentConfig:
             ExperimentConfig(runs=0)
         with pytest.raises(ValueError):
             ExperimentConfig(train_fractions=(1.5,))
-        with pytest.raises(ValueError):
-            ExperimentConfig(sigma=0.0)
+        for sigma in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                ExperimentConfig(sigma=sigma)
         with pytest.raises(ValueError):
             ExperimentConfig(train_fractions=(0.95, 0.95))
 

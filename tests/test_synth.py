@@ -3,7 +3,7 @@ import json
 import pytest
 
 from reaction_lens.corpus_io import load_corpus
-from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, normalize
+from reaction_lens.engine import CORE_SCHEMA, normalize
 from reaction_lens.errors import InvalidSpec
 from reaction_lens.synth import SynthSpec, iter_rows, vocabulary, word_affinities, write_corpus
 
@@ -53,17 +53,9 @@ class TestGeneration:
             rows=200, vocab_size=1, fixed_affinity=(1, 0, 0, 0, 0),
             like_dominance=0.9, seed=3,
         )
-        for message, counts_tuple in iter_rows(spec):
+        for message, counts in iter_rows(spec):
             assert set(message.split()) == {"w0000"}
-            counts = dict(zip(ALL_SCHEMA.reactions, counts_tuple))
-
-            class Row:
-                pass
-
-            row = Row()
-            for name, value in counts.items():
-                setattr(row, name, value)
-            assert normalize(row, CORE_SCHEMA) == (1.0, 0.0, 0.0, 0.0, 0.0)
+            assert normalize(counts, CORE_SCHEMA) == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_like_share_near_target(self):
         spec = SynthSpec(rows=30_000, vocab_size=300, like_dominance=0.95, seed=11)
