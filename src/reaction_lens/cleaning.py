@@ -18,15 +18,17 @@ Steps never rewrite a surviving token, which makes the pipeline idempotent.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 ZWJ = "‍"
-SINHALA_FIRST = 0x0D80
-SINHALA_LAST = 0x0DFF
-# Sinhala lith digits (U+0DE6-U+0DEF) plus ASCII 0-9.
-_DIGIT_CHARS = frozenset("0123456789") | frozenset(
-    chr(c) for c in range(0x0DE6, 0x0DF0)
-)
+# A token of only ASCII letters and digits and the Sinhala block has no
+# ":", "/", ".", "@" or "#" and no foreign character, so steps 3 and 4
+# cannot drop it; only steps 5 and 6 need to see it.
+_WORD = re.compile(r"[0-9A-Za-z\u0d80-\u0dff]+").fullmatch
+_FOREIGN = re.compile(r"[^\x00-\x7f\u0d80-\u0dff]").search
+# ASCII 0-9 plus the Sinhala lith digits (U+0DE6-U+0DEF).
+_DIGITS = re.compile(r"[0-9\u0de6-\u0def]+").fullmatch
 
 _URL_PREFIXES = ("http://", "https://", "www.")
 
@@ -130,11 +132,7 @@ class CleanStats:
 
 def is_eligible_word(token: str) -> bool:
     """True iff every character is ASCII or in the Sinhala block."""
-    for c in token:
-        cp = ord(c)
-        if cp > 0x7F and not (SINHALA_FIRST <= cp <= SINHALA_LAST):
-            return False
-    return True
+    return token.isascii() or not _FOREIGN(token)
 
 
 def _is_url(token: str) -> bool:
@@ -150,8 +148,19 @@ def _is_email(token: str) -> bool:
     return bool(local) and "." in domain
 
 
-def _is_digits(token: str) -> bool:
-    return all(c in _DIGIT_CHARS for c in token)
+def _pattern_drop(token: str) -> str | None:
+    """The counter of the first of steps 3-4 that drops ``token``, or None."""
+    if _is_url(token):
+        return "url_tokens"
+    if _is_email(token):
+        return "email_tokens"
+    if token.startswith("@"):
+        return "tag_tokens"
+    if token.startswith("#"):
+        return "hashtag_tokens"
+    if not is_eligible_word(token):
+        return "foreign_tokens"
+    return None
 
 
 def clean_message(
@@ -171,24 +180,17 @@ def clean_message(
             stats.controls_replaced += sum(1 for c in raw if table.get(ord(c)) == 0x20)
     text = raw.translate(table)
     kept: list[str] = []
+    stopwords = config.stopwords
     for token in text.split():
-        if _is_url(token):
-            dropped = "url_tokens"
-        elif _is_email(token):
-            dropped = "email_tokens"
-        elif token.startswith("@"):
-            dropped = "tag_tokens"
-        elif token.startswith("#"):
-            dropped = "hashtag_tokens"
-        elif not is_eligible_word(token):
-            dropped = "foreign_tokens"
-        elif token in config.stopwords:
-            dropped = "stopword_tokens"
-        elif _is_digits(token):
-            dropped = "digit_tokens"
-        else:
-            kept.append(token)
-            continue
+        dropped = None if _WORD(token) else _pattern_drop(token)
+        if dropped is None:
+            if token in stopwords:
+                dropped = "stopword_tokens"
+            elif _DIGITS(token):
+                dropped = "digit_tokens"
+            else:
+                kept.append(token)
+                continue
         if stats is not None:
             setattr(stats, dropped, getattr(stats, dropped) + 1)
     return CleanedMessage(tuple(kept))

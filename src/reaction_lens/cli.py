@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 from collections import Counter
 from contextlib import ExitStack
@@ -47,7 +48,7 @@ from .errors import (
     ZeroReactionTotal,
 )
 from .evaluation import (
-    MODELS, ExperimentConfig, fit, format_float, prepare, report_emit, run_experiment,
+    MODELS, ExperimentConfig, fit, prepare, report_emit, run_experiment,
 )
 from .star import POLAR_REACTIONS
 
@@ -101,7 +102,11 @@ def _sha256_file(path) -> tuple[str, int]:
 def _make_manifest(command: str, config: dict, inputs: list, started: str) -> RunManifest:
     described = []
     for path in inputs:
-        checksum, size = _sha256_file(path)
+        # A pipe or device can be read only once, and the command needs it.
+        if stat.S_ISREG(os.stat(path).st_mode):
+            checksum, size = _sha256_file(path)
+        else:
+            checksum = size = None
         described.append({"path": str(path), "sha256": checksum, "bytes": size})
     run_id = hashlib.sha256(
         json.dumps(
@@ -392,8 +397,23 @@ def _cmd_train(args, config) -> int:
 
 
 def _cmd_predict(args, config) -> int:
+    started = _now()
     lexicon = load_lexicon(args.lexicon)
     clean_config = _clean_config(args, config)
+    manifest = None
+    if args.output != "-":
+        manifest = _make_manifest(
+            "predict",
+            {"lexicon": args.lexicon, "input": args.input, "output": args.output,
+             "stopwords": _resolve(args, config, "stopwords", str, None),
+             "casefold_ascii": clean_config.casefold_ascii},
+            [args.lexicon] + ([] if args.input == "-" else [args.input]),
+            started,
+        )
+    # "%.17g" % x is format(x, ".17g"), the digits of evaluation.format_float.
+    template = ",".join(["%.17g"] * lexicon.schema.size) + " coverage=%.17g\n"
+    messages = zero_coverage = 0
+    coverage_sum = 0.0
     with ExitStack() as stack:
         source = sys.stdin if args.input == "-" else stack.enter_context(
             open(args.input, encoding="utf-8")
@@ -404,8 +424,16 @@ def _cmd_predict(args, config) -> int:
         for line in source:
             tokens = clean_message(line.rstrip("\n"), clean_config).tokens
             vector, coverage = predict(tokens, lexicon)
-            values = ",".join(format_float(v) for v in vector)
-            sink.write(f"{values} coverage={format_float(coverage)}\n")
+            sink.write(template % (*vector, coverage))
+            messages += 1
+            coverage_sum += coverage
+            zero_coverage += not coverage
+    if manifest is not None:
+        _finish_manifest(manifest, [args.output], {
+            "messages": messages,
+            "mean_coverage": coverage_sum / messages if messages else None,
+            "zero_coverage_share": zero_coverage / messages if messages else None,
+        })
     return EXIT_OK
 
 

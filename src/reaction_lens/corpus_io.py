@@ -69,6 +69,10 @@ class ReactionCounts(
                 raise ValueError(f"reaction count {name}={value!r} must be a non-negative integer")
         return counts
 
+    def _replace(self, /, **kwargs):
+        # The inherited _replace builds through the unchecked _make.
+        return type(self)(*super()._replace(**kwargs))
+
 
 class PostRecord(NamedTuple):
     message: str

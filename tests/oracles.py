@@ -89,3 +89,52 @@ def oracle_nearest_half(value):
             best = b
             best_distance = d
     return best
+
+
+def oracle_clean(raw, stopwords, casefold_ascii, control_ranges):
+    """The seven cleaning steps as one per-character, per-rule loop.
+
+    ``control_ranges`` is the cleaner's pinned Cc/Cf table (inclusive
+    codepoint ranges, ZWJ excluded).  Returns the kept tokens and the nine
+    ``CleanStats`` counters as a dict.
+    """
+    counters = dict.fromkeys(
+        ("zwj_deleted", "controls_replaced", "url_tokens", "email_tokens",
+         "tag_tokens", "hashtag_tokens", "foreign_tokens", "stopword_tokens",
+         "digit_tokens"),
+        0,
+    )
+    chars = []
+    for c in raw:
+        cp = ord(c)
+        if cp == 0x200D:
+            counters["zwj_deleted"] += 1
+        elif any(first <= cp <= last for first, last in control_ranges):
+            counters["controls_replaced"] += 1
+            chars.append(" ")
+        elif casefold_ascii and "A" <= c <= "Z":
+            chars.append(chr(cp + 32))
+        else:
+            chars.append(c)
+    kept = []
+    for token in "".join(chars).split():
+        lowered = token.lower()
+        local, _, domain = token.partition("@")
+        if (lowered.startswith("http://") or lowered.startswith("https://")
+                or lowered.startswith("www.") or "://" in token):
+            counters["url_tokens"] += 1
+        elif token.count("@") == 1 and local and "." in domain:
+            counters["email_tokens"] += 1
+        elif token[0] == "@":
+            counters["tag_tokens"] += 1
+        elif token[0] == "#":
+            counters["hashtag_tokens"] += 1
+        elif any(ord(c) > 0x7F and not 0x0D80 <= ord(c) <= 0x0DFF for c in token):
+            counters["foreign_tokens"] += 1
+        elif token in stopwords:
+            counters["stopword_tokens"] += 1
+        elif all("0" <= c <= "9" or 0x0DE6 <= ord(c) <= 0x0DEF for c in token):
+            counters["digit_tokens"] += 1
+        else:
+            kept.append(token)
+    return tuple(kept), counters

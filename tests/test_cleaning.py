@@ -7,6 +7,9 @@ import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import oracle_clean
 
 import reaction_lens
 from reaction_lens.cleaning import (
@@ -156,6 +159,60 @@ class TestProperties:
             assert all(
                 unicodedata.category(c) not in ("Cc", "Cf") for c in cleaned.text
             )
+
+
+# Tokens biased toward the rules' boundaries: URL, email, tag and hashtag
+# prefixes and punctuation, the letters of "www."/"http", ASCII and Sinhala
+# lith digits, Sinhala letters, controls, ZWJ and characters of other
+# scripts (including ones whose lowercase is ASCII or two characters long),
+# between separators that are whitespace, controls or ZWJ.
+_CHARS = st.one_of(
+    st.sampled_from("@#:/.wWhHtTpPsSaZ"),
+    st.sampled_from("0123456789"),
+    st.integers(0x0DE6, 0x0DEF).map(chr),
+    st.integers(0x0D80, 0x0DFF).map(chr),
+    st.integers(0x00, 0x9F).map(chr),
+    st.sampled_from("\u200d\u200b\u200e\ufeff\u00ad\u2060\U000e0020\u0600"),
+    st.sampled_from("\u0901\u0915\u4e2d\U0001f600\u0663\u00a0\u0301\u0130\u212a"
+                    "\u017f\u0d7f\u0e00\ud800"),
+)
+_TOKEN = st.tuples(
+    st.sampled_from(["", "", "", "www.", "WWW.", "http://", "HTTP://", "https://",
+                     "@", "#", "a@", "a@b.", "1", "\u0de7"]),
+    st.lists(_CHARS, max_size=6).map("".join),
+).map("".join)
+_SEPARATOR = st.sampled_from([" ", "  ", "\t", "\n", "\x00", "\u200b", "\x85", "\u200d"])
+_STOPWORD = st.one_of(
+    st.sampled_from(["12", "0", "\u0de7\u0de8", "1\u0de6", "the", "ද", "සහ", "www.x",
+                     "@a", "#a", "a@b.c", "WWW"]),
+    _TOKEN,
+)
+
+
+class TestOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        pieces=st.lists(st.tuples(_TOKEN, _SEPARATOR).map("".join), max_size=10),
+        stopwords=st.frozensets(_STOPWORD, max_size=6),
+        extra_stopwords=st.lists(st.integers(0, 39), max_size=3),
+        casefold_ascii=st.booleans(),
+    )
+    def test_matches_per_character_oracle(self, pieces, stopwords, extra_stopwords,
+                                          casefold_ascii):
+        raw = "".join(pieces)
+        # Some of the message's own tokens as stopwords, so step 5 meets
+        # tokens that earlier steps would drop.
+        tokens = raw.replace("\u200d", "").split()
+        picked = {tokens[i % len(tokens)] for i in extra_stopwords} if tokens else set()
+        stopwords |= picked | {w.lower() for w in picked}
+        # CleanConfig rejects empty stopwords and ones with whitespace.
+        stopwords = frozenset(w for w in stopwords if w and not any(c.isspace() for c in w))
+        config = CleanConfig(stopwords=stopwords, casefold_ascii=casefold_ascii)
+        stats = CleanStats()
+        cleaned = clean_message(raw, config, stats)
+        expected, counters = oracle_clean(raw, stopwords, casefold_ascii, _CONTROL_RANGES)
+        assert cleaned.tokens == expected
+        assert stats == CleanStats(**counters)
 
 
 class TestStopwordFile:

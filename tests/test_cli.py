@@ -29,14 +29,16 @@ def write_two_entry_corpus(path):
     )
 
 
-def run_python(*args):
+def run_python(*args, stdin=None):
     """Run a fresh interpreter with this package on its path."""
     src = str(Path(reaction_lens.__file__).parents[1])
     return subprocess.run(
         [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": src},
+        input=stdin,
         capture_output=True,
         text=True,
+        timeout=120,
     )
 
 
@@ -113,6 +115,16 @@ class TestCleanCommand:
         ])
         assert code == EXIT_IO
         assert not cleaned.exists()
+
+    def test_pipe_input_is_read_once(self, tmp_path):
+        # The manifest must not hash a pipe away before the command reads it.
+        out = tmp_path / "o.csv"
+        result = run_python("-m", "reaction_lens.cli", "clean", "--input", "/dev/stdin",
+                            "--output", str(out), stdin=HEADER + "a b,1,0,0,0,0,0,0\n")
+        assert result.returncode == EXIT_OK, result.stderr
+        assert out.read_text(encoding="utf-8").splitlines()[1:] == ["a b,1,0,0,0,0,0,0"]
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["inputs"] == [{"path": "/dev/stdin", "sha256": None, "bytes": None}]
 
     def test_missing_input(self, tmp_path):
         code = main([
@@ -296,6 +308,51 @@ class TestTrainPredict:
         fallback = [float(v) for v in lines[1].split(" ")[0].split(",")]
         assert fallback == [0.5, 0.5, 0.0, 0.0, 0.0]
         assert lines[1].endswith("coverage=0")
+
+    def test_predict_writes_manifest(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        messages = tmp_path / "msgs.txt"
+        messages.write_text("a c\nzz\na zz\n\n", encoding="utf-8")
+        out = tmp_path / "pred.txt"
+        assert main([
+            "predict", "--lexicon", str(lexicon), "--input", str(messages),
+            "--output", str(out),
+        ]) == EXIT_OK
+        manifest = json.loads((tmp_path / "pred.txt.manifest.json").read_text())
+        assert manifest["command"] == "predict"
+        assert [entry["path"] for entry in manifest["inputs"]] == [str(lexicon), str(messages)]
+        assert manifest["outputs"] == [str(out)]
+        assert manifest["row_drops"] == {
+            "messages": 4, "mean_coverage": 0.375, "zero_coverage_share": 0.5,
+        }
+        assert manifest["finished_at"]
+
+    def test_predict_pipe_input_is_read_once(self, tmp_path):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        out = tmp_path / "pred.txt"
+        result = run_python("-m", "reaction_lens.cli", "predict", "--lexicon", str(lexicon),
+                            "--input", "/dev/stdin", "--output", str(out), stdin="a c\nzz\n")
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_predict_to_stdout_writes_no_manifest(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        messages = tmp_path / "msgs.txt"
+        messages.write_text("a c\n", encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        assert main(["predict", "--lexicon", str(lexicon), "--input", str(messages)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith(" coverage=1\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_missing_output_dir_names_target(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"

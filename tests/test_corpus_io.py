@@ -64,6 +64,17 @@ class TestReactionCounts:
         counts = ReactionCounts(like=1, love=2, wow=3, haha=4, sad=5, angry=6, thankful=7)
         assert tuple(counts) == (1, 2, 3, 4, 5, 6, 7)
 
+    def test_replace_checks_like_the_constructor(self):
+        counts = ReactionCounts(love=1)
+        replaced = counts._replace(like=5)
+        assert replaced == (5, 1, 0, 0, 0, 0, 0)
+        assert type(replaced) is ReactionCounts
+        for value in (-1, True, 1.0, "1"):
+            with pytest.raises(ValueError):
+                counts._replace(like=value)
+        with pytest.raises(ValueError):
+            counts._replace(nope=1)
+
 
 class TestLoadCsv:
     def test_direct_field_mapping(self):
