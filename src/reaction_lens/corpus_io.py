@@ -395,15 +395,19 @@ def _format_floats(values) -> str:
     return "\t".join(format(v, ".17g") for v in values)
 
 
+_LINE_BREAKING = re.compile("[\t\n\r]")
+
+
 def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None) -> None:
     """Write a lexicon to ``sink`` (path or text file object)."""
     schema = lexicon.schema
+    line = "%s\t%d" + "\t%.17g" * schema.size + "\n"
     body_lines = []
     for word in sorted(lexicon.entries):
-        if any(c in "\t\n\r" for c in word):
+        if _LINE_BREAKING.search(word):
             raise ValueError(f"word {word!r} contains tab or newline")
         vector, count = lexicon.entries[word]
-        body_lines.append(f"{word}\t{count}\t{_format_floats(vector)}\n")
+        body_lines.append(line % (word, count, *vector))
     body = "".join(body_lines)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     mean = "-" if lexicon.train_mean is None else _format_floats(lexicon.train_mean)

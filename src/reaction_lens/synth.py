@@ -10,12 +10,15 @@ whose expectation matches the requested like-dominance fraction, which
 makes the like share realistic in aggregate while varying row to row.
 
 Generation is chunked numpy sampling from a single seeded generator, so a
-given spec always produces byte-identical output.
+given spec always produces byte-identical output.  Each chunk's draws
+become Python lists once (one count matrix, the word ids and the message
+offsets), so yielding a row is a list slice, a join and a tuple.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from operator import add
 from pathlib import Path
@@ -49,17 +52,17 @@ class SynthSpec:
             raise InvalidSpec(f"rows must be >= 1, got {self.rows}")
         if self.vocab_size < 1:
             raise InvalidSpec(f"vocab_size must be >= 1, got {self.vocab_size}")
-        if self.affinity_concentration <= 0:
-            raise InvalidSpec("affinity_concentration must be positive")
+        if not 0 < self.affinity_concentration < math.inf:
+            raise InvalidSpec("affinity_concentration must be positive and finite")
         if self.fixed_affinity is not None:
             affinity = tuple(float(v) for v in self.fixed_affinity)
             if len(affinity) != CORE_SCHEMA.size:
                 raise InvalidSpec(
                     f"fixed_affinity needs {CORE_SCHEMA.size} components"
                 )
-            if any(v < 0 for v in affinity) or sum(affinity) <= 0:
-                raise InvalidSpec("fixed_affinity must be non-negative, total > 0")
             total = sum(affinity)
+            if any(not 0 <= v < math.inf for v in affinity) or not 0 < total < math.inf:
+                raise InvalidSpec("fixed_affinity must be non-negative, with a finite total > 0")
             object.__setattr__(
                 self, "fixed_affinity", tuple(v / total for v in affinity)
             )
@@ -68,12 +71,14 @@ class SynthSpec:
                 f"need 1 <= length_min <= length_max, got "
                 f"[{self.length_min}, {self.length_max}]"
             )
-        if self.reaction_scale <= 0:
-            raise InvalidSpec("reaction_scale must be positive")
+        if not 0 < self.reaction_scale < math.inf:
+            raise InvalidSpec("reaction_scale must be positive and finite")
         if not 0.0 <= self.like_dominance < 1.0:
             raise InvalidSpec("like_dominance must be in [0, 1)")
-        if self.like_variability <= 0:
-            raise InvalidSpec("like_variability must be positive")
+        # iter_rows draws like odds from a gamma of shape 1 / variability^2.
+        square = self.like_variability * self.like_variability
+        if not (self.like_variability > 0 and square > 0 and 0 < 1.0 / square < math.inf):
+            raise InvalidSpec("like_variability must be positive, with 1/v^2 a finite float")
         if not 0.0 <= self.thankful_rate <= 1.0:
             raise InvalidSpec("thankful_rate must be in [0, 1]")
 
@@ -110,7 +115,7 @@ def _multinomial_rows(rng, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Yield (message, reaction_counts_tuple) rows in ALL_SCHEMA order."""
-    vocab = np.array(vocabulary(spec))
+    vocab = vocabulary(spec)
     affinities = word_affinities(spec)
     # word_affinities consumed draws from its own generator; generation below
     # re-seeds so the affinity matrix and the rows stay independent and the
@@ -145,14 +150,14 @@ def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
             thankfuls = rng.binomial(1, spec.thankful_rate, size=m)
         else:
             thankfuls = np.zeros(m, dtype=np.int64)
-        row = np.zeros(ALL_SCHEMA.size, dtype=np.int64)
-        for i in range(m):
-            words = vocab[word_ids[offsets[i] : offsets[i + 1]]]
-            row[:] = 0
-            row[like_col] = likes[i]
-            row[thankful_col] = thankfuls[i]
-            row[core_cols] = core_counts[i]
-            yield " ".join(words), tuple(int(v) for v in row)
+        counts = np.zeros((m, ALL_SCHEMA.size), dtype=np.int64)
+        counts[:, like_col] = likes
+        counts[:, thankful_col] = thankfuls
+        counts[:, core_cols] = core_counts
+        words = [vocab[i] for i in word_ids.tolist()]
+        bounds = offsets.tolist()
+        for start, end, row in zip(bounds, bounds[1:], counts.tolist()):
+            yield " ".join(words[start:end]), tuple(row)
         produced += m
 
 

@@ -138,3 +138,58 @@ def oracle_clean(raw, stopwords, casefold_ascii, control_ranges):
         else:
             kept.append(token)
     return tuple(kept), counters
+
+
+def oracle_iter_rows(spec):
+    """The synthetic corpus built one row at a time with numpy indexing.
+
+    Same draws, in the same order, as ``synth.iter_rows``; each row is
+    filled into a reused count array and converted element by element.
+    numpy is imported here so that importing this module stays numpy-free.
+    """
+    import numpy as np
+
+    from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA
+    from reaction_lens.synth import _CHUNK, _multinomial_rows, vocabulary, word_affinities
+
+    vocab = np.array(vocabulary(spec))
+    affinities = word_affinities(spec)
+    rng = np.random.default_rng(spec.seed + 1)
+    like_col = ALL_SCHEMA.reactions.index("like")
+    thankful_col = ALL_SCHEMA.reactions.index("thankful")
+    core_cols = [ALL_SCHEMA.reactions.index(name) for name in CORE_SCHEMA.reactions]
+    odds_mean = (
+        spec.like_dominance / (1.0 - spec.like_dominance)
+        if spec.like_dominance > 0
+        else 0.0
+    )
+    gamma_shape = 1.0 / (spec.like_variability * spec.like_variability)
+    produced = 0
+    while produced < spec.rows:
+        m = min(_CHUNK, spec.rows - produced)
+        lengths = rng.integers(spec.length_min, spec.length_max + 1, size=m)
+        word_ids = rng.integers(0, spec.vocab_size, size=int(lengths.sum()))
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        probs = np.add.reduceat(affinities[word_ids], offsets[:-1], axis=0)
+        probs /= lengths[:, None]
+        core_totals = np.maximum(1, rng.poisson(spec.reaction_scale, size=m))
+        core_counts = _multinomial_rows(rng, core_totals, probs)
+        if odds_mean > 0:
+            odds = rng.gamma(gamma_shape, odds_mean / gamma_shape, size=m)
+            likes = rng.poisson(core_totals * odds)
+        else:
+            likes = np.zeros(m, dtype=np.int64)
+        if spec.thankful_rate > 0:
+            thankfuls = rng.binomial(1, spec.thankful_rate, size=m)
+        else:
+            thankfuls = np.zeros(m, dtype=np.int64)
+        row = np.zeros(ALL_SCHEMA.size, dtype=np.int64)
+        for i in range(m):
+            words = vocab[word_ids[offsets[i] : offsets[i + 1]]]
+            row[:] = 0
+            row[like_col] = likes[i]
+            row[thankful_col] = thankfuls[i]
+            row[core_cols] = core_counts[i]
+            yield " ".join(words), tuple(int(v) for v in row)
+        produced += m

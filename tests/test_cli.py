@@ -63,6 +63,17 @@ class TestSynthCommand:
     def test_invalid_spec_exit_code(self, tmp_path):
         assert main(["synth", "--output", str(tmp_path / "x"), "--rows", "0"]) == EXIT_DATA
 
+    @pytest.mark.parametrize("flags", [
+        ["--like-variability", "inf"], ["--like-variability", "1e200"],
+        ["--reaction-scale", "nan"], ["--affinity-concentration", "nan"],
+        ["--affinity-concentration", "inf"], ["--affinity", "1,nan,0,0,0"],
+    ])
+    def test_non_finite_parameter_is_invalid_spec(self, tmp_path, flags, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(out), "--rows", "10", *flags]) == EXIT_DATA
+        assert "degenerate data" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCleanCommand:
     def test_drop_report_and_idempotence(self, tmp_path, capsys):

@@ -1,16 +1,18 @@
 """In-process fuzzing of ``cli.main``: random bytes and mutated valid inputs.
 
 Whatever the input, a command returns one of the documented exit codes and
-raises nothing.  ``clean``'s manifest accounts for every row it read.
+raises nothing; so does ``synth`` whatever its float parameters.  ``clean``'s
+manifest accounts for every row it read.
 """
 
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reaction_lens.cli import EXIT_OK, main
@@ -130,3 +132,31 @@ def test_predict(messages, lexicon):
         lexicon_path.write_bytes(lexicon)
         run(["predict", "--lexicon", str(lexicon_path), "--input", str(source),
              "--output", str(Path(tmp) / "out")])
+
+
+# nan, +-inf, huge, tiny, zero and negative values, plus ordinary ones.
+SYNTH_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, 1e200, 1e-200, 5e-324, 0.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-2.0, 40.0),
+)
+SYNTH_FLAGS = (
+    "--reaction-scale", "--like-variability", "--affinity-concentration",
+    "--like-dominance", "--thankful-rate",
+)
+
+
+@FUZZ
+@given(
+    rows=st.integers(1, 20),
+    values=st.dictionaries(st.sampled_from(SYNTH_FLAGS), SYNTH_FLOATS, max_size=3),
+    affinity=st.one_of(st.none(), st.lists(SYNTH_FLOATS, min_size=5, max_size=5)),
+)
+@example(rows=5, values={"--like-variability": math.inf}, affinity=None)
+def test_synth(rows, values, affinity):
+    argv = ["synth", "--rows", str(rows), "--vocab-size", "30"]
+    argv += [f"{flag}={value!r}" for flag, value in values.items()]
+    if affinity is not None:
+        argv.append("--affinity=" + ",".join(map(repr, affinity)))
+    with tempfile.TemporaryDirectory() as tmp:
+        run([*argv, "--output", str(Path(tmp) / "c.csv")])

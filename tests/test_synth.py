@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,6 +7,8 @@ from reaction_lens.corpus_io import load_corpus
 from reaction_lens.engine import CORE_SCHEMA, normalize
 from reaction_lens.errors import InvalidSpec
 from reaction_lens.synth import SynthSpec, iter_rows, vocabulary, word_affinities, write_corpus
+
+from oracles import oracle_iter_rows
 
 
 class TestSpecValidation:
@@ -29,8 +32,46 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             SynthSpec(rows=1, fixed_affinity=(1, 0))
 
+    @pytest.mark.parametrize("field", [
+        "reaction_scale", "affinity_concentration", "like_variability",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float(self, field, value):
+        with pytest.raises(InvalidSpec):
+            SynthSpec(rows=1, **{field: value})
+
+    @pytest.mark.parametrize("value", [1e200, 1e-200, 1e-160])
+    def test_like_variability_outside_gamma_range(self, value):
+        # value**2 overflows (gamma shape 0), or underflows to 0 or a subnormal.
+        with pytest.raises(InvalidSpec):
+            SynthSpec(rows=1, like_variability=value)
+
+    @pytest.mark.parametrize("affinity", [
+        (1, math.nan, 0, 0, 0), (1, math.inf, 0, 0, 0), (1e308, 1e308, 0, 0, 0),
+    ])
+    def test_fixed_affinity_not_finite(self, affinity):
+        with pytest.raises(InvalidSpec):
+            SynthSpec(rows=1, fixed_affinity=affinity)
+
 
 class TestGeneration:
+    @pytest.mark.parametrize("spec", [
+        # Two chunk boundaries and a partial last chunk.
+        SynthSpec(rows=25_001, vocab_size=300, seed=3),
+        SynthSpec(rows=3_000, vocab_size=48_000, seed=5),
+        SynthSpec(rows=500, vocab_size=1, fixed_affinity=(1, 2, 0, 0, 3), seed=6),
+        SynthSpec(rows=500, like_dominance=0.0, thankful_rate=0.0, seed=7),
+        SynthSpec(rows=500, vocab_size=7, length_min=1, length_max=1, seed=8),
+    ], ids=["chunks", "vocab48k", "fixed", "no-like-thankful", "one-word"])
+    def test_matches_per_row_oracle(self, spec):
+        rows = list(iter_rows(spec))
+        assert rows == list(oracle_iter_rows(spec))
+        assert len(rows) == spec.rows
+        for message, counts in rows:
+            assert type(message) is str
+            assert type(counts) is tuple and len(counts) == 7
+            assert all(type(v) is int for v in counts)
+
     def test_deterministic_bytes(self, tmp_path):
         spec = SynthSpec(rows=500, vocab_size=50, seed=123)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
