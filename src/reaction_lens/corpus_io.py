@@ -13,7 +13,9 @@ The lexicon artifact is line-oriented UTF-8 text: a handful of ``#`` header
 lines (format version, schema, entry count, train-mean fallback, checksum)
 followed by one tab-separated line per word with its entry count and one
 17-significant-digit decimal per schema reaction.  Loading verifies the
-checksum and reproduces every vector bit-exactly.
+body checksum, the field count of every entry line and that every count
+and decimal parses, naming the first bad line in file order; it
+reproduces every vector bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import re
 from collections import namedtuple
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
+from itertools import repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -429,6 +432,25 @@ def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None)
         sink.write(text)
 
 
+# Entry lines parsed per join-and-split; bounds the field list held at once.
+_LOAD_BLOCK = 2048
+
+
+def _entry_error(lines, stride) -> str:
+    """Why entry lines failed to load: the first bad line, in file order."""
+    for line in lines:
+        fields = line.split("\t")
+        if len(fields) != stride:
+            return f"entry line has {len(fields)} fields: {line!r}"
+        try:
+            int(fields[1])
+            for v in fields[2:]:
+                float(v)
+        except ValueError:
+            return f"unparseable entry line: {line!r}"
+    raise AssertionError("no bad entry line")
+
+
 def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) -> ReactionLexicon:
     """Read a lexicon artifact back into a ReactionLexicon.
 
@@ -446,31 +468,32 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
             raise CorruptArtifact(f"artifact is not UTF-8: {exc}") from exc
     else:
         text = source.read()
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith(LEXICON_MAGIC):
+    end = text.find("\n")
+    first = text if end < 0 else text[:end]
+    if not first.startswith(LEXICON_MAGIC):
         raise CorruptArtifact("not a reaction-lexicon artifact")
-    version = lines[0][len(LEXICON_MAGIC):].strip()
+    version = first[len(LEXICON_MAGIC):].strip()
     if version != LEXICON_VERSION:
         raise VersionMismatch(f"unsupported lexicon format version {version!r}")
 
+    # Header lines run from the magic line to #sha256; the body is the rest.
     headers: dict[str, list[str]] = {}
     meta: dict[str, str] = {}
-    body_start = None
-    for i, line in enumerate(lines[1:], 1):
-        if not line.startswith("#"):
-            body_start = i
-            break
-        fields = line[1:].split("\t")
+    pos = len(first) + 1
+    while text.startswith("#", pos):
+        end = text.find("\n", pos)
+        if end < 0:
+            end = len(text)
+        fields = text[pos + 1:end].split("\t")
+        pos = end + 1
         key, values = fields[0], fields[1:]
         if key == "manifest":
             meta["manifest"] = values[0] if values else ""
         else:
             headers[key] = values
         if key == "sha256":
-            body_start = i + 1
             break
-    if body_start is None:
-        body_start = len(lines)
+    body = text[pos:]
 
     for required in ("schema", "entries", "mean", "sha256"):
         if required not in headers:
@@ -497,7 +520,6 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
                 f"artifact has schema {schema.name!r}, expected {expected.name!r}"
             )
 
-    body = "\n".join(lines[body_start:])
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if headers["sha256"] != [digest]:
         raise CorruptArtifact("checksum mismatch; artifact is corrupt or truncated")
@@ -524,20 +546,19 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
         if len(train_mean) != schema.size:
             raise CorruptArtifact("train-mean vector has wrong dimension")
 
+    stride = 2 + schema.size
+    lines = list(filter(None, body.split("\n")))
+    if set(map(str.count, lines, repeat("\t"))) - {stride - 1}:
+        raise CorruptArtifact(_entry_error(lines, stride))
     entries = {}
-    for line in body.split("\n"):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 + schema.size:
-            raise CorruptArtifact(f"entry line has {len(fields)} fields: {line!r}")
-        word = fields[0]
-        try:
-            count = int(fields[1])
-            vector = tuple(float(v) for v in fields[2:])
-        except ValueError:
-            raise CorruptArtifact(f"unparseable entry line: {line!r}") from None
-        entries[word] = (vector, count)
+    try:
+        for start in range(0, len(lines), _LOAD_BLOCK):
+            fields = "\t".join(lines[start:start + _LOAD_BLOCK]).split("\t")
+            counts = map(int, fields[1::stride])
+            vectors = zip(*(map(float, fields[k::stride]) for k in range(2, stride)))
+            entries.update(zip(fields[0::stride], zip(vectors, counts)))
+    except ValueError:
+        raise CorruptArtifact(_entry_error(lines, stride)) from None
     if len(entries) != declared:
         raise CorruptArtifact(
             f"artifact declares {declared} entries but contains {len(entries)}"

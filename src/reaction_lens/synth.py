@@ -31,6 +31,8 @@ from .engine import ALL_SCHEMA, CORE_SCHEMA
 from .errors import InvalidSpec
 
 _CHUNK = 10_000
+# numpy's Poisson draws reject a mean above int64 max - 10 * sqrt(int64 max).
+POISSON_LAM_MAX = 2.0**63 - 1 - 10 * math.sqrt(2.0**63 - 1)
 
 
 @dataclass(frozen=True)
@@ -71,8 +73,11 @@ class SynthSpec:
                 f"need 1 <= length_min <= length_max, got "
                 f"[{self.length_min}, {self.length_max}]"
             )
-        if not 0 < self.reaction_scale < math.inf:
-            raise InvalidSpec("reaction_scale must be positive and finite")
+        if not 0 < self.reaction_scale <= POISSON_LAM_MAX:
+            raise InvalidSpec(
+                "reaction_scale must be positive and at most numpy's "
+                f"Poisson limit {POISSON_LAM_MAX:.4g}"
+            )
         if not 0.0 <= self.like_dominance < 1.0:
             raise InvalidSpec("like_dominance must be in [0, 1)")
         # iter_rows draws like odds from a gamma of shape 1 / variability^2.
@@ -143,7 +148,13 @@ def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
         core_counts = _multinomial_rows(rng, core_totals, probs)
         if odds_mean > 0:
             odds = rng.gamma(gamma_shape, odds_mean / gamma_shape, size=m)
-            likes = rng.poisson(core_totals * odds)
+            try:
+                likes = rng.poisson(core_totals * odds)
+            except ValueError:
+                raise InvalidSpec(
+                    f"like counts pass numpy's Poisson limit {POISSON_LAM_MAX:.4g}; "
+                    "lower like_dominance or reaction_scale"
+                ) from None
         else:
             likes = np.zeros(m, dtype=np.int64)
         if spec.thankful_rate > 0:

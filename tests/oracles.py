@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from reaction_lens.errors import EmptySide
+from reaction_lens.errors import CorruptArtifact, EmptySide
 
 
 def split(corpus, train_fraction, seed):
@@ -193,3 +193,27 @@ def oracle_iter_rows(spec):
             row[core_cols] = core_counts[i]
             yield " ".join(words), tuple(int(v) for v in row)
         produced += m
+
+
+def oracle_load_entries(body, schema):
+    """A lexicon artifact's entry lines parsed one line at a time.
+
+    ``body`` is the text after the ``#sha256`` header.  Blank lines are
+    skipped, a repeated word keeps its first position and its last value,
+    and the first bad line raises CorruptArtifact.
+    """
+    entries = {}
+    for line in body.split("\n"):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 + schema.size:
+            raise CorruptArtifact(f"entry line has {len(fields)} fields: {line!r}")
+        word = fields[0]
+        try:
+            count = int(fields[1])
+            vector = tuple(float(v) for v in fields[2:])
+        except ValueError:
+            raise CorruptArtifact(f"unparseable entry line: {line!r}") from None
+        entries[word] = (vector, count)
+    return entries

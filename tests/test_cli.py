@@ -74,6 +74,16 @@ class TestSynthCommand:
         assert "degenerate data" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ["--reaction-scale", "1e200"],
+        ["--reaction-scale", "1e4", "--like-dominance", "0.9999999999999999"],
+    ])
+    def test_beyond_poisson_limit_is_invalid_spec(self, tmp_path, flags, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(out), "--rows", "3", *flags]) == EXIT_DATA
+        assert "Poisson limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCleanCommand:
     def test_drop_report_and_idempotence(self, tmp_path, capsys):

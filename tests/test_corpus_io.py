@@ -1,14 +1,18 @@
 import csv
+import hashlib
 import io
 import json
 import logging
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_load_entries
+from reaction_lens import corpus_io
 from reaction_lens.corpus_io import (
     MalformedRow,
     PostRecord,
@@ -20,7 +24,13 @@ from reaction_lens.corpus_io import (
     save_corpus,
     save_lexicon,
 )
-from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, STAR_SCHEMA, build_lexicon
+from reaction_lens.engine import (
+    ALL_SCHEMA,
+    CORE_SCHEMA,
+    STAR_SCHEMA,
+    ReactionLexicon,
+    build_lexicon,
+)
 from reaction_lens.errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -430,6 +440,48 @@ class TestCorpusStats:
             assert stats.totals[name] == sum(tuple(r.reactions)[i] for r in rows)
 
 
+# Entry words: any text without tab, CR, LF or lone surrogates, with
+# '#'-leading and whitespace-only words drawn on purpose.
+_TEXT = st.text(
+    st.characters(exclude_categories=("Cs",), exclude_characters="\t\n\r"), min_size=1
+)
+WORDS = _TEXT | _TEXT.map("#".__add__) | st.text(" \x0b\x0c\x1c\x85\xa0\u2028\u3000", min_size=1)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, -9.999999999999999e307]
+)
+
+
+@st.composite
+def lexicons(draw):
+    schema = draw(st.sampled_from([CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA]))
+    vectors = st.tuples(*[FLOATS] * schema.size)
+    entries = draw(st.dictionaries(WORDS, st.tuples(vectors, st.integers(0, 10**12)), max_size=12))
+    train_mean = draw(st.none() | vectors)
+    return ReactionLexicon(schema, entries, draw(st.integers(0, 10**12)), train_mean)
+
+
+MUTATIONS = (
+    "none", "missing field", "extra field", "count", "number", "blank line",
+    "two bad lines", "duplicate word",
+)
+# Field texts that int and float each accept or reject in their own ways.
+ODD_NUMBERS = ("nan", "inf", "-inf", " 1.5", "1_0", "x", "", " 7", "1.5", "-0")
+
+
+def _break_line(line, data, kind=None):
+    """``line`` with one field dropped, one added, or one number replaced."""
+    fields = line.split("\t")
+    kind = kind or data.draw(st.sampled_from(["missing field", "extra field", "count", "number"]))
+    if kind == "missing field":
+        fields.pop()
+    elif kind == "extra field":
+        fields.append("0")
+    else:
+        k = 1 if kind == "count" else data.draw(st.integers(2, len(fields) - 1))
+        fields[k] = data.draw(st.sampled_from(ODD_NUMBERS))
+    return "\t".join(fields)
+
+
 class TestLexiconPersistence:
     def test_round_trip_identity(self, tmp_path):
         lex = build_lexicon(
@@ -441,27 +493,56 @@ class TestLexiconPersistence:
         loaded = load_lexicon(path)
         assert loaded == lex
 
-    def test_round_trip_random_bitexact(self, tmp_path):
-        rng = random.Random(31337)
-        for trial in range(25):
-            schema = rng.choice([CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA])
-            entries = []
-            for i in range(rng.randint(0, 40)):
-                word = rng.choice(
-                    ["w%d" % i, "සි%d" % i, "x!%d" % i, "#h%d" % i]
-                )
-                if schema is not STAR_SCHEMA:
-                    raw = [rng.random() for _ in schema.reactions]
-                    total = sum(raw)
-                    vector = tuple(v / total for v in raw)
-                else:
-                    vector = tuple(rng.uniform(0, 5) for _ in schema.reactions)
-                entries.append(({word}, vector))
-            lex = build_lexicon(entries, schema)
-            path = tmp_path / f"lex{trial}"
-            save_lexicon(lex, path)
-            loaded = load_lexicon(path)
-            assert loaded == lex  # bit-exact vectors and counts
+    @settings(max_examples=150, deadline=None)
+    @given(lex=lexicons(), manifest=st.none() | st.text("0123456789abcdef", min_size=1))
+    def test_round_trip_random_bitexact(self, tmp_path_factory, lex, manifest):
+        path = tmp_path_factory.getbasetemp() / "round_trip.lex"
+        save_lexicon(lex, path, manifest_id=manifest)
+        loaded = load_lexicon(path)
+        assert loaded == lex  # bit-exact vectors and counts
+        again = io.StringIO()
+        save_lexicon(loaded, again, manifest_id=loaded.meta.get("manifest"))
+        assert again.getvalue().encode("utf-8") == path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(lex=lexicons(), data=st.data())
+    def test_blocked_parse_matches_per_line_oracle(self, lex, data):
+        sink = io.StringIO()
+        save_lexicon(lex, sink)
+        lines = sink.getvalue().split("\n")
+        sha = next(i for i, line in enumerate(lines) if line.startswith("#sha256\t"))
+        head, entry_lines = lines[:sha], lines[sha + 1:-1]
+        kind = data.draw(st.sampled_from(MUTATIONS))
+        if kind == "blank line":
+            entry_lines.insert(data.draw(st.integers(0, len(entry_lines))), "")
+        elif kind != "none" and entry_lines:
+            i = data.draw(st.integers(0, len(entry_lines) - 1))
+            if kind == "duplicate word":
+                j = data.draw(st.integers(0, len(entry_lines) - 1))
+                word = entry_lines[i].split("\t")[0]
+                entry_lines.append(word + "\t" + entry_lines[j].split("\t", 1)[1])
+            elif kind == "two bad lines":
+                for k in range(i, min(i + 2, len(entry_lines))):
+                    entry_lines[k] = _break_line(entry_lines[k], data)
+            else:
+                entry_lines[i] = _break_line(entry_lines[i], data, kind)
+        # Re-sign the body so that loading gets past the checksum.
+        body = "".join(line + "\n" for line in entry_lines)
+        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        text = "".join(line + "\n" for line in head) + f"#sha256\t{digest}\n" + body
+        block = data.draw(st.sampled_from([1, 2, 3, corpus_io._LOAD_BLOCK]))
+        with mock.patch.object(corpus_io, "_LOAD_BLOCK", block):
+            try:
+                expected = oracle_load_entries(body, lex.schema)
+            except CorruptArtifact as exc:
+                with pytest.raises(CorruptArtifact) as info:
+                    load_lexicon(io.StringIO(text))
+                assert str(info.value) == str(exc)
+            else:
+                entries = load_lexicon(io.StringIO(text)).entries
+                assert list(entries) == list(expected)
+                # repr tells floats apart bit for bit, nan and the sign of zero too.
+                assert repr(list(entries.values())) == repr(list(expected.values()))
 
     def test_empty_lexicon_round_trip(self, tmp_path):
         lex = build_lexicon([], CORE_SCHEMA)

@@ -14,15 +14,18 @@ Run-specific content is left out of the digests: the lexicon's
 ``#manifest`` line and the JSON report's ``manifest`` field hold a run id
 derived from the input paths.  A lexicon digest therefore covers its
 ``#sha256`` body digest plus the schema, entry count and train-mean
-headers.
+headers.  Each lexicon must also load and save back to its own bytes,
+``#manifest`` line included.
 """
 
 import hashlib
+import io
 import json
 
 import pytest
 
 from reaction_lens.cli import EXIT_OK, main
+from reaction_lens.corpus_io import load_lexicon, save_lexicon
 
 MODELS = ("core", "all", "star")
 SYNTH_FLAGS = ["--rows", "2000", "--vocab-size", "400", "--seed", "11"]
@@ -113,9 +116,18 @@ def outputs(tmp_path_factory):
                          *UNSORTED_EVAL_FLAGS])
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
-    return {name: _digest(d / name) for name in GOLDEN}
+    return d
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_digest(outputs, name):
-    assert outputs[name] == GOLDEN[name]
+    assert _digest(outputs / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_lexicon_load_save_round_trip(outputs, model):
+    path = outputs / f"{model}.lex"
+    lexicon = load_lexicon(path)
+    sink = io.StringIO()
+    save_lexicon(lexicon, sink, manifest_id=lexicon.meta["manifest"])
+    assert sink.getvalue().encode("utf-8") == path.read_bytes()

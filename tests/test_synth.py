@@ -6,7 +6,14 @@ import pytest
 from reaction_lens.corpus_io import load_corpus
 from reaction_lens.engine import CORE_SCHEMA, normalize
 from reaction_lens.errors import InvalidSpec
-from reaction_lens.synth import SynthSpec, iter_rows, vocabulary, word_affinities, write_corpus
+from reaction_lens.synth import (
+    POISSON_LAM_MAX,
+    SynthSpec,
+    iter_rows,
+    vocabulary,
+    word_affinities,
+    write_corpus,
+)
 
 from oracles import oracle_iter_rows
 
@@ -45,6 +52,20 @@ class TestSpecValidation:
         # value**2 overflows (gamma shape 0), or underflows to 0 or a subnormal.
         with pytest.raises(InvalidSpec):
             SynthSpec(rows=1, like_variability=value)
+
+    @pytest.mark.parametrize("value", [1e200, math.nextafter(POISSON_LAM_MAX, math.inf)])
+    def test_reaction_scale_beyond_poisson_limit(self, value):
+        with pytest.raises(InvalidSpec, match="reaction_scale"):
+            SynthSpec(rows=1, reaction_scale=value)
+
+    def test_like_counts_beyond_poisson_limit(self, tmp_path):
+        # like odds near 1 / 2**-53 times core totals near 1e4 pass the limit.
+        spec = SynthSpec(rows=3, reaction_scale=1e4, like_dominance=1 - 2**-53)
+        with pytest.raises(InvalidSpec, match="Poisson limit"):
+            list(iter_rows(spec))
+        with pytest.raises(InvalidSpec):
+            write_corpus(spec, tmp_path / "c.csv")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("affinity", [
         (1, math.nan, 0, 0, 0), (1, math.inf, 0, 0, 0), (1e308, 1e308, 0, 0, 0),
