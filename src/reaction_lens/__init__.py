@@ -8,21 +8,22 @@ model, and a deterministic synthetic corpus generator.
 
 __version__ = "0.1.0"
 
-# The names of the README's library example; everything else is imported
-# from its submodule.
-from .cleaning import CleanConfig, clean_message
-from .corpus_io import ReactionCounts
-from .engine import CORE_SCHEMA, build_lexicon, normalize, predict
-
-_SYNTH_NAMES = ("SynthSpec", "write_corpus")
+# The README example's names and the generator's, by defining submodule;
+# everything else is imported from its submodule.  A name loads its
+# submodule on first use, so importing the package (as every command does)
+# loads none of them, and numpy comes only with synth.
+_SUBMODULES = {
+    "CleanConfig": "cleaning", "clean_message": "cleaning", "ReactionCounts": "corpus_io",
+    "CORE_SCHEMA": "engine", "build_lexicon": "engine", "normalize": "engine",
+    "predict": "engine", "SynthSpec": "synth", "write_corpus": "synth",
+}
 
 
 def __getattr__(name):
-    # synth imports numpy; load it only when one of its names is asked for.
-    if name in _SYNTH_NAMES:
-        from . import synth
+    if name in _SUBMODULES:
+        from importlib import import_module
 
-        return getattr(synth, name)
+        return getattr(import_module(f".{_SUBMODULES[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -172,13 +172,15 @@ def clean_message(
     ``stats`` is given, per-step removal counters are incremented on it.
     """
     table = _translate_table(config.casefold_ascii)
-    if stats is not None:
-        stats.zwj_deleted += raw.count(ZWJ)
-        # Cc/Cf characters are all non-printable, so printable text has none;
-        # they are the characters the table maps to a space.
-        if not raw.isprintable():
+    # Cc/Cf characters, ZWJ among them, are all non-printable, so printable
+    # text has none; without case folding the table leaves it as it is.
+    if raw.isprintable():
+        text = raw.translate(table) if config.casefold_ascii else raw
+    else:
+        if stats is not None:
+            stats.zwj_deleted += raw.count(ZWJ)
             stats.controls_replaced += sum(1 for c in raw if table.get(ord(c)) == 0x20)
-    text = raw.translate(table)
+        text = raw.translate(table)
     kept: list[str] = []
     stopwords = config.stopwords
     for token in text.split():

@@ -8,6 +8,10 @@ and lexicon artifacts embed the manifest's run id; other formats rely on
 the sidecar naming convention.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data.
+
+Every command needs ``corpus_io`` and ``engine``; ``cleaning``,
+``evaluation`` and ``star`` are imported inside the commands that run them,
+so each command loads only the layers it uses.
 """
 
 from __future__ import annotations
@@ -18,13 +22,12 @@ import json
 import os
 import stat
 import sys
+import time
 from collections import Counter
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
 
 from . import __version__
-from .cleaning import CleanConfig, CleanStats, clean_message, read_stopwords
 from .corpus_io import (
     MalformedRow,
     PostRecord,
@@ -35,7 +38,7 @@ from .corpus_io import (
     save_corpus,
     save_lexicon,
 )
-from .engine import ALL_SCHEMA, CORE_SCHEMA, count_getter, predict
+from .engine import ALL_SCHEMA, CORE_SCHEMA, MODELS, count_getter, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -47,10 +50,6 @@ from .errors import (
     VersionMismatch,
     ZeroReactionTotal,
 )
-from .evaluation import (
-    MODELS, ExperimentConfig, fit, prepare, report_emit, run_experiment,
-)
-from .star import POLAR_REACTIONS
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -134,7 +133,7 @@ def _finish_manifest(manifest: RunManifest, outputs: list, row_drops=None) -> No
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
 def _read_config_file(path) -> dict:
@@ -266,7 +265,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _clean_config(args, config) -> CleanConfig:
+def _clean_config(args, config):
+    from .cleaning import CleanConfig, read_stopwords
+
     stopword_path = _resolve(args, config, "stopwords", str, None)
     stopwords = read_stopwords(stopword_path) if stopword_path else frozenset()
     return CleanConfig(
@@ -276,6 +277,9 @@ def _clean_config(args, config) -> CleanConfig:
 
 
 def _cmd_clean(args, config) -> int:
+    from .cleaning import CleanStats, clean_message
+    from .star import POLAR_REACTIONS
+
     clean_config = _clean_config(args, config)
     corpus_format = _resolve(args, config, "format", str, "csv")
     columns = _parse_columns(_resolve(args, config, "columns", str, None))
@@ -369,6 +373,8 @@ def _iter_cleaned_entries(path, corpus_format, columns, errors):
 
 
 def _cmd_train(args, config) -> int:
+    from .evaluation import fit, prepare
+
     model = _resolve(args, config, "model", str, "core")
     corpus_format = _resolve(args, config, "format", str, "csv")
     columns = _parse_columns(_resolve(args, config, "columns", str, None))
@@ -397,6 +403,8 @@ def _cmd_train(args, config) -> int:
 
 
 def _cmd_predict(args, config) -> int:
+    from .cleaning import clean_message
+
     started = _now()
     lexicon = load_lexicon(args.lexicon)
     clean_config = _clean_config(args, config)
@@ -438,6 +446,8 @@ def _cmd_predict(args, config) -> int:
 
 
 def _cmd_eval(args, config) -> int:
+    from .evaluation import ExperimentConfig, report_emit, run_experiment
+
     model = _resolve(args, config, "model", str, "core")
     corpus_format = _resolve(args, config, "format", str, "csv")
     columns = _parse_columns(_resolve(args, config, "columns", str, None))

@@ -24,7 +24,6 @@ import csv
 import hashlib
 import io
 import json
-import logging
 import os
 import re
 from collections import namedtuple
@@ -42,8 +41,6 @@ from .errors import (
     UnreadableSource,
     VersionMismatch,
 )
-
-logger = logging.getLogger(__name__)
 
 LOGGED_MALFORMED_ROWS = 5
 
@@ -163,6 +160,14 @@ def _open_text(source, newline=None):
     return text, should_close
 
 
+def _warn(message: str, *args) -> None:
+    # logging is imported on the first malformed row, so a stream without
+    # one never loads it.
+    import logging
+
+    logging.getLogger(__name__).warning(message, *args, stacklevel=2)
+
+
 class _Quarantine:
     """The malformed rows of one stream.
 
@@ -178,14 +183,14 @@ class _Quarantine:
     def add(self, line: int, reason: str) -> None:
         self.count += 1
         if self.count <= LOGGED_MALFORMED_ROWS:
-            logger.warning("skipping malformed row at line %d: %s", line, reason)
+            _warn("skipping malformed row at line %d: %s", line, reason)
         if self.errors is not None:
             self.errors.append(MalformedRow(line, reason))
 
     def close(self) -> None:
         hidden = self.count - LOGGED_MALFORMED_ROWS
         if hidden > 0:
-            logger.warning("%d more malformed rows not shown", hidden)
+            _warn("%d more malformed rows not shown", hidden)
 
 
 def load_corpus(

@@ -46,6 +46,10 @@ STAR_SCHEMA = ReactionSchema("star4", ("positive", "negative", "star_disc", "sta
 
 SCHEMAS = {s.name: s for s in (CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA)}
 
+# The models a lexicon is trained for: the core and all reaction
+# distributions, and star-sentiment vectors over STAR_SCHEMA.
+MODELS = ("core", "all", "star")
+
 
 def get_schema(name: str) -> ReactionSchema:
     try:

@@ -30,12 +30,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
+from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
 from .errors import DegenerateRange, EmptySide, ZeroReactionTotal
 from .star import discretize_star, gaussian_similarity, star_normalize, star_range, star_vector
 
 METRICS = ("accuracy", "recall", "precision", "f1")
-MODELS = ("core", "all", "star")
 STAR_ROWS = ("positive", "negative", "star_rating")
 
 DEFAULT_FRACTIONS = (0.95, 0.90, 0.80, 0.70, 0.50)

@@ -31,12 +31,23 @@ from .engine import ALL_SCHEMA, CORE_SCHEMA
 from .errors import InvalidSpec
 
 _CHUNK = 10_000
+# Size bounds, checked before anything is allocated (see SynthSpec).
+MAX_VOCAB_SIZE = 2**20
+MAX_CHUNK_WORDS = 2**22
 # numpy's Poisson draws reject a mean above int64 max - 10 * sqrt(int64 max).
 POISSON_LAM_MAX = 2.0**63 - 1 - 10 * math.sqrt(2.0**63 - 1)
 
 
 @dataclass(frozen=True)
 class SynthSpec:
+    """The parameters of one corpus; the constructor raises InvalidSpec.
+
+    ``vocab_size`` is at most ``MAX_VOCAB_SIZE`` (2**20 words; about 0.5 GiB
+    peak in ``write_corpus``), and a chunk of ``min(rows, _CHUNK)`` messages
+    of up to ``length_max`` words at most ``MAX_CHUNK_WORDS`` (2**22) words
+    (about 0.25 GiB).  ``rows`` is unbounded: rows stream chunk by chunk.
+    """
+
     rows: int
     vocab_size: int = 2000
     affinity_concentration: float = 0.5
@@ -52,8 +63,10 @@ class SynthSpec:
     def __post_init__(self):
         if self.rows < 1:
             raise InvalidSpec(f"rows must be >= 1, got {self.rows}")
-        if self.vocab_size < 1:
-            raise InvalidSpec(f"vocab_size must be >= 1, got {self.vocab_size}")
+        if not 1 <= self.vocab_size <= MAX_VOCAB_SIZE:
+            raise InvalidSpec(
+                f"vocab_size must be in [1, {MAX_VOCAB_SIZE}], got {self.vocab_size}"
+            )
         if not 0 < self.affinity_concentration < math.inf:
             raise InvalidSpec("affinity_concentration must be positive and finite")
         if self.fixed_affinity is not None:
@@ -72,6 +85,12 @@ class SynthSpec:
             raise InvalidSpec(
                 f"need 1 <= length_min <= length_max, got "
                 f"[{self.length_min}, {self.length_max}]"
+            )
+        chunk = min(self.rows, _CHUNK)
+        if chunk * self.length_max > MAX_CHUNK_WORDS:
+            raise InvalidSpec(
+                f"a chunk of {chunk} messages of up to {self.length_max} words "
+                f"passes the bound of {MAX_CHUNK_WORDS} words"
             )
         if not 0 < self.reaction_scale <= POISSON_LAM_MAX:
             raise InvalidSpec(

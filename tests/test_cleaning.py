@@ -256,6 +256,17 @@ class TestControlTable:
         }
         assert table == scanned
 
+    def test_table_characters_are_not_printable(self):
+        # clean_message skips the table for printable text, which is exact
+        # only while no character the table changes is printable.
+        printable = [
+            f"U+{cp:04X}"
+            for first, last in ((0x200D, 0x200D), *_CONTROL_RANGES)
+            for cp in range(first, last + 1)
+            if chr(cp).isprintable()
+        ]
+        assert not printable, f"printable on Unicode {unicodedata.unidata_version}: {printable}"
+
 
 def test_import_does_not_load_numpy():
     # numpy is loaded only by synth, on first use of its names.

@@ -84,6 +84,16 @@ class TestSynthCommand:
         assert "Poisson limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [
+        ["--length-min", "100000000", "--length-max", "100000000"],
+        ["--vocab-size", "1000000000000"],
+    ])
+    def test_oversized_spec_is_invalid_spec(self, tmp_path, flags, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["synth", "--output", str(out), "--rows", "3", *flags]) == EXIT_DATA
+        assert "degenerate data" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestCleanCommand:
     def test_drop_report_and_idempotence(self, tmp_path, capsys):
@@ -605,3 +615,78 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as info:
             main(["synth"])  # missing required --output
         assert info.value.code == 2
+
+
+# Run in a fresh interpreter: the command's argv follows the code, and the
+# exit code and every loaded module name go to stderr's last line.
+REPORT_MODULES = (
+    "import sys\n"
+    "from reaction_lens import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+)
+TIMESTAMP = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$")
+# command -> (modules it must load, modules it must not load)
+LOADS = {
+    "predict": ({"reaction_lens.cleaning"},
+                {"reaction_lens.evaluation", "reaction_lens.star", "logging", "datetime"}),
+    "train": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", "logging", "datetime"}),
+    "eval": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", "logging", "datetime"}),
+    "stats": ({"reaction_lens.corpus_io"}, {"reaction_lens.cleaning", "logging", "datetime"}),
+}
+
+
+class TestStartup:
+    """Each command loads only the modules it runs."""
+
+    @pytest.fixture
+    def argvs(self, synth_corpus, tmp_path):
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(synth_corpus), "--output", str(lexicon)]) == EXIT_OK
+        messages = tmp_path / "m.txt"
+        messages.write_text("w0001 w0002\nw0003\n", encoding="utf-8")
+        corpus = str(synth_corpus)
+        return {
+            "predict": ["predict", "--lexicon", str(lexicon), "--input", str(messages),
+                        "--output", str(tmp_path / "p.txt")],
+            "train": ["train", "--input", corpus, "--output", str(tmp_path / "t.lex")],
+            "eval": ["eval", "--input", corpus, "--output", str(tmp_path / "r.json"),
+                     "--splits", "80", "--runs", "1"],
+            "stats": ["stats", "--input", corpus, "--output", str(tmp_path / "s.json")],
+        }
+
+    @pytest.mark.parametrize("command", sorted(LOADS))
+    def test_command_loads_only_what_it_runs(self, argvs, command):
+        result = run_python("-c", REPORT_MODULES, *argvs[command])
+        code, *modules = result.stderr.splitlines()[-1].split()
+        assert code == "0", result.stderr
+        used, unused = LOADS[command]
+        assert used <= set(modules)
+        assert unused & set(modules) == set()
+
+    def test_package_import_loads_no_submodule(self):
+        result = run_python("-c", "import sys, reaction_lens\nprint(*sorted(sys.modules))")
+        assert result.returncode == 0, result.stderr
+        assert [m for m in result.stdout.split() if m.startswith("reaction_lens.")] == []
+
+    def test_clean_logs_five_malformed_rows_and_a_count(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            HEADER + "ok,1,1,0,0,0,0,0\n" + "".join(f"bad{i},x,0,0,0,0,0,0\n" for i in range(7)),
+            encoding="utf-8",
+        )
+        result = run_python("-m", "reaction_lens.cli", "clean", "--input", str(raw),
+                            "--output", str(tmp_path / "c.csv"))
+        assert result.returncode == 0, result.stderr
+        assert result.stderr.splitlines() == [
+            f"skipping malformed row at line {line}: column 'like': 'x' is not an integer"
+            for line in range(3, 8)
+        ] + ["2 more malformed rows not shown"]
+        assert "(7 malformed, 0 empty after cleaning)" in result.stdout
+
+    def test_manifest_timestamps_are_utc_seconds(self, synth_corpus, tmp_path):
+        out = tmp_path / "c.csv"
+        assert main(["clean", "--input", str(synth_corpus), "--output", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert TIMESTAMP.match(manifest["created_at"]), manifest["created_at"]
+        assert TIMESTAMP.match(manifest["finished_at"]), manifest["finished_at"]

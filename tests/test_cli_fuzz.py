@@ -1,8 +1,8 @@
 """In-process fuzzing of ``cli.main``: random bytes and mutated valid inputs.
 
 Whatever the input, a command returns one of the documented exit codes and
-raises nothing; so does ``synth`` whatever its float parameters.  ``clean``'s
-manifest accounts for every row it read.
+raises nothing; so does ``synth`` whatever its float and integer
+parameters.  ``clean``'s manifest accounts for every row it read.
 """
 
 import io
@@ -144,18 +144,29 @@ SYNTH_FLAGS = (
     "--reaction-scale", "--like-variability", "--affinity-concentration",
     "--like-dominance", "--thankful-rate",
 )
+# Sizes a few rows can afford, and sizes past SynthSpec's bounds; nothing
+# in between, so that a size the spec accepts stays small.
+SYNTH_SIZES = st.one_of(
+    st.integers(-2, 40),
+    st.sampled_from([2**22 + 1, 10**8, 2**63, 10**30]),
+    st.integers(2**22 + 1, 10**40),
+)
+SYNTH_INT_FLAGS = ("--vocab-size", "--length-min", "--length-max", "--seed")
 
 
 @FUZZ
 @given(
-    rows=st.integers(1, 20),
+    rows=st.integers(-1, 20),
     values=st.dictionaries(st.sampled_from(SYNTH_FLAGS), SYNTH_FLOATS, max_size=3),
+    sizes=st.dictionaries(st.sampled_from(SYNTH_INT_FLAGS), SYNTH_SIZES, max_size=3),
     affinity=st.one_of(st.none(), st.lists(SYNTH_FLOATS, min_size=5, max_size=5)),
 )
-@example(rows=5, values={"--like-variability": math.inf}, affinity=None)
-def test_synth(rows, values, affinity):
+@example(rows=5, values={"--like-variability": math.inf}, sizes={}, affinity=None)
+@example(rows=3, values={}, sizes={"--length-min": 10**8, "--length-max": 10**8}, affinity=None)
+def test_synth(rows, values, sizes, affinity):
     argv = ["synth", "--rows", str(rows), "--vocab-size", "30"]
     argv += [f"{flag}={value!r}" for flag, value in values.items()]
+    argv += [f"{flag}={value}" for flag, value in sizes.items()]
     if affinity is not None:
         argv.append("--affinity=" + ",".join(map(repr, affinity)))
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,6 +7,9 @@ from reaction_lens.corpus_io import load_corpus
 from reaction_lens.engine import CORE_SCHEMA, normalize
 from reaction_lens.errors import InvalidSpec
 from reaction_lens.synth import (
+    _CHUNK,
+    MAX_CHUNK_WORDS,
+    MAX_VOCAB_SIZE,
     POISSON_LAM_MAX,
     SynthSpec,
     iter_rows,
@@ -26,6 +29,19 @@ class TestSpecValidation:
     def test_bad_lengths(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(rows=1, length_min=5, length_max=2)
+
+    def test_size_bounds(self):
+        # Constructing a spec allocates nothing, so the bounds themselves
+        # are cheap to test.
+        SynthSpec(rows=1, vocab_size=MAX_VOCAB_SIZE)
+        with pytest.raises(InvalidSpec, match="vocab_size"):
+            SynthSpec(rows=1, vocab_size=MAX_VOCAB_SIZE + 1)
+        for rows, length_max in ((1, MAX_CHUNK_WORDS), (3 * _CHUNK, MAX_CHUNK_WORDS // _CHUNK)):
+            SynthSpec(rows=rows, length_max=length_max)
+            with pytest.raises(InvalidSpec, match="chunk"):
+                SynthSpec(rows=rows, length_max=length_max + 1)
+        with pytest.raises(InvalidSpec, match="chunk"):
+            SynthSpec(rows=3, length_min=10**15, length_max=10**15)
 
     def test_bad_like_dominance(self):
         with pytest.raises(InvalidSpec):
