@@ -9,7 +9,7 @@ The pipeline applies a fixed sequence of steps:
 4. drop tokens containing any character that is neither ASCII nor in the
    Sinhala block U+0D80-U+0DFF
 5. drop stopword tokens
-6. drop tokens consisting entirely of digits (ASCII or Sinhala lith)
+6. drop tokens that ``str.isdigit`` accepts (ASCII or Sinhala lith digits)
 7. collapse whitespace runs to single spaces and trim
 
 Tokenization splits on whitespace only; punctuation stays inside tokens.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 
 ZWJ = "‍"
 # A token of only ASCII letters and digits and the Sinhala block has no
@@ -27,12 +28,9 @@ ZWJ = "‍"
 # cannot drop it; only steps 5 and 6 need to see it.
 _WORD = re.compile(r"[0-9A-Za-z\u0d80-\u0dff]+").fullmatch
 _FOREIGN = re.compile(r"[^\x00-\x7f\u0d80-\u0dff]").search
-# ASCII 0-9 plus the Sinhala lith digits (U+0DE6-U+0DEF).
-_DIGITS = re.compile(r"[0-9\u0de6-\u0def]+").fullmatch
+_ASCII_FOLD = str.maketrans("ABCDEFGHIJKLMNOPQRSTUVWXYZ", "abcdefghijklmnopqrstuvwxyz")
 
 _URL_PREFIXES = ("http://", "https://", "www.")
-
-_translate_cache: dict[bool, dict[int, int | None]] = {}
 
 # Every Cc/Cf codepoint except ZWJ, as inclusive (first, last) ranges,
 # generated from unicodedata.category over all codepoints of the Unicode
@@ -66,18 +64,12 @@ _CONTROL_RANGES = (
 )
 
 
-def _translate_table(casefold_ascii: bool) -> dict[int, int | None]:
-    """ZWJ -> deleted, controls -> space, optionally A-Z -> a-z."""
-    table = _translate_cache.get(casefold_ascii)
-    if table is None:
-        table = {0x200D: None}
-        for first, last in _CONTROL_RANGES:
-            table.update(dict.fromkeys(range(first, last + 1), 0x20))
-        if casefold_ascii:
-            for cp in range(ord("A"), ord("Z") + 1):
-                table[cp] = cp + 32
-        _translate_cache[casefold_ascii] = table
-    return table
+@cache
+def _replace_controls():
+    """``subn`` of one character class of ``_CONTROL_RANGES``, compiled on
+    first use so that printable text never pays for compiling it."""
+    ranges = "".join(f"\\U{first:08x}-\\U{last:08x}" for first, last in _CONTROL_RANGES)
+    return re.compile(f"[{ranges}]").subn
 
 
 @dataclass(frozen=True)
@@ -171,16 +163,16 @@ def clean_message(
     Degenerate inputs yield an empty CleanedMessage; nothing raises.  When
     ``stats`` is given, per-step removal counters are incremented on it.
     """
-    table = _translate_table(config.casefold_ascii)
     # Cc/Cf characters, ZWJ among them, are all non-printable, so printable
-    # text has none; without case folding the table leaves it as it is.
-    if raw.isprintable():
-        text = raw.translate(table) if config.casefold_ascii else raw
-    else:
+    # text has none to delete or replace.
+    text = raw
+    if not raw.isprintable():
+        text, controls = _replace_controls()(" ", raw.replace(ZWJ, ""))
         if stats is not None:
             stats.zwj_deleted += raw.count(ZWJ)
-            stats.controls_replaced += sum(1 for c in raw if table.get(ord(c)) == 0x20)
-        text = raw.translate(table)
+            stats.controls_replaced += controls
+    if config.casefold_ascii:
+        text = text.translate(_ASCII_FOLD)
     kept: list[str] = []
     stopwords = config.stopwords
     for token in text.split():
@@ -188,7 +180,9 @@ def clean_message(
         if dropped is None:
             if token in stopwords:
                 dropped = "stopword_tokens"
-            elif _DIGITS(token):
+            # Tokens here hold only ASCII and Sinhala-block characters, and
+            # among those isdigit is true for 0-9 and the lith digits alone.
+            elif token.isdigit():
                 dropped = "digit_tokens"
             else:
                 kept.append(token)

@@ -42,7 +42,7 @@ POISSON_LAM_MAX = 2.0**63 - 1 - 10 * math.sqrt(2.0**63 - 1)
 class SynthSpec:
     """The parameters of one corpus; the constructor raises InvalidSpec.
 
-    ``vocab_size`` is at most ``MAX_VOCAB_SIZE`` (2**20 words; about 0.5 GiB
+    ``vocab_size`` is at most ``MAX_VOCAB_SIZE`` (2**20 words; about 150 MiB
     peak in ``write_corpus``), and a chunk of ``min(rows, _CHUNK)`` messages
     of up to ``length_max`` words at most ``MAX_CHUNK_WORDS`` (2**22) words
     (about 0.25 GiB).  ``rows`` is unbounded: rows stream chunk by chunk.
@@ -109,7 +109,7 @@ class SynthSpec:
 
 def vocabulary(spec: SynthSpec) -> list[str]:
     width = max(4, len(str(spec.vocab_size - 1)))
-    return [f"w{i:0{width}d}" for i in range(spec.vocab_size)]
+    return list(map(f"w%0{width}d".__mod__, range(spec.vocab_size)))
 
 
 def word_affinities(spec: SynthSpec) -> np.ndarray:
@@ -191,6 +191,19 @@ def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
         produced += m
 
 
+def _write_truth(spec: SynthSpec, fh) -> None:
+    """Write what ``json.dump(truth, fh, indent=2)`` and a newline would, one
+    word's affinities at a time (a finite float's repr is its JSON text)."""
+    head = {"spec": asdict(spec), "reactions": list(CORE_SCHEMA.reactions)}
+    fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "affinities": {\n')
+    entry = '    "%s": [\n' + ",\n".join(["      %r"] * CORE_SCHEMA.size) + "\n    ]"
+    rows = map(np.ndarray.tolist, word_affinities(spec))
+    entries = (entry % (word, *row) for word, row in zip(vocabulary(spec), rows))
+    fh.write(next(entries))
+    fh.writelines(map(",\n".__add__, entries))
+    fh.write("\n  }\n}\n")
+
+
 def write_corpus(
     spec: SynthSpec, output, format: str = "csv", truth_path=None
 ) -> dict:
@@ -211,18 +224,8 @@ def write_corpus(
 
     rows = save_corpus(records(), output, format)
     totals = dict(zip(ALL_SCHEMA.reactions, sums))
-    affinities = word_affinities(spec)
-    truth = {
-        "spec": asdict(spec),
-        "reactions": list(CORE_SCHEMA.reactions),
-        "affinities": {
-            word: [float(v) for v in row]
-            for word, row in zip(vocabulary(spec), affinities)
-        },
-    }
     with atomic_write(truth_path) as fh:
-        json.dump(truth, fh, indent=2)
-        fh.write("\n")
+        _write_truth(spec, fh)
     grand = sum(totals.values())
     return {
         "rows": rows,

@@ -5,7 +5,10 @@ deliberately ignoring the library's incremental/streaming code paths.
 
 from __future__ import annotations
 
+import io
+import json
 import random
+from dataclasses import asdict
 
 from reaction_lens.errors import CorruptArtifact, EmptySide
 
@@ -193,6 +196,26 @@ def oracle_iter_rows(spec):
             row[core_cols] = core_counts[i]
             yield " ".join(words), tuple(int(v) for v in row)
         produced += m
+
+
+def oracle_truth_bytes(spec):
+    """The synth truth file as bytes: one dict of per-word float lists,
+    written with ``json.dump``.  numpy is imported here, with synth."""
+    from reaction_lens.engine import CORE_SCHEMA
+    from reaction_lens.synth import vocabulary, word_affinities
+
+    truth = {
+        "spec": asdict(spec),
+        "reactions": list(CORE_SCHEMA.reactions),
+        "affinities": {
+            word: [float(v) for v in row]
+            for word, row in zip(vocabulary(spec), word_affinities(spec))
+        },
+    }
+    out = io.StringIO()
+    json.dump(truth, out, indent=2)
+    out.write("\n")
+    return out.getvalue().encode("utf-8")
 
 
 def oracle_load_entries(body, schema):

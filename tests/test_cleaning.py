@@ -14,6 +14,7 @@ from oracles import oracle_clean
 import reaction_lens
 from reaction_lens.cleaning import (
     _CONTROL_RANGES,
+    _replace_controls,
     CONTROL_RANGES_UNICODE,
     CleanConfig,
     CleanStats,
@@ -257,8 +258,8 @@ class TestControlTable:
         assert table == scanned
 
     def test_table_characters_are_not_printable(self):
-        # clean_message skips the table for printable text, which is exact
-        # only while no character the table changes is printable.
+        # clean_message skips the control pass for printable text, which is
+        # exact only while no character that pass changes is printable.
         printable = [
             f"U+{cp:04X}"
             for first, last in ((0x200D, 0x200D), *_CONTROL_RANGES)
@@ -266,6 +267,26 @@ class TestControlTable:
             if chr(cp).isprintable()
         ]
         assert not printable, f"printable on Unicode {unicodedata.unidata_version}: {printable}"
+
+    def test_compiled_class_matches_exactly_the_ranges(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        text, replaced = _replace_controls()(" ", every)
+        ranges = {cp for first, last in _CONTROL_RANGES for cp in range(first, last + 1)}
+        assert replaced == len(ranges)
+        changed = {cp for cp, c in enumerate(text) if c != every[cp]}
+        assert changed == ranges
+        assert 0x200D not in changed
+
+    def test_isdigit_is_exactly_the_digit_rule_on_eligible_characters(self):
+        # The digit rule calls str.isdigit on tokens of ASCII and
+        # Sinhala-block characters only, where it must accept 0-9 and the
+        # Sinhala lith digits U+0DE6-U+0DEF and nothing else.
+        wrong = [
+            f"U+{cp:04X}"
+            for cp in (*range(0x80), *range(0x0D80, 0x0E00))
+            if chr(cp).isdigit() != (0x30 <= cp <= 0x39 or 0x0DE6 <= cp <= 0x0DEF)
+        ]
+        assert not wrong, f"isdigit differs on Unicode {unicodedata.unidata_version}: {wrong}"
 
 
 def test_import_does_not_load_numpy():

@@ -18,7 +18,7 @@ from reaction_lens.synth import (
     write_corpus,
 )
 
-from oracles import oracle_iter_rows
+from oracles import oracle_iter_rows, oracle_truth_bytes
 
 
 class TestSpecValidation:
@@ -177,6 +177,23 @@ class TestGeneration:
             assert len(row) == 5
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
         assert truth["spec"]["seed"] == 8
+
+    @pytest.mark.parametrize("spec", [
+        SynthSpec(rows=5, vocab_size=1, seed=2),
+        SynthSpec(rows=5, vocab_size=7, fixed_affinity=(1, 2, 0, 0, 3), seed=6),
+        # Two full vocabulary chunks and a partial third.
+        SynthSpec(rows=5, vocab_size=2 * _CHUNK + 17, affinity_concentration=0.05, seed=9),
+    ], ids=["one-word", "fixed", "chunks"])
+    def test_truth_file_matches_json_dump_oracle(self, tmp_path, spec):
+        summary = write_corpus(spec, tmp_path / "c.csv")
+        with open(summary["truth_path"], "rb") as fh:
+            assert fh.read() == oracle_truth_bytes(spec)
+
+    @pytest.mark.parametrize("size", [1, 10_000, 10_001, 100_001])
+    def test_vocabulary_matches_f_string_form(self, size):
+        width = max(4, len(str(size - 1)))
+        expected = [f"w{i:0{width}d}" for i in range(size)]
+        assert vocabulary(SynthSpec(rows=1, vocab_size=size)) == expected
 
     def test_affinities_deterministic(self):
         spec = SynthSpec(rows=1, vocab_size=20, seed=42)
