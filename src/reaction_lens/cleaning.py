@@ -193,9 +193,9 @@ def clean_message(
 
 
 def read_stopwords(path) -> frozenset[str]:
-    """Load a stopword file: UTF-8, one word per line, ``#`` comments ignored."""
+    """Load a stopword file: UTF-8 (BOM dropped), one word per line, ``#`` comments ignored."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             word = line.strip()
             if not word or word.startswith("#"):

@@ -137,9 +137,9 @@ def _now() -> str:
 
 
 def _read_config_file(path) -> dict:
-    """TOML-like key/value config: ``key = value`` lines, ``#`` comments."""
+    """TOML-like key/value config, UTF-8 (BOM dropped): ``key = value`` lines, ``#`` comments."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):

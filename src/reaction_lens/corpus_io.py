@@ -145,7 +145,7 @@ def _has_surrogates(s: str) -> bool:
 
 
 def _open_text(source, newline=None):
-    """Return (text_stream, should_close). Accepts paths and open files."""
+    """Return (text_stream, should_close) of a path or open file; UTF-8, BOM dropped."""
     should_close = isinstance(source, (str, Path))
     if should_close:
         try:
@@ -156,7 +156,7 @@ def _open_text(source, newline=None):
         if hasattr(source, "read"):
             return source, False
         raise UnreadableSource(f"unsupported source type {type(source).__name__}")
-    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape", newline=newline)
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
     return text, should_close
 
 

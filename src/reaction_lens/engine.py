@@ -14,8 +14,9 @@ distributions) and the 4-component star-sentiment vectors (not unit-sum).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import add, itemgetter, truediv
-from typing import Collection, Iterable, Sequence
+from itertools import islice
+from operator import itemgetter, truediv
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 
@@ -84,6 +85,15 @@ def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
     return tuple(n / total for n in raw)
 
 
+_BLOCK = 512  # entries per block of the fold and the eval scorer, chosen by measurement
+
+
+def blocks(items: Iterable) -> Iterator[list]:
+    """Successive lists of up to ``_BLOCK`` items, in order."""
+    items = iter(items)
+    return iter(lambda: list(islice(items, _BLOCK)), [])
+
+
 class Fold:
     """Training sums keyed by integer word id.
 
@@ -93,7 +103,7 @@ class Fold:
     component sums over all entries.  Several folds may share one ``ids``
     map; a fold grows its lists when words were added to the map after it.
 
-    Every sum is taken left to right in the order entries are added.
+    Blocks fold one component at a time; no sum mixes components, so each keeps entry order.
     """
 
     def __init__(self, schema: ReactionSchema, ids: dict | None = None):
@@ -111,37 +121,47 @@ class Fold:
         for column in self.columns:
             column.extend([0.0] * extra)
 
-    def add(self, word_ids: Collection[int], vector: Sequence[float]) -> None:
-        """Fold one training entry: the distinct ids of its words, its vector."""
-        counts = self.counts
-        if len(counts) < len(self.ids):
+    def add_many(self, entries: Iterable[tuple[Collection[int], Sequence[float]]]) -> None:
+        """Fold (distinct word ids, vector) entries; ``entries`` may add to ``ids``."""
+        counts, train_sum, schema = self.counts, self.train_sum, self.schema
+        for block in blocks(entries):
             self._grow()
-        for i in word_ids:
-            counts[i] += 1
-        for column, x in zip(self.columns, vector):
-            for i in word_ids:
-                column[i] += x
-        self.train_sum = list(map(add, self.train_sum, vector))
-        self.entries += 1
+            id_lists, vectors = zip(*block)
+            if widths := set(map(len, vectors)) - {schema.size}:
+                raise SchemaMismatch(
+                    f"vector has {widths.pop()} components, schema {schema.name!r} "
+                    f"expects {schema.size}"
+                )
+            for word_ids in id_lists:
+                for i in word_ids:
+                    counts[i] += 1
+            for c, (column, xs) in enumerate(zip(self.columns, zip(*vectors))):
+                s = train_sum[c]
+                for word_ids, x in zip(id_lists, xs):
+                    s += x
+                    for i in word_ids:
+                        column[i] += x
+                train_sum[c] = s
+            self.entries += len(block)
 
-    def means(self) -> tuple[list[tuple[float, ...]], tuple[float, ...] | None]:
-        """Mean vector per id, and the mean over all entries.
+    def means(self) -> tuple[list[list[float]], tuple[float, ...] | None]:
+        """Mean per id, one list per component, and the mean over all entries.
 
-        An id that no entry contained has count 0 and a zero vector; callers
+        An id that no entry contained has count 0 and zero means; callers
         check ``counts``.  The entry mean is None when no entry was added.
         """
         self._grow()
         divisors = [n or 1 for n in self.counts]
-        vectors = list(zip(*(list(map(truediv, column, divisors)) for column in self.columns)))
+        columns = [list(map(truediv, column, divisors)) for column in self.columns]
         mean = tuple(s / self.entries for s in self.train_sum) if self.entries else None
-        return vectors, mean
+        return columns, mean
 
     def lexicon(self) -> "ReactionLexicon":
         """The lexicon of every word an entry contained."""
-        vectors, train_mean = self.means()
+        columns, train_mean = self.means()
         entries = {
             word: (vector, n)
-            for word, vector, n in zip(self.ids, vectors, self.counts)
+            for word, vector, n in zip(self.ids, zip(*columns), self.counts)
             if n
         }
         return ReactionLexicon(self.schema, entries, self.entries, train_mean)
@@ -177,22 +197,16 @@ def build_lexicon(
     """
     fold = Fold(schema)
     ids = fold.ids
-    for words, vector in training:
-        if len(vector) != schema.size:
-            raise SchemaMismatch(
-                f"vector has {len(vector)} components, schema "
-                f"{schema.name!r} expects {schema.size}"
-            )
-        fold.add({ids.setdefault(w, len(ids)) for w in words}, vector)
+    fold.add_many(({ids.setdefault(w, len(ids)) for w in words}, v) for words, v in training)
     return fold.lexicon()
 
 
 def mean_vector(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """Component-wise mean of one or more vectors, each sum taken in order.
 
-    This is the known-word average of every prediction.  The sums are plain
-    left-to-right float additions; ``sum()`` compensates from Python 3.12 on
-    and would change the last digits between versions.
+    This is ``predict``'s known-word average, which the eval scorer repeats.
+    The sums are plain left-to-right float additions; ``sum()`` compensates
+    from Python 3.12 on and would change the last digits between versions.
     """
     n = len(vectors)
     means = []

@@ -9,12 +9,12 @@ agreement on absence scores 1 and a one-sided miss scores 0 through F1).
 ``prepare`` and ``fit`` are the model layer the ``train`` command shares:
 entries become (word_ids, base) pairs, and a training side becomes an
 ``engine.Fold``.  ``run_experiment`` turns words into ids once and shuffles
-once per seeded run; the train sides of a run's fractions are nested
-prefixes of that shuffle, folded in ascending order into one growing fold
-(star refolds only when a prefix widens its training range), and each test
-side is predicted from the fold's id-indexed mean vectors.  Per-entry
-metrics are averaged within a run, then across runs; the report keeps the
-configured fraction order.  Star adds to its positive/negative overlap
+once per seeded run; a run's train sides are nested prefixes of that
+shuffle, folded in ascending order into one growing fold (star refolds when
+a prefix widens its range) whose per-id means predict each test side.  Fold
+and score walk blocks of entries one component at a time; every sum keeps
+entry order, so each value equals a per-entry loop's.  Metrics are averaged
+within a run, then across runs.  Star adds to its positive/negative overlap
 rows a star-rating row: Gaussian kernel similarity as accuracy and exact
 0.5-bin matches of the discretized star as recall/precision/F1.
 """
@@ -30,30 +30,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, get_schema, mean_vector, normalize
+from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, normalize
 from .errors import DegenerateRange, EmptySide, ZeroReactionTotal
-from .star import discretize_star, gaussian_similarity, star_normalize, star_range, star_vector
+from .star import discretize_star, gaussian_similarity, star_columns, star_normalize, star_range
 
 METRICS = ("accuracy", "recall", "precision", "f1")
 STAR_ROWS = ("positive", "negative", "star_rating")
 
 DEFAULT_FRACTIONS = (0.95, 0.90, 0.80, 0.70, 0.50)
-
-
-def _add_overlaps(sums: list[list[float]], actual, predicted) -> None:
-    """Add each component's overlap metrics to that component's row of sums.
-
-    Accuracy is ``min(actual, predicted)``; recall and precision divide it by
-    the actual and the predicted mass, 1 when that mass is zero.
-    """
-    for row, n, m in zip(sums, actual, predicted):
-        a = m if m < n else n
-        r = a / n if n > 0 else 1.0
-        p = a / m if m > 0 else 1.0
-        row[0] += a
-        row[1] += r
-        row[2] += p
-        row[3] += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
 
 
 @dataclass(frozen=True)
@@ -135,26 +119,28 @@ def prepare(
 
 
 def fit(prepared, model: str, ids: dict):
-    """Fold one prepared training side into ``(fold, vectorize)``.
+    """Fold one prepared training side into ``(fold, bounds)``.
 
     ``ids`` is the word-id map the side was prepared with.  core/all bases
-    are their vectors, so the side streams and vectorize is None; star holds
-    the side to take its range, and vectorize maps a base onto its star4
-    vector at that range.
+    are their vectors, so the side streams and bounds is None; star holds
+    the side to take its range, and bounds is that ``(lo, hi)`` range, which
+    maps a base onto its star4 vector.
     """
     fold = Fold(model_schema(model), ids)
-    vectorize = None
+    bounds = None
     if model == "star":
         prepared = list(prepared)
-        lo, hi = star_range(base for _, base in prepared)
+        bounds = star_range(base for _, base in prepared)
+        prepared = _star_entries(prepared, bounds)
+    fold.add_many(prepared)
+    return fold, bounds
 
-        def vectorize(base):
-            return star_vector(base[0], base[1], lo, hi)
 
-        prepared = ((word_ids, vectorize(base)) for word_ids, base in prepared)
-    for word_ids, vector in prepared:
-        fold.add(word_ids, vector)
-    return fold, vectorize
+def _star_entries(prepared, bounds):
+    """(word_ids, star4 vector) per prepared entry, built a block at a time."""
+    for block in blocks(prepared):
+        id_lists, bases = zip(*block)
+        yield from zip(id_lists, zip(*star_columns(bases, *bounds)))
 
 
 def _rank_ids(prepared: list, ids: dict) -> dict:
@@ -170,23 +156,44 @@ def _rank_ids(prepared: list, ids: dict) -> dict:
     return ranks
 
 
-def _score(test, fold, vectorize, sigma) -> list[list[float]]:
-    """Mean metrics per report row: overlap rows, then star's star_rating row."""
-    vectors, train_mean = fold.means()
+def _predict_column(known: list, column: list, fallback: float) -> list[float]:
+    """One component of each entry's prediction, with ``mean_vector``'s arithmetic."""
+    predicted = [fallback] * len(known)
+    for j, word_ids in enumerate(known):
+        if word_ids:
+            total = 0.0
+            for i in word_ids:
+                total += column[i]
+            predicted[j] = total / len(word_ids)
+    return predicted
+
+
+def _score(test, fold, bounds, sigma) -> list[list[float]]:
+    """Mean metrics per report row: overlap rows, then, given star ``bounds``, star_rating."""
+    means, train_mean = fold.means()
     counts = fold.counts
-    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if vectorize else fold.schema.reactions)]
-    overlap_rows, star_row = (sums[:2], sums[2]) if vectorize else (sums, None)
-    for word_ids, actual in test:
-        known = [vectors[i] for i in word_ids if counts[i]]
-        predicted = mean_vector(known) if known else train_mean
-        if star_row is not None:
-            actual = vectorize(actual)
-            match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
-            star_row[0] += gaussian_similarity(predicted[3], actual[3], sigma)
-            star_row[1] += match
-            star_row[2] += match
-            star_row[3] += match
-        _add_overlaps(overlap_rows, actual, predicted)
+    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if bounds else fold.schema.reactions)]
+    overlap_rows = sums[:2] if bounds else sums
+    for block in blocks(test):
+        id_lists, bases = zip(*block)
+        known = [[i for i in word_ids if counts[i]] for word_ids in id_lists]
+        actual = star_columns(bases, *bounds) if bounds else list(zip(*bases))
+        predicted = [_predict_column(known, *mean) for mean in zip(means, train_mean)]
+        for row, actual_column, predicted_column in zip(overlap_rows, actual, predicted):
+            acc, rec, prec, f1 = row
+            for n, m in zip(actual_column, predicted_column):
+                a = m if m < n else n
+                r = a / n if n > 0 else 1.0
+                p = a / m if m > 0 else 1.0
+                acc, rec, prec = acc + a, rec + r, prec + p
+                f1 += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
+            row[:] = acc, rec, prec, f1
+        if bounds:
+            similarity, matches = sums[2][0], sums[2][1]
+            for disc, star, disc_hat, star_hat in zip(*actual[2:], *predicted[2:]):
+                similarity += gaussian_similarity(star_hat, star, sigma)
+                matches += 1.0 if discretize_star(disc_hat) == disc else 0.0
+            sums[2][:] = similarity, matches, matches, matches
     return [[s / len(test) for s in row] for row in sums]
 
 
@@ -245,7 +252,7 @@ def run_experiment(
     for run in range(config.runs):
         order = list(range(n))
         random.Random(config.seed + run).shuffle(order)
-        fold = vectorize = None
+        fold = bounds = None
         lo, hi = math.inf, -math.inf
         done = 0
         for k in sorted(range(len(fractions)), key=fractions.__getitem__):
@@ -260,15 +267,14 @@ def run_experiment(
                     refold = True
             try:
                 if refold:
-                    fold, vectorize = fit((prepared[i] for i in order[:n_train]), config.model, ids)
+                    fold, bounds = fit((prepared[i] for i in order[:n_train]), config.model, ids)
                 else:
-                    for word_ids, base in new:
-                        fold.add(word_ids, vectorize(base) if star else base)
+                    fold.add_many(_star_entries(new, bounds) if star else new)
             except DegenerateRange as exc:
                 raise DegenerateRange(f"{exc} (split {label}%, run {run})") from exc
             done = n_train
             test = [prepared[i] for i in order[n_train:]]
-            scores[k][run] = _score(test, fold, vectorize, config.sigma)
+            scores[k][run] = _score(test, fold, bounds, config.sigma)
             records[k][run] = _run_accounting(label, run, n_train, test, fold.counts)
     report.accounting = {
         "entries_used": n,

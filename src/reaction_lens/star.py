@@ -12,7 +12,7 @@ snapped to the nearest 0.5 bin.  The resulting 4-component vectors
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DegenerateRange, ZeroReactionTotal
 
@@ -81,10 +81,15 @@ def star_range(bases: Iterable[tuple[float, float]]) -> tuple[float, float]:
     return corpus_min, corpus_max
 
 
+def star_columns(bases: Sequence[tuple[float, float]], lo: float, hi: float) -> tuple:
+    """The star4 vectors of (positive, negative) bases, one sequence per component."""
+    stars = [star_scale(p - n, lo, hi) for p, n in bases]
+    return (*zip(*bases), list(map(discretize_star, stars)), stars)
+
+
 def star_vector(positive: float, negative: float, lo: float, hi: float) -> tuple[float, ...]:
     """The star4 vector [positive, negative, star_disc, star_cont] of one entry."""
-    star = star_scale(positive - negative, lo, hi)
-    return (positive, negative, discretize_star(star), star)
+    return next(zip(*star_columns([(positive, negative)], lo, hi)))
 
 
 def gaussian_similarity(predicted: float, actual: float, sigma: float = 1.0) -> float:

@@ -139,8 +139,11 @@ def _multinomial_rows(rng, totals: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
     """Yield (message, reaction_counts_tuple) rows in ALL_SCHEMA order."""
-    vocab = vocabulary(spec)
-    affinities = word_affinities(spec)
+    yield from _rows(spec, vocabulary(spec), word_affinities(spec))
+
+
+def _rows(spec: SynthSpec, vocab: list[str], affinities: np.ndarray):
+    """``iter_rows`` over a built vocabulary and affinity matrix."""
     # word_affinities consumed draws from its own generator; generation below
     # re-seeds so the affinity matrix and the rows stay independent and the
     # whole corpus remains a pure function of the spec.
@@ -191,14 +194,14 @@ def iter_rows(spec: SynthSpec) -> Iterator[tuple[str, tuple[int, ...]]]:
         produced += m
 
 
-def _write_truth(spec: SynthSpec, fh) -> None:
+def _write_truth(spec: SynthSpec, fh, vocab: list[str], affinities: np.ndarray) -> None:
     """Write what ``json.dump(truth, fh, indent=2)`` and a newline would, one
     word's affinities at a time (a finite float's repr is its JSON text)."""
     head = {"spec": asdict(spec), "reactions": list(CORE_SCHEMA.reactions)}
     fh.write(json.dumps(head, indent=2)[:-2] + ',\n  "affinities": {\n')
     entry = '    "%s": [\n' + ",\n".join(["      %r"] * CORE_SCHEMA.size) + "\n    ]"
-    rows = map(np.ndarray.tolist, word_affinities(spec))
-    entries = (entry % (word, *row) for word, row in zip(vocabulary(spec), rows))
+    rows = map(np.ndarray.tolist, affinities)
+    entries = (entry % (word, *row) for word, row in zip(vocab, rows))
     fh.write(next(entries))
     fh.writelines(map(",\n".__add__, entries))
     fh.write("\n  }\n}\n")
@@ -216,16 +219,17 @@ def write_corpus(
     if truth_path is None:
         truth_path = output.with_name(output.name + ".affinities.json")
     sums = [0] * ALL_SCHEMA.size
+    vocab, affinities = vocabulary(spec), word_affinities(spec)
 
     def records():
-        for message, counts in iter_rows(spec):
+        for message, counts in _rows(spec, vocab, affinities):
             sums[:] = map(add, sums, counts)
             yield PostRecord(message, counts)
 
     rows = save_corpus(records(), output, format)
     totals = dict(zip(ALL_SCHEMA.reactions, sums))
     with atomic_write(truth_path) as fh:
-        _write_truth(spec, fh)
+        _write_truth(spec, fh, vocab, affinities)
     grand = sum(totals.values())
     return {
         "rows": rows,

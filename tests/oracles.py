@@ -64,6 +64,91 @@ def oracle_predict(message_words, table, train_mean, dim):
     return vector, n / len(unique)
 
 
+def oracle_fold(width, ids, entries, state=None):
+    """Fold (word_ids, vector) entries one at a time, the way a per-entry
+    ``Fold.add`` did: lists grow to ``len(ids)`` before each entry, then
+    counts, one component's word sums and the entry sums take the entry.
+
+    ``state`` is a previous result to continue from.  Returns
+    ``(columns, counts, train_sum, entries)``, grown to ``len(ids)``.
+    """
+    if state is None:
+        state = ([[] for _ in range(width)], [], [0.0] * width, 0)
+    columns, counts, train_sum, n = state
+    for word_ids, vector in entries:
+        extra = len(ids) - len(counts)
+        counts.extend([0] * extra)
+        for column in columns:
+            column.extend([0.0] * extra)
+        for i in word_ids:
+            counts[i] += 1
+        for c, x in enumerate(vector):
+            train_sum[c] += x
+            for i in word_ids:
+                columns[c][i] += x
+        n += 1
+    extra = len(ids) - len(counts)
+    counts.extend([0] * extra)
+    for column in columns:
+        column.extend([0.0] * extra)
+    return columns, counts, train_sum, n
+
+
+def oracle_mean_vector(vectors):
+    """Component-wise mean, each sum taken left to right from 0.0."""
+    means = []
+    for column in zip(*vectors):
+        total = 0.0
+        for x in column:
+            total += x
+        means.append(total / len(vectors))
+    return tuple(means)
+
+
+def oracle_add_overlaps(sums, actual, predicted):
+    """Add one entry's overlap metrics to each component's row of sums:
+    accuracy ``min(n, m)``, recall and precision that over the actual and
+    the predicted mass (1 when it is zero), and their F1."""
+    for row, n, m in zip(sums, actual, predicted):
+        a = m if m < n else n
+        r = a / n if n > 0 else 1.0
+        p = a / m if m > 0 else 1.0
+        row[0] += a
+        row[1] += r
+        row[2] += p
+        row[3] += 0.0 if r + p == 0 else 2.0 * r * p / (r + p)
+
+
+def oracle_score(test, fold, vectorize, sigma):
+    """Mean metrics per report row by one loop over the test entries.
+
+    Each entry's prediction averages the per-id mean vectors of its known
+    ids with ``oracle_mean_vector`` (the training mean when none is known)
+    and its metrics go through ``oracle_add_overlaps``.  ``vectorize`` maps
+    one star base onto its star4 vector, or is None for core/all.
+    """
+    from reaction_lens.evaluation import METRICS, STAR_ROWS
+    from reaction_lens.star import discretize_star, gaussian_similarity
+
+    columns, train_mean = fold.means()
+    vectors = list(zip(*columns))
+    counts = fold.counts
+    sums = [[0.0] * len(METRICS) for _ in (STAR_ROWS if vectorize else fold.schema.reactions)]
+    overlap_rows, star_row = (sums[:2], sums[2]) if vectorize else (sums, None)
+    for word_ids, actual in test:
+        known = [vectors[i] for i in word_ids if counts[i]]
+        predicted = oracle_mean_vector(known) if known else train_mean
+        if star_row is not None:
+            actual = vectorize(actual)
+            match = 1.0 if discretize_star(predicted[2]) == actual[2] else 0.0
+            star_row[0] += gaussian_similarity(predicted[3], actual[3], sigma)
+            star_row[1] += match
+            star_row[2] += match
+            star_row[3] += match
+        oracle_add_overlaps(overlap_rows, actual, predicted)
+    return [[s / len(test) for s in row] for row in sums]
+
+
 def oracle_star_vectors(counts_list):
     """Literal two-pass positive/negative aggregation and min-max star scaling."""
     raw = []

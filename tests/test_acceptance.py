@@ -29,13 +29,13 @@ from reaction_lens.errors import ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
-    _add_overlaps,
     run_experiment,
 )
 from reaction_lens.star import star_normalize, star_range, star_vector
 from reaction_lens.synth import SynthSpec, iter_rows
 
 from oracles import (
+    oracle_add_overlaps,
     oracle_lexicon,
     oracle_predict,
     oracle_star_vectors,
@@ -62,9 +62,9 @@ def star_vectors(counts_list):
 
 
 def entry_metrics(actual, predicted):
-    """Per-metric tuples of one entry's overlaps, from the scorer's accumulator."""
+    """Per-metric tuples of one entry's overlaps, from ``oracle_score``'s accumulator."""
     rows = [[0.0] * len(METRICS) for _ in actual]
-    _add_overlaps(rows, actual, predicted)
+    oracle_add_overlaps(rows, actual, predicted)
     return dict(zip(METRICS, zip(*rows)))
 
 

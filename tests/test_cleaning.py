@@ -222,6 +222,11 @@ class TestStopwordFile:
         path.write_text("# comment\nthe\n\nsaha\n", encoding="utf-8")
         assert read_stopwords(path) == frozenset({"the", "saha"})
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_bytes(b"\xef\xbb\xbfw1\nw2\n")
+        assert read_stopwords(path) == frozenset({"w1", "w2"})
+
     def test_whitespace_entry_rejected(self, tmp_path):
         path = tmp_path / "stop.txt"
         path.write_text("a b\n", encoding="utf-8")

@@ -611,6 +611,13 @@ class TestConfigFile:
         assert main(["--config", str(config), "synth", "--output", str(out)]) == EXIT_OK
         assert sum(1 for _ in open(out)) == 16
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        config = tmp_path / "bom.conf"
+        config.write_bytes(b"\xef\xbb\xbfrows = 15\n")
+        out = tmp_path / "o.csv"
+        assert main(["--config", str(config), "synth", "--output", str(out)]) == EXIT_OK
+        assert sum(1 for _ in open(out)) == 16
+
     def test_usage_error_exit(self):
         with pytest.raises(SystemExit) as info:
             main(["synth"])  # missing required --output

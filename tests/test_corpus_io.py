@@ -119,6 +119,14 @@ class TestLoadCsv:
         with pytest.raises(SchemaMismatch):
             load_corpus(source)
 
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "hi,1,2,0,0,0,0,0\n").encode("utf-8"))
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(path, "csv", errors=errors))
+        assert [(r.message, r.reactions.love) for r in records] == [("hi", 2)]
+        assert errors == []
+
     def test_schema_map(self):
         source = io.BytesIO(
             "Message,Likes,Loves,Wows,Hahas,Sads,Angrys,Thankfuls,Id\n"
@@ -205,6 +213,14 @@ class TestLoadCsv:
 
 
 class TestLoadJsonl:
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "bom.jsonl"
+        path.write_bytes(b"\xef\xbb\xbf" + (GOOD_JSONL % "a" + GOOD_JSONL % "b").encode("utf-8"))
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(path, "jsonl", errors=errors))
+        assert [r.message for r in records] == ["a", "b"]
+        assert errors == []
+
     def test_basic(self):
         line = (
             '{"message": "hi", "like": 1, "love": 0, "wow": 0, "haha": 0,'

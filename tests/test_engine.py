@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from reaction_lens.corpus_io import ReactionCounts
 from reaction_lens.engine import (
+    _BLOCK,
     ALL_SCHEMA,
     CORE_SCHEMA,
     STAR_SCHEMA,
+    Fold,
     build_lexicon,
     get_schema,
     normalize,
@@ -18,7 +20,7 @@ from reaction_lens.engine import (
 from reaction_lens.errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 from reaction_lens.star import star_vector
 
-from oracles import oracle_lexicon, oracle_predict, oracle_train_mean
+from oracles import oracle_fold, oracle_lexicon, oracle_predict, oracle_train_mean
 
 
 def random_corpus(rng, n_entries, vocab_size=30, schema=CORE_SCHEMA):
@@ -274,3 +276,59 @@ def test_build_lexicon_equals_literal_fold(case):
                 expected[i] = expected[i] + table[word][0][i]
         vector, _ = predict(message, lexicon)
         assert vector == tuple(s / len(known) for s in expected)
+
+
+# Entry counts around the fold's block size, and a few small ones.
+BLOCK_SIDES = (0, 1, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)
+
+
+def streamed(rng, n, vocab, ids, width):
+    """``n`` (word_ids, vector) entries whose words get their ids in ``ids``
+    as each entry is read, the way ``train`` streams its side."""
+    for _ in range(n):
+        words = rng.sample(vocab, rng.randint(0, 4))
+        vector = tuple(rng.uniform(-2.0, 2.0) for _ in range(width))
+        yield {ids.setdefault(w, len(ids)) for w in words}, vector
+
+
+def fold_state(fold):
+    """What a fold holds, in ``oracle_fold``'s result order."""
+    return fold.columns, fold.counts, fold.train_sum, fold.entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    schema=st.sampled_from([CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA]),
+    first=st.sampled_from(BLOCK_SIDES),
+    second=st.sampled_from(BLOCK_SIDES),
+    preassigned=st.integers(0, 40),
+)
+def test_add_many_equals_entry_by_entry_fold(seed, schema, first, second, preassigned):
+    # Bit-equal: add_many walks a block one component at a time, and each
+    # sum still takes its terms in entry order.  Ids join the shared map
+    # before the fold, while a block is read, and between two add_many
+    # calls (from another fold sharing the map).
+    vocab = [f"w{i}" for i in range(3000)]
+    ids = {w: i for i, w in enumerate(vocab[:preassigned])}
+    oracle_ids = dict(ids)
+    fold = Fold(schema, ids)
+    fold.add_many(streamed(random.Random(seed), first, vocab, ids, schema.size))
+    state = oracle_fold(
+        schema.size,
+        oracle_ids,
+        streamed(random.Random(seed), first, vocab, oracle_ids, schema.size),
+    )
+    assert fold_state(fold) == state
+    Fold(schema, ids).add_many(streamed(random.Random(seed + 1), 50, vocab, ids, schema.size))
+    list(streamed(random.Random(seed + 1), 50, vocab, oracle_ids, schema.size))
+    fold.add_many(streamed(random.Random(seed + 2), second, vocab, ids, schema.size))
+    state = oracle_fold(
+        schema.size,
+        oracle_ids,
+        streamed(random.Random(seed + 2), second, vocab, oracle_ids, schema.size),
+        state,
+    )
+    fold._grow()
+    assert ids == oracle_ids
+    assert fold_state(fold) == state

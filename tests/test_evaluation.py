@@ -3,14 +3,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reaction_lens.corpus_io import ReactionCounts
-from reaction_lens.engine import STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
+from reaction_lens.engine import _BLOCK, STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
 from reaction_lens.errors import DegenerateRange, EmptySide, ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
-    _add_overlaps,
+    _score,
+    fit,
     report_emit,
     run_experiment,
     split_label,
@@ -24,7 +27,7 @@ from reaction_lens.star import (
 )
 from reaction_lens.synth import SynthSpec, iter_rows
 
-from oracles import split
+from oracles import oracle_add_overlaps, oracle_score, split
 
 
 def random_distribution(rng, k=5, allow_zero_components=True):
@@ -36,10 +39,10 @@ def random_distribution(rng, k=5, allow_zero_components=True):
 
 
 def entry_metrics(actual, predicted):
-    """Per-metric tuples of one entry's component overlaps, from the one
-    accumulator the scorer runs, started at zero."""
+    """Per-metric tuples of one entry's component overlaps, from the
+    per-entry accumulator of ``oracle_score``, started at zero."""
     rows = [[0.0] * len(METRICS) for _ in actual]
-    _add_overlaps(rows, actual, predicted)
+    oracle_add_overlaps(rows, actual, predicted)
     return dict(zip(METRICS, zip(*rows)))
 
 
@@ -455,3 +458,60 @@ class TestRunExperimentMatchesLiteralLoop:
                 record["test_oov_rate"] > 0 for record in records if record["split"] != "95"
             )
             assert accounting["runs"] == records
+
+
+def random_counts(rng):
+    """Seven counts with some zeros, so that bases have zero components."""
+    return ReactionCounts(*(rng.choice((0, 0, 1, 2, 7)) for _ in range(7)))
+
+
+def random_base(rng, model):
+    """A base as ``prepare`` makes it: a distribution, or star's masses."""
+    while True:
+        counts = random_counts(rng)
+        try:
+            if model == "star":
+                return star_normalize(counts)
+            return normalize(counts, get_schema(model))
+        except ZeroReactionTotal:
+            continue
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(["core", "all", "star"]),
+    n_test=st.sampled_from([1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    sigma=st.sampled_from([0.25, 1.0, 3.0]),
+)
+def test_score_equals_per_entry_oracle(seed, model, n_test, sigma):
+    # Bit-equal: the scorer walks each block one component at a time, but
+    # every prediction and every row sum takes its terms in the per-entry
+    # loop's order.  Words w40 to w49 are never trained on (count zero), and
+    # about one test entry in eight has only such words.  Star test entries
+    # may fall outside the training range and be clamped.
+    rng = random.Random(seed)
+    ids = {f"w{i}": i for i in range(50)}
+    train = [
+        (tuple(sorted(rng.sample(range(40), rng.randint(1, 8)))), random_base(rng, model))
+        for _ in range(rng.randint(2, 200))
+    ]
+    if model == "star":
+        train[:2] = [((0,), (0.6, 0.4)), ((1,), (0.3, 0.5))]  # a range of nonzero width
+    test = [
+        (
+            tuple(sorted(rng.sample(range(40, 50) if rng.random() < 0.125 else range(50),
+                                    rng.randint(1, 8)))),
+            random_base(rng, model),
+        )
+        for _ in range(n_test)
+    ]
+    fold, bounds = fit(iter(train), model, ids)
+    one_vector = None
+    if model == "star":
+        assert bounds == star_range(base for _, base in train)
+
+        def one_vector(base):
+            return star_vector(*base, *bounds)
+
+    assert _score(test, fold, bounds, sigma) == oracle_score(test, fold, one_vector, sigma)
