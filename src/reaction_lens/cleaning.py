@@ -19,8 +19,9 @@ Steps never rewrite a surviving token, which makes the pipeline idempotent.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
+from typing import NamedTuple
 
 ZWJ = "‍"
 # A token of only ASCII letters and digits and the Sinhala block has no
@@ -72,27 +73,30 @@ def _replace_controls():
     return re.compile(f"[{ranges}]").subn
 
 
-@dataclass(frozen=True)
-class CleanConfig:
+class CleanConfig(
+    namedtuple("CleanConfig", "stopwords casefold_ascii", defaults=(frozenset(), False))
+):
     """Stopword set for step 5, plus optional ASCII case folding.
 
     ``casefold_ascii`` lowercases ASCII letters before tokenization; it is
     off by default and exists only to trade faithfulness for sparsity.
     """
 
-    stopwords: frozenset[str] = frozenset()
-    casefold_ascii: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        for w in self.stopwords:
+    def __new__(cls, *args, **kwargs):
+        config = super().__new__(cls, *args, **kwargs)
+        for w in config.stopwords:
             if not w or any(c.isspace() for c in w):
                 raise ValueError(
                     f"stopword {w!r} is empty or contains whitespace"
                 )
+        return config
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
 
-@dataclass(frozen=True)
-class CleanedMessage:
+class CleanedMessage(NamedTuple):
     tokens: tuple[str, ...]
 
     @property
@@ -104,22 +108,23 @@ class CleanedMessage:
         return not self.tokens
 
 
-@dataclass
 class CleanStats:
-    """Token/character removal counters, accumulated across messages."""
+    """Token/character removal counters, accumulated across messages; compared by value."""
 
-    zwj_deleted: int = 0
-    controls_replaced: int = 0
-    url_tokens: int = 0
-    email_tokens: int = 0
-    tag_tokens: int = 0
-    hashtag_tokens: int = 0
-    foreign_tokens: int = 0
-    stopword_tokens: int = 0
-    digit_tokens: int = 0
+    __slots__ = ("zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
+                 "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens")
+
+    def __init__(self, **counters: int):
+        for name in self.__slots__:
+            setattr(self, name, counters.pop(name, 0))
+        if counters:
+            raise TypeError(f"unknown CleanStats counters {sorted(counters)}")
+
+    def __eq__(self, other):
+        return self.as_dict() == other.as_dict() if type(other) is type(self) else NotImplemented
 
     def as_dict(self) -> dict[str, int]:
-        return dict(vars(self))
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 def is_eligible_word(token: str) -> bool:

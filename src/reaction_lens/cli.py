@@ -25,7 +25,6 @@ import sys
 import time
 from collections import Counter
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
 
 from . import __version__
 from .corpus_io import (
@@ -70,24 +69,6 @@ _DATA_ERRORS = (
 )
 
 
-@dataclass
-class RunManifest:
-    run_id: str
-    tool: str
-    command: str
-    created_at: str
-    finished_at: str
-    config: dict
-    inputs: list
-    outputs: list
-    row_drops: dict | None = None
-
-    def write(self, path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=False)
-            fh.write("\n")
-
-
 def _sha256_file(path) -> tuple[str, int]:
     digest = hashlib.sha256()
     size = 0
@@ -98,7 +79,8 @@ def _sha256_file(path) -> tuple[str, int]:
     return digest.hexdigest(), size
 
 
-def _make_manifest(command: str, config: dict, inputs: list, started: str) -> RunManifest:
+def _make_manifest(command: str, config: dict, inputs: list, started: str) -> dict:
+    """The run manifest, a dict in the key order its JSON file keeps."""
     described = []
     for path in inputs:
         # A pipe or device can be read only once, and the command needs it.
@@ -113,23 +95,24 @@ def _make_manifest(command: str, config: dict, inputs: list, started: str) -> Ru
             sort_keys=True,
         ).encode("utf-8")
     ).hexdigest()[:16]
-    return RunManifest(
-        run_id=run_id,
-        tool=f"reaction-lens {__version__}",
-        command=command,
-        created_at=started,
-        finished_at="",
-        config=config,
-        inputs=described,
-        outputs=[],
-    )
+    return {
+        "run_id": run_id,
+        "tool": f"reaction-lens {__version__}",
+        "command": command,
+        "created_at": started,
+        "finished_at": "",
+        "config": config,
+        "inputs": described,
+        "outputs": [],
+        "row_drops": None,
+    }
 
 
-def _finish_manifest(manifest: RunManifest, outputs: list, row_drops=None) -> None:
-    manifest.outputs = [str(p) for p in outputs]
-    manifest.row_drops = row_drops
-    manifest.finished_at = _now()
-    manifest.write(str(outputs[0]) + ".manifest.json")
+def _finish_manifest(manifest: dict, outputs: list, row_drops=None) -> None:
+    manifest.update(finished_at=_now(), outputs=[str(p) for p in outputs], row_drops=row_drops)
+    with atomic_write(str(outputs[0]) + ".manifest.json") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
 
 
 def _now() -> str:
@@ -392,7 +375,7 @@ def _cmd_train(args, config) -> int:
     entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
     fold, _ = fit(prepare(entries, model, ids, tally), model, ids)
     lexicon = fold.lexicon()
-    save_lexicon(lexicon, args.output, manifest_id=manifest.run_id)
+    save_lexicon(lexicon, args.output, manifest_id=manifest["run_id"])
     _finish_manifest(manifest, [args.output])
     print(
         f"trained {model} lexicon: {len(lexicon.entries)} words from "
@@ -424,7 +407,7 @@ def _cmd_predict(args, config) -> int:
     coverage_sum = 0.0
     with ExitStack() as stack:
         source = sys.stdin if args.input == "-" else stack.enter_context(
-            open(args.input, encoding="utf-8")
+            open(args.input, encoding="utf-8", newline="\n")  # one message per "\n", as on stdin
         )
         sink = sys.stdout if args.output == "-" else stack.enter_context(
             atomic_write(args.output)
@@ -474,7 +457,7 @@ def _cmd_eval(args, config) -> int:
     errors: list[MalformedRow] = []
     entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
     report = run_experiment(entries, experiment)
-    report.manifest = manifest.run_id
+    report.manifest = manifest["run_id"]
     with atomic_write(args.output) as fh:
         fh.write(report_emit(report, report_format))
     accounting = report.accounting
@@ -515,7 +498,7 @@ def _cmd_synth(args, config) -> int:
     corpus_format = _resolve(args, config, "format", str, "csv")
     started = _now()
     manifest = _make_manifest(
-        "synth", {"output": args.output, "format": corpus_format, **asdict(spec)}, [], started
+        "synth", {"output": args.output, "format": corpus_format, **vars(spec)}, [], started
     )
     summary = write_corpus(spec, args.output, corpus_format)
     _finish_manifest(manifest, [args.output, summary["truth_path"]])

@@ -28,7 +28,6 @@ import os
 import re
 from collections import namedtuple
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add, itemgetter
 from pathlib import Path
@@ -80,16 +79,14 @@ class PostRecord(NamedTuple):
     id: str | None = None
 
 
-@dataclass(frozen=True)
-class MalformedRow:
+class MalformedRow(NamedTuple):
     """One quarantined input row: where it was and why it was rejected."""
 
     line: int
     reason: str
 
 
-@dataclass
-class CorpusStats:
+class CorpusStats(NamedTuple):
     """Exact reaction totals plus all/core percentage breakdowns.
 
     Percentages are None when their denominator is zero (empty corpus, or no

@@ -13,7 +13,7 @@ distributions) and the 4-component star-sentiment vectors (not unit-sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import islice
 from operator import itemgetter, truediv
 from typing import Collection, Iterable, Iterator, Sequence
@@ -21,18 +21,19 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
 
 
-@dataclass(frozen=True)
-class ReactionSchema:
+class ReactionSchema(namedtuple("ReactionSchema", "name reactions")):
     """An ordered, named list of reaction components."""
 
-    name: str
-    reactions: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.reactions)) != len(self.reactions):
-            raise ValueError(f"duplicate reaction names in schema {self.name!r}")
-        if not self.reactions:
+    def __new__(cls, name: str, reactions: tuple[str, ...]):
+        if len(set(reactions)) != len(reactions):
+            raise ValueError(f"duplicate reaction names in schema {name!r}")
+        if not reactions:
             raise ValueError("schema needs at least one reaction")
+        return super().__new__(cls, name, reactions)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
     @property
     def size(self) -> int:
@@ -167,8 +168,9 @@ class Fold:
         return ReactionLexicon(self.schema, entries, self.entries, train_mean)
 
 
-@dataclass(frozen=True)
-class ReactionLexicon:
+class ReactionLexicon(
+    namedtuple("ReactionLexicon", "schema entries train_entry_count train_mean meta")
+):
     """Mapping word -> (mean reaction vector, number of training entries).
 
     A lexicon is a finished table: ``Fold.lexicon`` and
@@ -177,13 +179,21 @@ class ReactionLexicon:
     ``train_mean`` is the component-wise mean over all training entries'
     vectors (not over words); it is the fallback prediction for messages
     with no known word, and is None when the training set was empty.
+    ``meta`` holds the artifact's header notes (a fresh ``{}`` by default);
+    lexicons compare by every field but ``meta``.
     """
 
-    schema: ReactionSchema
-    entries: dict
-    train_entry_count: int
-    train_mean: tuple[float, ...] | None
-    meta: dict = field(default_factory=dict, compare=False)
+    __slots__ = ()
+
+    def __new__(cls, schema, entries, train_entry_count, train_mean, meta=None):
+        meta = {} if meta is None else meta
+        return super().__new__(cls, schema, entries, train_entry_count, train_mean, meta)
+
+    def __eq__(self, other):
+        return self[:4] == other[:4] if type(other) is type(self) else NotImplemented
+
+    def __ne__(self, other):  # tuple.__ne__ would compare meta too
+        return not self == other
 
 
 def build_lexicon(

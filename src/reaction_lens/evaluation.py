@@ -26,8 +26,7 @@ import io
 import json
 import math
 import random
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from typing import Iterable
 
 from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, normalize
@@ -40,48 +39,52 @@ STAR_ROWS = ("positive", "negative", "star_rating")
 DEFAULT_FRACTIONS = (0.95, 0.90, 0.80, 0.70, 0.50)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: str = "core"
-    train_fractions: tuple[float, ...] = DEFAULT_FRACTIONS
-    runs: int = 5
-    seed: int = 0
-    sigma: float = 1.0
+class ExperimentConfig(namedtuple("ExperimentConfig", "model train_fractions runs seed sigma")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        model_schema(self.model)
-        object.__setattr__(self, "train_fractions", tuple(self.train_fractions))
-        if not self.train_fractions:
+    def __new__(cls, model="core", train_fractions=DEFAULT_FRACTIONS, runs=5, seed=0, sigma=1.0):
+        model_schema(model)
+        train_fractions = tuple(train_fractions)
+        if not train_fractions:
             raise ValueError("at least one train fraction is required")
-        for f in self.train_fractions:
+        for f in train_fractions:
             if not 0.0 < f < 1.0:
                 raise ValueError(f"train fraction {f} outside (0, 1)")
-        if len({split_label(f) for f in self.train_fractions}) < len(self.train_fractions):
-            raise ValueError(f"duplicate train fractions in {self.train_fractions}")
-        if self.runs < 1:
-            raise ValueError(f"runs must be >= 1, got {self.runs}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if len({split_label(f) for f in train_fractions}) < len(train_fractions):
+            raise ValueError(f"duplicate train fractions in {train_fractions}")
+        if runs < 1:
+            raise ValueError(f"runs must be >= 1, got {runs}")
+        if not (math.isfinite(sigma) and sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
+        return super().__new__(cls, model, train_fractions, runs, seed, sigma)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
 
 def split_label(fraction: float) -> str:
     return format(fraction * 100.0, "g")
 
 
-@dataclass
 class EvalReport:
-    """Averaged metrics per (split, reaction), with per-run raw values."""
+    """Averaged metrics per (split, reaction), with per-run raw values.
 
-    model: str
-    seed: int
-    runs: int
-    sigma: float
-    reactions: tuple[str, ...]
-    split_labels: tuple[str, ...]
-    mean: dict = field(default_factory=dict)
-    per_run: dict = field(default_factory=dict)
-    manifest: str | None = None
-    accounting: dict = field(default_factory=dict, compare=False)
+    Reports compare by every field but ``accounting``.
+    """
+
+    def __init__(self, model: str, seed: int, runs: int, sigma: float,
+                 reactions: tuple[str, ...], split_labels: tuple[str, ...],
+                 mean=None, per_run=None, manifest: str | None = None, accounting=None):
+        self.model, self.seed, self.runs, self.sigma = model, seed, runs, sigma
+        self.reactions, self.split_labels = reactions, split_labels
+        self.mean = {} if mean is None else mean
+        self.per_run = {} if per_run is None else per_run
+        self.manifest = manifest
+        self.accounting = {} if accounting is None else accounting
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return {**vars(self), "accounting": None} == {**vars(other), "accounting": None}
 
     def value(self, split: str, reaction: str, metric: str) -> float:
         return self.mean[split][reaction][metric]

@@ -106,6 +106,20 @@ class TestPipelineRules:
         assert stats.foreign_tokens == 1
         assert stats.stopword_tokens == 1
 
+    def test_stats_compare_by_value(self):
+        assert CleanStats(url_tokens=2) == CleanStats(url_tokens=2)
+        assert CleanStats(url_tokens=2) != CleanStats(url_tokens=1)
+        assert CleanStats() != {name: 0 for name in CleanStats().as_dict()}
+        assert list(CleanStats(digit_tokens=4).as_dict().items())[-2:] == [
+            ("stopword_tokens", 0), ("digit_tokens", 4),
+        ]
+
+    def test_stats_reject_an_unknown_counter(self):
+        with pytest.raises(TypeError, match="nope"):
+            CleanStats(nope=1)
+        with pytest.raises(AttributeError):
+            CleanStats().nope = 1
+
     def test_config_rejects_whitespace_stopwords(self):
         with pytest.raises(ValueError):
             CleanConfig(stopwords=frozenset({"two words"}))

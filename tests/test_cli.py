@@ -372,6 +372,24 @@ class TestTrainPredict:
         assert result.returncode == EXIT_OK, result.stderr
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2
 
+    def test_predict_file_and_stdin_end_messages_alike(self, tmp_path):
+        # A lone CR stays inside its message; LF and CRLF end one.
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        text = "a\rc\nb c\r\nzz\n"
+        messages = tmp_path / "m.txt"
+        messages.write_bytes(text.encode("utf-8"))
+        from_file = tmp_path / "pred.txt"
+        assert main(["predict", "--lexicon", str(lexicon), "--input", str(messages),
+                     "--output", str(from_file)]) == EXIT_OK
+        result = run_python("-m", "reaction_lens.cli", "predict", "--lexicon", str(lexicon),
+                            stdin=text)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert from_file.read_text(encoding="utf-8") == result.stdout
+        assert len(result.stdout.splitlines()) == text.count("\n")
+
     def test_predict_to_stdout_writes_no_manifest(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"
         write_two_entry_corpus(corpus)
@@ -633,13 +651,16 @@ REPORT_MODULES = (
     "print(code, *sorted(sys.modules), file=sys.stderr)\n"
 )
 TIMESTAMP = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$")
-# command -> (modules it must load, modules it must not load)
+# command -> (modules it must load, modules it must not load); no command
+# but synth loads dataclasses, which brings inspect, ast, dis and tokenize.
+UNUSED_EVERYWHERE = {"logging", "datetime", "dataclasses", "inspect"}
 LOADS = {
     "predict": ({"reaction_lens.cleaning"},
-                {"reaction_lens.evaluation", "reaction_lens.star", "logging", "datetime"}),
-    "train": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", "logging", "datetime"}),
-    "eval": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", "logging", "datetime"}),
-    "stats": ({"reaction_lens.corpus_io"}, {"reaction_lens.cleaning", "logging", "datetime"}),
+                {"reaction_lens.evaluation", "reaction_lens.star", *UNUSED_EVERYWHERE}),
+    "clean": ({"reaction_lens.cleaning"}, {"reaction_lens.evaluation", *UNUSED_EVERYWHERE}),
+    "train": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
+    "eval": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
+    "stats": ({"reaction_lens.corpus_io"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
 }
 
 
@@ -656,6 +677,7 @@ class TestStartup:
         return {
             "predict": ["predict", "--lexicon", str(lexicon), "--input", str(messages),
                         "--output", str(tmp_path / "p.txt")],
+            "clean": ["clean", "--input", corpus, "--output", str(tmp_path / "c.csv")],
             "train": ["train", "--input", corpus, "--output", str(tmp_path / "t.lex")],
             "eval": ["eval", "--input", corpus, "--output", str(tmp_path / "r.json"),
                      "--splits", "80", "--runs", "1"],
@@ -690,6 +712,36 @@ class TestStartup:
             for line in range(3, 8)
         ] + ["2 more malformed rows not shown"]
         assert "(7 malformed, 0 empty after cleaning)" in result.stdout
+
+    def test_manifest_key_order(self, synth_corpus, tmp_path):
+        corpus = str(synth_corpus)
+        assert main(["clean", "--input", corpus, "--output", str(tmp_path / "c.csv")]) == EXIT_OK
+        assert main(["eval", "--input", corpus, "--output", str(tmp_path / "r.json"),
+                     "--splits", "80", "--runs", "1"]) == EXIT_OK
+        clean = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        evaluated = json.loads((tmp_path / "r.json.manifest.json").read_text())
+        for manifest in (clean, evaluated):
+            assert list(manifest) == ["run_id", "tool", "command", "created_at", "finished_at",
+                                      "config", "inputs", "outputs", "row_drops"]
+            assert list(manifest["inputs"][0]) == ["path", "sha256", "bytes"]
+        assert list(clean["config"]) == ["input", "output", "format", "stopwords",
+                                         "casefold_ascii", "columns"]
+        assert list(clean["row_drops"]) == [
+            "rows_read", "malformed_rows", "empty_after_cleaning", "rows_out",
+            "kept_with_zero_core_total", "kept_with_zero_polar_total", "token_removals",
+        ]
+        assert list(clean["row_drops"]["token_removals"]) == [
+            "zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
+            "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens",
+        ]
+        assert list(evaluated["config"]) == ["input", "output", "model", "format", "columns",
+                                             "splits", "runs", "seed", "sigma", "report_format"]
+        assert list(evaluated["row_drops"]) == [
+            "malformed_rows", "entries_used", "entries_excluded_zero_total", "runs",
+        ]
+        assert list(evaluated["row_drops"]["runs"][0]) == [
+            "split", "run", "n_train", "n_test", "vocab_size", "test_oov_rate",
+        ]
 
     def test_manifest_timestamps_are_utc_seconds(self, synth_corpus, tmp_path):
         out = tmp_path / "c.csv"

@@ -1,11 +1,11 @@
-import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reaction_lens.corpus_io import ReactionCounts
+from reaction_lens.cleaning import CleanConfig, CleanedMessage
+from reaction_lens.corpus_io import MalformedRow, ReactionCounts
 from reaction_lens.engine import (
     _BLOCK,
     ALL_SCHEMA,
@@ -18,6 +18,7 @@ from reaction_lens.engine import (
     predict,
 )
 from reaction_lens.errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
+from reaction_lens.evaluation import ExperimentConfig
 from reaction_lens.star import star_vector
 
 from oracles import oracle_fold, oracle_lexicon, oracle_predict, oracle_train_mean
@@ -146,10 +147,12 @@ class TestLexiconBuild:
         with pytest.raises(SchemaMismatch):
             build_lexicon([({"a"}, (1.0, 0.0))], CORE_SCHEMA)
 
-    def test_lexicon_is_frozen(self):
+    def test_lexicon_equality_ignores_meta(self):
         lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            lex.train_mean = None
+        noted = lex._replace(meta={"manifest": "abc123"})
+        assert lex == noted and not lex != noted
+        assert lex != lex._replace(train_entry_count=2)
+        assert lex.meta == {} and build_lexicon([], CORE_SCHEMA).meta is not lex.meta
 
     def test_oracle_equivalence(self):
         # 50 random small entries against the literal loop implementation.
@@ -332,3 +335,27 @@ def test_add_many_equals_entry_by_entry_fold(seed, schema, first, second, preass
     fold._grow()
     assert ids == oracle_ids
     assert fold_state(fold) == state
+
+
+@pytest.mark.parametrize("value", [
+    build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA),
+    CORE_SCHEMA,
+    CleanConfig(),
+    CleanedMessage(("a",)),
+    MalformedRow(3, "bad"),
+    ExperimentConfig(),
+], ids=lambda value: type(value).__name__)
+def test_value_type_is_frozen(value):
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: CORE_SCHEMA._replace(reactions=("a", "a")), "duplicate"),
+    (lambda: CleanConfig()._replace(stopwords=frozenset({""})), "empty"),
+    (lambda: ExperimentConfig()._replace(runs=0), "runs"),
+])
+def test_value_type_replace_is_checked(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -11,6 +11,7 @@ from reaction_lens.engine import _BLOCK, STAR_SCHEMA, build_lexicon, get_schema,
 from reaction_lens.errors import DegenerateRange, EmptySide, ZeroReactionTotal
 from reaction_lens.evaluation import (
     METRICS,
+    EvalReport,
     ExperimentConfig,
     _score,
     fit,
@@ -181,6 +182,18 @@ class TestExperimentConfig:
                 ExperimentConfig(sigma=sigma)
         with pytest.raises(ValueError):
             ExperimentConfig(train_fractions=(0.95, 0.95))
+
+
+class TestEvalReport:
+    def test_reports_compare_by_value_but_accounting(self):
+        config = ExperimentConfig(model="core", train_fractions=(0.5,), runs=1)
+        report = run_experiment(memorizable_corpus(), config)
+        again = run_experiment(memorizable_corpus(), config)
+        again.accounting = {"entries_used": -1}
+        assert report == again and not report != again
+        again.manifest = "abc123"
+        assert report != again
+        assert report != EvalReport("core", 0, 1, 1.0, ("love",), ("50",))
 
 
 def memorizable_corpus(n=20):
