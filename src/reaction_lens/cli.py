@@ -31,6 +31,7 @@ from .corpus_io import (
     MalformedRow,
     PostRecord,
     atomic_write,
+    corpus_entries,
     corpus_stats,
     load_corpus,
     load_lexicon,
@@ -350,11 +351,6 @@ def _cmd_stats(args, config) -> int:
     return EXIT_OK
 
 
-def _iter_cleaned_entries(path, corpus_format, columns, errors):
-    for record in load_corpus(path, corpus_format, columns, errors):
-        yield record.message.split(), record.reactions
-
-
 def _cmd_train(args, config) -> int:
     from .evaluation import fit, prepare
 
@@ -372,7 +368,7 @@ def _cmd_train(args, config) -> int:
     errors: list[MalformedRow] = []
     ids: dict = {}
     tally: Counter = Counter()
-    entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
+    entries = corpus_entries(args.input, corpus_format, columns, errors)
     fold, _ = fit(prepare(entries, model, ids, tally), model, ids)
     lexicon = fold.lexicon()
     save_lexicon(lexicon, args.output, manifest_id=manifest["run_id"])
@@ -455,7 +451,7 @@ def _cmd_eval(args, config) -> int:
         started,
     )
     errors: list[MalformedRow] = []
-    entries = _iter_cleaned_entries(args.input, corpus_format, columns, errors)
+    entries = corpus_entries(args.input, corpus_format, columns, errors)
     report = run_experiment(entries, experiment)
     report.manifest = manifest["run_id"]
     with atomic_write(args.output) as fh:

@@ -1,9 +1,10 @@
 """Streaming corpus ingestion, corpus accounting, and lexicon persistence.
 
-``load_corpus`` yields one immutable PostRecord per row and never holds more
-than the current row in memory.  Malformed rows are recorded in a caller
-ledger (and logged) with their line number, then skipped; only structural
-problems (unreadable source, missing columns) abort the stream.
+``load_corpus`` yields one immutable PostRecord per row, and
+``corpus_entries`` one ``(words, counts)`` pair, from one reader per format
+that holds a block of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in a
+caller ledger (and logged) with their line number, then skipped; only
+structural problems (unreadable source, missing columns) abort the stream.
 ``save_corpus`` writes records back in the format ``load_corpus`` reads.
 
 Every file written by path goes through ``atomic_write``: a temporary file
@@ -26,14 +27,24 @@ import io
 import json
 import os
 import re
-from collections import namedtuple
+from collections import deque, namedtuple
 from contextlib import contextmanager, suppress
-from itertools import repeat
+from functools import partial
+from itertools import chain, count, repeat
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .engine import ALL_SCHEMA, CORE_SCHEMA, SCHEMAS, ReactionLexicon, ReactionSchema, get_schema
+from .engine import (
+    _BLOCK,
+    ALL_SCHEMA,
+    CORE_SCHEMA,
+    SCHEMAS,
+    ReactionLexicon,
+    ReactionSchema,
+    blocks,
+    get_schema,
+)
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -56,7 +67,8 @@ class ReactionCounts(
     """The seven reaction counts of a post, a tuple in ``ALL_SCHEMA`` order.
 
     The constructor rejects a count that is negative, not an int, or a bool.
-    ``_make`` does not check; ingest uses it for counts it has checked.
+    ``_make`` does not check, and neither does ``tuple.__new__``, which
+    ingest builds checked counts with.
     """
 
     __slots__ = ()
@@ -190,6 +202,12 @@ class _Quarantine:
             _warn("%d more malformed rows not shown", hidden)
 
 
+# A quoted CSV field still open after this many physical lines, or at the end
+# of the input, quarantines the line that opened it; reading resumes on the
+# line after that one.
+MAX_RECORD_LINES = 1000
+
+
 def load_corpus(
     source,
     format: str = "csv",
@@ -204,12 +222,52 @@ def load_corpus(
     problems (bad encoding, non-integer counts, short rows) are appended to
     ``errors`` and logged, and the stream continues.
     """
+    column_blocks = _read_blocks(source, format, schema_map, errors)
+    # ``_make`` of each type without its Python-level call: rows come checked and whole.
+    make_counts = partial(tuple.__new__, ReactionCounts)
+    make_record = partial(tuple.__new__, PostRecord)
+    return chain.from_iterable(
+        map(make_record, zip(messages, map(make_counts, counts), record_ids))
+        for messages, counts, record_ids in column_blocks
+    )
+
+
+def corpus_entries(
+    source,
+    format: str = "csv",
+    schema_map: dict[str, str] | None = None,
+    errors: list[MalformedRow] | None = None,
+) -> Iterator[tuple[list[str], tuple[int, ...]]]:
+    """Stream ``(message.split(), counts)`` per row that ``load_corpus`` would yield.
+
+    ``counts`` is a plain tuple of the seven counts in ``ALL_SCHEMA`` order.
+    Rows, checks and ``errors`` are ``load_corpus``'s; no record object is
+    built.  This is what ``train`` and ``eval`` read a cleaned corpus with.
+    """
+    column_blocks = _read_blocks(source, format, schema_map, errors)
+    return chain.from_iterable(
+        zip(map(str.split, messages), counts) for messages, counts, _ in column_blocks
+    )
+
+
+def _read_blocks(source, format, schema_map, errors):
+    """Blocks of good rows, each ``(messages, counts, record_ids)``, in file order.
+
+    A CSV block is checked as a whole by C-level passes; one that fails any
+    check is checked again one row at a time, so every malformed row keeps
+    its line, reason and order.  JSONL lines are checked one at a time.  The
+    CSV header is read (and checked) before this returns.
+    """
     mapping = {**DEFAULT_SCHEMA_MAP, **(schema_map or {})}
     if format == "csv":
         stream, should_close = _open_text(source, newline="")
-        reader = csv.reader(stream)
+        lines = _Lines(stream)
+        reader = csv.reader(lines)
         try:
-            columns = {name: idx for idx, name in enumerate(next(reader))}
+            header = next(reader)
+            if lines.open_at_end:
+                raise csv.Error(_OPEN_AT_END)
+            columns = {name: idx for idx, name in enumerate(header)}
             for field_name in DEFAULT_SCHEMA_MAP:
                 if mapping[field_name] not in columns:
                     raise SchemaMismatch(f"missing column {mapping[field_name]!r} in CSV header")
@@ -223,10 +281,11 @@ def load_corpus(
             raise
         indices = [columns[mapping[name]] for name in DEFAULT_SCHEMA_MAP]
         id_index = columns.get(mapping["id"]) if "id" in mapping else None
-        return _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors)
+        csv_rows = _CsvRows(lines, reader, mapping, indices, id_index, _Quarantine(errors))
+        return csv_rows.blocks(should_close)
     if format == "jsonl":
         stream, should_close = _open_text(source)
-        return _iter_jsonl(stream, should_close, mapping, errors)
+        return _jsonl_blocks(stream, should_close, mapping, _Quarantine(errors))
     raise ValueError(f"unknown corpus format {format!r}")
 
 
@@ -244,104 +303,254 @@ def _count_error(texts, columns) -> str:
     raise AssertionError(f"no bad count among {texts!r}")
 
 
-def _iter_csv(reader, stream, should_close, mapping, indices, id_index, errors):
-    """Records of CSV rows; ``indices`` are the message and count columns."""
-    bad = _Quarantine(errors)
-    message_index = indices[0]
-    count_texts = itemgetter(*indices[1:])
-    count_columns = [mapping[name] for name in ALL_SCHEMA.reactions]
-    needed = max(indices)
-    make_counts = ReactionCounts._make
-    try:
-        while True:
-            try:
-                row = next(reader)
-            except StopIteration:
-                break
-            except csv.Error as exc:
-                # e.g. a field over csv.field_size_limit(); the reader
-                # resumes at the next line.
-                bad.add(reader.line_num, str(exc))
-                continue
-            line = reader.line_num
+_OPEN_AT_END = "quoted field still open at end of input"
+
+
+class _OpenQuote(csv.Error):
+    """A CSV record reached MAX_RECORD_LINES lines inside a quoted field."""
+
+
+class _Lines:
+    """The physical lines of a CSV stream, for a ``csv.reader`` that reads the
+    header, or one record, a line at a time.
+
+    Lines on ``queue`` come before the rest of ``stream``.  ``line`` is the
+    number of the last line handed out.  ``record`` holds the raw lines of
+    the record being read: only a quoted field spans lines, and its text
+    cannot give them back (``""`` reads as ``"``).  ``open_at_end`` is set
+    when the stream ends inside a record.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.queue: deque[str] = deque()
+        self.line = 0
+        self.record: list[str] = []
+        self.open_at_end = False
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> str:
+        if len(self.record) >= MAX_RECORD_LINES:
+            raise _OpenQuote(f"quoted field not closed within {MAX_RECORD_LINES} lines")
+        if self.queue:
+            text = self.queue.popleft()
+        else:
+            text = next(self.stream, None)
+            if text is None:
+                self.open_at_end = bool(self.record)
+                raise StopIteration
+        self.line += 1
+        self.record.append(text)
+        return text
+
+    def reopen(self) -> int:
+        """Queue all but the first line of the open record again; return that line's number."""
+        first = self.line - len(self.record) + 1
+        self.queue.extendleft(reversed(self.record[1:]))
+        self.line = first
+        self.record = []
+        self.open_at_end = False
+        return first
+
+
+class _CsvRows:
+    """Good CSV rows, a block of columns at a time; ``indices`` are the message and count columns."""
+
+    def __init__(self, lines: _Lines, reader, mapping, indices, id_index, bad):
+        self.lines, self.reader, self.bad = lines, reader, bad
+        self.message = itemgetter(indices[0])
+        self.count_texts = itemgetter(*indices[1:])
+        self.count_columns = [mapping[name] for name in ALL_SCHEMA.reactions]
+        self.needed = max(indices)
+        self.id_index = id_index
+        # A block whose rows all have the id column takes it with one itemgetter.
+        self.width = self.needed if id_index is None else max(self.needed, id_index)
+
+    def blocks(self, should_close):
+        """``(messages, counts, record_ids)`` per block, in file order.
+
+        The records whole within a block of lines are parsed together.  The
+        record after them, one the parser rejects or one still open at the
+        end of the block, is read a line at a time; the block's lines after
+        it are parsed together again.
+        """
+        lines = self.lines
+        queue = lines.queue
+        try:
+            for block in blocks(lines.stream):
+                while block:
+                    ends, rows = self.parse(block)
+                    good = self.columns(list(filter(None, rows)))
+                    if good is None:
+                        good = self.checked(zip(map(lines.line.__add__, ends), rows))
+                    used = ends[-1] if ends else 0
+                    lines.line += used
+                    yield good
+                    if used < len(block):
+                        queue.extend(block[used:])
+                        yield self.checked(self.record())
+                    block = [queue.popleft() for _ in range(min(len(queue), _BLOCK))]
+        finally:
+            self.bad.close()
+            if should_close:
+                lines.stream.close()
+
+    @staticmethod
+    def parse(block: list[str]):
+        """``(ends, rows)`` of the records whole within ``block``.
+
+        ``ends`` holds each record's last line, counted from 1 at the
+        block's first line.  Parsing stops before a record that the parser rejects or that is
+        still open at the last line.  ``_BLOCK`` is below
+        ``MAX_RECORD_LINES``, so a whole record is within the bound.
+        """
+        block.append("\n")  # absorbed by a quoted field still open at the last line
+        ends, rows = [], []
+        reader = csv.reader(block)
+        with suppress(csv.Error):
+            for row in reader:
+                end = reader.line_num
+                if end == len(block):
+                    break
+                ends.append(end)
+                rows.append(row)
+        block.pop()
+        return ends, rows
+
+    def columns(self, rows):
+        """The columns of non-blank rows if every one is good, else None."""
+        if not rows:
+            return [], [], []
+        if min(map(len, rows)) <= self.width:
+            return None
+        messages = list(map(self.message, rows))
+        try:
+            flat = list(map(int, chain.from_iterable(map(self.count_texts, rows))))
+        except ValueError:
+            return None
+        if min(flat) < 0 or _has_surrogates("".join(messages)):
+            return None
+        counts = list(zip(*[iter(flat)] * ALL_SCHEMA.size))
+        if self.id_index is None:
+            return messages, counts, repeat(None)
+        return messages, counts, list(map(itemgetter(self.id_index), rows))
+
+    def record(self):
+        """The next record as one ``(line, row)`` pair, read a line at a time; none if quarantined."""
+        lines, bad = self.lines, self.bad
+        lines.record = []
+        try:
+            row = next(self.reader)
+        except _OpenQuote as exc:
+            bad.add(lines.reopen(), str(exc))
+            return
+        except csv.Error as exc:
+            # e.g. a field over csv.field_size_limit(); the reader
+            # resumes at the next line.
+            bad.add(lines.line, str(exc))
+            return
+        if lines.open_at_end:
+            bad.add(lines.reopen(), _OPEN_AT_END)
+            return
+        yield lines.line, row
+
+    def checked(self, numbered_rows):
+        """The good rows among ``(line, row)`` pairs, checked one at a time."""
+        bad, needed, id_index = self.bad, self.needed, self.id_index
+        message_of, count_texts = self.message, self.count_texts
+        messages, counts, record_ids = [], [], []
+        for line, row in numbered_rows:
             if not row:
                 continue
             if len(row) <= needed:
                 bad.add(line, f"expected at least {needed + 1} fields, got {len(row)}")
                 continue
-            message = row[message_index]
+            message = message_of(row)
             if _has_surrogates(message):
                 bad.add(line, "message column: invalid UTF-8 bytes")
                 continue
             texts = count_texts(row)
             try:
-                counts = make_counts(map(int, texts))
+                values = tuple(map(int, texts))
             except ValueError:
-                counts = None
-            if counts is None or min(counts) < 0:
-                bad.add(line, _count_error(texts, count_columns))
+                values = None
+            if values is None or min(values) < 0:
+                bad.add(line, _count_error(texts, self.count_columns))
                 continue
-            record_id = row[id_index] if id_index is not None and id_index < len(row) else None
-            yield PostRecord(message, counts, record_id)
+            messages.append(message)
+            counts.append(values)
+            record_ids.append(row[id_index] if id_index is not None and id_index < len(row) else None)
+        return messages, counts, record_ids
+
+
+def _jsonl_blocks(stream, should_close, mapping, bad):
+    """``(messages, counts, record_ids)`` per block of lines, in file order."""
+    keys = (mapping["message"], tuple(mapping[name] for name in ALL_SCHEMA.reactions),
+            mapping.get("id"))
+    start = 0
+    try:
+        for lines in blocks(stream):
+            yield _jsonl_checked(lines, start, keys, bad)
+            start += len(lines)
     finally:
         bad.close()
         if should_close:
             stream.close()
 
 
-def _iter_jsonl(stream, should_close, mapping, errors):
-    bad = _Quarantine(errors)
-    try:
-        for line_num, line in enumerate(stream, 1):
-            line = line.strip()
-            if not line:
-                continue
-            if _has_surrogates(line):
-                bad.add(line_num, "invalid UTF-8 bytes")
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # JSONDecodeError, an integer over the int digit limit, or
-                # nesting too deep for the parser.
-                bad.add(line_num, f"bad JSON: {exc}")
-                continue
-            if not isinstance(obj, dict):
-                bad.add(line_num, "JSONL row is not an object")
-                continue
-            try:
-                column = mapping["message"]
+def _jsonl_checked(lines, start, keys, bad):
+    """The good rows of ``lines``, which follow line ``start``, checked one at a time."""
+    message_key, count_keys, id_key = keys
+    messages, counts, record_ids = [], [], []
+    for line_num, line in enumerate(lines, start + 1):
+        line = line.strip()
+        if not line:
+            continue
+        if _has_surrogates(line):
+            bad.add(line_num, "invalid UTF-8 bytes")
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, an integer over the int digit limit, or
+            # nesting too deep for the parser.
+            bad.add(line_num, f"bad JSON: {exc}")
+            continue
+        if not isinstance(obj, dict):
+            bad.add(line_num, "JSONL row is not an object")
+            continue
+        try:
+            if message_key not in obj:
+                raise ValueError(f"missing key {message_key!r}")
+            message = obj[message_key]
+            if not isinstance(message, str):
+                raise ValueError(f"key {message_key!r} is not a string")
+            if _has_surrogates(message):
+                raise ValueError(f"key {message_key!r}: lone surrogate")
+            values = []
+            for column in count_keys:
                 if column not in obj:
                     raise ValueError(f"missing key {column!r}")
-                message = obj[column]
-                if not isinstance(message, str):
-                    raise ValueError(f"key {column!r} is not a string")
-                if _has_surrogates(message):
-                    raise ValueError(f"key {column!r}: lone surrogate")
-                values = []
-                for name in ALL_SCHEMA.reactions:
-                    column = mapping[name]
-                    if column not in obj:
-                        raise ValueError(f"missing key {column!r}")
-                    value = obj[column]
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ValueError(f"key {column!r}: {value!r} is not an integer")
-                    if value < 0:
-                        raise ValueError(f"key {column!r}: negative count {value}")
-                    values.append(value)
-                record_id = None
-                if "id" in mapping and mapping["id"] in obj:
-                    record_id = str(obj[mapping["id"]])
-                    if _has_surrogates(record_id):
-                        raise ValueError(f"key {mapping['id']!r}: lone surrogate")
-            except ValueError as exc:
-                bad.add(line_num, str(exc))
-                continue
-            yield PostRecord(message, ReactionCounts._make(values), record_id)
-    finally:
-        bad.close()
-        if should_close:
-            stream.close()
+                value = obj[column]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"key {column!r}: {value!r} is not an integer")
+                if value < 0:
+                    raise ValueError(f"key {column!r}: negative count {value}")
+                values.append(value)
+            record_id = None
+            if id_key is not None and id_key in obj:
+                record_id = str(obj[id_key])
+                if _has_surrogates(record_id):
+                    raise ValueError(f"key {id_key!r}: lone surrogate")
+        except ValueError as exc:
+            bad.add(line_num, str(exc))
+            continue
+        messages.append(message)
+        counts.append(tuple(values))
+        record_ids.append(record_id)
+    return messages, counts, record_ids
 
 
 def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int:

@@ -14,7 +14,7 @@ distributions) and the 4-component star-sentiment vectors (not unit-sum).
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import islice
+from itertools import compress, islice
 from operator import itemgetter, truediv
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -77,13 +77,33 @@ def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
     mass lies entirely outside the schema raises ZeroReactionTotal and must
     be excluded from training and evaluation.
     """
-    raw = _PROJECTIONS[schema.name](counts)
-    total = sum(raw)
-    if total <= 0:
+    kept, columns = normalize_columns([counts], schema)
+    if kept is not None:
         raise ZeroReactionTotal(
             f"no positive count among schema {schema.name!r} reactions"
         )
-    return tuple(n / total for n in raw)
+    return tuple(column[0] for column in columns)
+
+
+def normalize_columns(counts: Sequence, schema: ReactionSchema):
+    """``normalize`` of a block of counts: ``(kept, columns)`` as ``divide_columns`` gives."""
+    raw = list(map(_PROJECTIONS[schema.name], counts))
+    return divide_columns(list(zip(*raw)), list(map(sum, raw)))
+
+
+def divide_columns(parts: Sequence[Sequence], totals: Sequence):
+    """Each column of ``parts`` over ``totals``, for the entries whose total is positive.
+
+    Returns ``(kept, columns)``: ``kept`` is None when every total is
+    positive, else one bool per entry (False for a dropped one), and
+    ``columns`` holds one list per part.
+    """
+    kept = None
+    if min(totals) <= 0:
+        kept = [total > 0 for total in totals]
+        parts = [list(compress(part, kept)) for part in parts]
+        totals = list(compress(totals, kept))
+    return kept, [list(map(truediv, part, totals)) for part in parts]
 
 
 _BLOCK = 512  # entries per block of the fold and the eval scorer, chosen by measurement

@@ -27,11 +27,18 @@ import json
 import math
 import random
 from collections import Counter, namedtuple
+from itertools import compress
 from typing import Iterable
 
-from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, normalize
-from .errors import DegenerateRange, EmptySide, ZeroReactionTotal
-from .star import discretize_star, gaussian_similarity, star_columns, star_normalize, star_range
+from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, normalize_columns
+from .errors import DegenerateRange, EmptySide
+from .star import (
+    discretize_star,
+    gaussian_similarity,
+    star_columns,
+    star_normalize_columns,
+    star_range,
+)
 
 METRICS = ("accuracy", "recall", "precision", "f1")
 STAR_ROWS = ("positive", "negative", "star_rating")
@@ -104,21 +111,41 @@ def prepare(
 ):
     """Yield (word_ids, base) per entry in order, dropping zero-total ones.
 
-    Each distinct word becomes its id in ``ids``; a word seen for the first
-    time gets the next free id.  ``base`` is the distribution for core/all,
-    the (positive, negative) masses for star.  Entries dropped for a zero
-    total are counted in ``tally["excluded"]`` when a tally is given.
+    ``words`` is any iterable of strings; ``counts`` seven counts in
+    ``ALL_SCHEMA`` order.  Each distinct word becomes its id in ``ids``; a
+    word seen for the first time gets the next free id.  ``base`` is the
+    distribution for core/all, the (positive, negative) masses for star.
+    Entries dropped for a zero total are counted in ``tally["excluded"]``
+    when a tally is given.
+
+    Entries are taken a block at a time.  A block's bases come from
+    ``normalize_columns`` or ``star_normalize_columns``; an entry's ids come
+    from one C-level lookup, and only an entry with a new word assigns ids,
+    in word order.
     """
     schema = model_schema(model)
-    star = model == "star"
-    for words, counts in entries:
-        try:
-            base = star_normalize(counts) if star else normalize(counts, schema)
-        except ZeroReactionTotal:
+    known = ids.__getitem__
+    for block in blocks(entries):
+        word_lists, counts = zip(*block)
+        if model == "star":
+            kept, columns = star_normalize_columns(counts)
+        else:
+            kept, columns = normalize_columns(counts, schema)
+        if not {list, tuple}.issuperset(map(type, word_lists)):
+            # An entry's words may be read twice below, which an iterator cannot be.
+            word_lists = list(map(list, word_lists))
+        if kept is not None:
             if tally is not None:
-                tally["excluded"] += 1
-            continue
-        yield tuple({ids.setdefault(w, len(ids)) for w in words}), base
+                tally["excluded"] += kept.count(False)
+            word_lists = list(compress(word_lists, kept))
+        id_lists = []
+        for words in word_lists:
+            try:
+                word_ids = set(map(known, words))
+            except KeyError:
+                word_ids = {ids.setdefault(w, len(ids)) for w in words}
+            id_lists.append(tuple(word_ids))
+        yield from zip(id_lists, zip(*columns))
 
 
 def fit(prepared, model: str, ids: dict):

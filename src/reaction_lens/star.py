@@ -12,8 +12,10 @@ snapped to the nearest 0.5 bin.  The resulting 4-component vectors
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable, Sequence
 
+from .engine import divide_columns
 from .errors import DegenerateRange, ZeroReactionTotal
 
 POLARITY = {
@@ -36,11 +38,21 @@ def star_normalize(counts) -> tuple[float, float]:
 
     ``counts`` is a ``ReactionCounts`` or any 7-sequence in ``ALL_SCHEMA`` order.
     """
-    _, love, wow, _, sad, angry, _ = counts
-    total = love + wow + sad + angry
-    if total <= 0:
+    kept, (positive, negative) = star_normalize_columns([counts])
+    if kept is not None:
         raise ZeroReactionTotal("no positive count among love/wow/sad/angry")
-    return (love + wow) / total, (sad + angry) / total
+    return positive[0], negative[0]
+
+
+def star_normalize_columns(counts: Sequence):
+    """``star_normalize`` of a block of counts: ``(kept, [positive, negative])``.
+
+    ``kept`` is as ``engine.divide_columns`` gives it.
+    """
+    _, love, wow, _, sad, angry, _ = zip(*counts)
+    positive = list(map(add, love, wow))
+    totals = list(map(add, map(add, positive, sad), angry))
+    return divide_columns([positive, list(map(add, sad, angry))], totals)
 
 
 def star_scale(aggregate: float, corpus_min: float, corpus_max: float) -> float:

@@ -5,12 +5,14 @@ deliberately ignoring the library's incremental/streaming code paths.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
+import logging
 import random
 from dataclasses import asdict
 
-from reaction_lens.errors import CorruptArtifact, EmptySide
+from reaction_lens.errors import CorruptArtifact, EmptySide, SchemaMismatch
 
 
 def split(corpus, train_fraction, seed):
@@ -325,3 +327,221 @@ def oracle_load_entries(body, schema):
             raise CorruptArtifact(f"unparseable entry line: {line!r}") from None
         entries[word] = (vector, count)
     return entries
+
+
+class _Ledger:
+    """Malformed rows as the corpus reader reports them: every one to
+    ``errors`` (if given), the first five logged one by one, then a count."""
+
+    def __init__(self, errors):
+        self.errors = errors
+        self.count = 0
+        self.log = logging.getLogger("reaction_lens.corpus_io")
+
+    def add(self, line, reason):
+        from reaction_lens.corpus_io import LOGGED_MALFORMED_ROWS, MalformedRow
+
+        self.count += 1
+        if self.count <= LOGGED_MALFORMED_ROWS:
+            self.log.warning("skipping malformed row at line %d: %s", line, reason)
+        if self.errors is not None:
+            self.errors.append(MalformedRow(line, reason))
+
+    def close(self):
+        from reaction_lens.corpus_io import LOGGED_MALFORMED_ROWS
+
+        if self.count > LOGGED_MALFORMED_ROWS:
+            self.log.warning("%d more malformed rows not shown", self.count - LOGGED_MALFORMED_ROWS)
+
+
+class _TooManyLines(Exception):
+    pass
+
+
+def _oracle_csv_record(lines, start):
+    """One CSV record read by a fresh ``csv.reader`` from ``lines[start:]``.
+
+    Returns ``(kind, value, lines_used)``: ``("row", row, n)``,
+    ``("error", message, n)`` for a ``csv.Error`` at the ``n``-th line,
+    ``("open", message, 1)`` for a quoted field still open after
+    ``MAX_RECORD_LINES`` lines or at the end, or ``("end", None, 0)``.
+    """
+    from reaction_lens.corpus_io import MAX_RECORD_LINES
+
+    used = [0, False]  # lines handed out, asked past the last line
+
+    def feed():
+        for j in range(start, len(lines)):
+            if used[0] == MAX_RECORD_LINES:
+                raise _TooManyLines
+            used[0] += 1
+            yield lines[j]
+        used[1] = True
+
+    try:
+        row = next(csv.reader(feed()))
+    except StopIteration:
+        return "end", None, 0
+    except _TooManyLines:
+        return "open", f"quoted field not closed within {MAX_RECORD_LINES} lines", 1
+    except csv.Error as exc:
+        return "error", str(exc), used[0]
+    if used[1] and used[0]:
+        return "open", "quoted field still open at end of input", 1
+    return "row", row, used[0]
+
+
+def _has_lone_surrogate(text):
+    return any(0xD800 <= ord(c) <= 0xDFFF for c in text)
+
+
+def _oracle_count_error(texts, columns):
+    """Why count fields failed: the first bad column, in column order."""
+    for text, column in zip(texts, columns):
+        if _has_lone_surrogate(text):
+            return f"column {column!r}: invalid UTF-8 bytes"
+        try:
+            value = int(text)
+        except ValueError:
+            return f"column {column!r}: {text!r} is not an integer"
+        if value < 0:
+            return f"column {column!r}: negative count {value}"
+    raise AssertionError(f"no bad count among {texts!r}")
+
+
+def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
+    """The corpus readers one row at a time, as a list of PostRecords.
+
+    ``source`` is a binary file or a path.  CSV records are read one at a
+    time, each by a fresh ``csv.reader`` from the line after the last
+    record: a ``csv.Error`` quarantines the line it stopped on, and a quoted
+    field still open after ``MAX_RECORD_LINES`` lines or at the end of the
+    input quarantines its opening line, with reading resumed on the line
+    after it.  A row's line is its last line.  JSONL is read line by line.
+    """
+    from reaction_lens.corpus_io import DEFAULT_SCHEMA_MAP, PostRecord, ReactionCounts
+    from reaction_lens.engine import ALL_SCHEMA
+
+    if not hasattr(source, "read"):
+        source = open(source, "rb")
+    with io.TextIOWrapper(source, encoding="utf-8-sig", errors="surrogateescape",
+                          newline="" if format == "csv" else None) as text:
+        lines = list(text)
+    mapping = {**DEFAULT_SCHEMA_MAP, **(schema_map or {})}
+    ledger = _Ledger(errors)
+    records = []
+    if format == "csv":
+        kind, header, used = _oracle_csv_record(lines, 0)
+        if kind == "end":
+            return []
+        if kind != "row":
+            raise SchemaMismatch(f"unreadable CSV header: {header}")
+        columns = {name: idx for idx, name in enumerate(header)}
+        for field_name in DEFAULT_SCHEMA_MAP:
+            if mapping[field_name] not in columns:
+                raise SchemaMismatch(f"missing column {mapping[field_name]!r} in CSV header")
+        indices = [columns[mapping[name]] for name in DEFAULT_SCHEMA_MAP]
+        id_index = columns.get(mapping["id"]) if "id" in mapping else None
+        count_columns = [mapping[name] for name in ALL_SCHEMA.reactions]
+        needed = max(indices)
+        start = used
+        while True:
+            kind, row, used = _oracle_csv_record(lines, start)
+            if kind == "end":
+                break
+            line = start + used
+            start += used
+            if kind != "row":
+                ledger.add(line, row)
+                continue
+            if not row:
+                continue
+            if len(row) <= needed:
+                ledger.add(line, f"expected at least {needed + 1} fields, got {len(row)}")
+                continue
+            message = row[indices[0]]
+            if _has_lone_surrogate(message):
+                ledger.add(line, "message column: invalid UTF-8 bytes")
+                continue
+            texts = [row[i] for i in indices[1:]]
+            try:
+                values = [int(t) for t in texts]
+            except ValueError:
+                values = None
+            if values is None or min(values) < 0:
+                ledger.add(line, _oracle_count_error(texts, count_columns))
+                continue
+            record_id = row[id_index] if id_index is not None and id_index < len(row) else None
+            records.append(PostRecord(message, ReactionCounts(*values), record_id))
+    elif format == "jsonl":
+        for line_num, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if _has_lone_surrogate(line):
+                ledger.add(line_num, "invalid UTF-8 bytes")
+                continue
+            try:
+                obj = json.loads(line)
+            except (ValueError, RecursionError) as exc:
+                ledger.add(line_num, f"bad JSON: {exc}")
+                continue
+            if not isinstance(obj, dict):
+                ledger.add(line_num, "JSONL row is not an object")
+                continue
+            try:
+                column = mapping["message"]
+                if column not in obj:
+                    raise ValueError(f"missing key {column!r}")
+                message = obj[column]
+                if not isinstance(message, str):
+                    raise ValueError(f"key {column!r} is not a string")
+                if _has_lone_surrogate(message):
+                    raise ValueError(f"key {column!r}: lone surrogate")
+                values = []
+                for name in ALL_SCHEMA.reactions:
+                    column = mapping[name]
+                    if column not in obj:
+                        raise ValueError(f"missing key {column!r}")
+                    value = obj[column]
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise ValueError(f"key {column!r}: {value!r} is not an integer")
+                    if value < 0:
+                        raise ValueError(f"key {column!r}: negative count {value}")
+                    values.append(value)
+                record_id = None
+                if "id" in mapping and mapping["id"] in obj:
+                    record_id = str(obj[mapping["id"]])
+                    if _has_lone_surrogate(record_id):
+                        raise ValueError(f"key {mapping['id']!r}: lone surrogate")
+            except ValueError as exc:
+                ledger.add(line_num, str(exc))
+                continue
+            records.append(PostRecord(message, ReactionCounts(*values), record_id))
+    else:
+        raise ValueError(f"unknown corpus format {format!r}")
+    ledger.close()
+    return records
+
+
+def oracle_prepare(entries, model, ids, tally=None):
+    """(word_ids, base) per entry, one entry at a time: the base as the
+    per-entry ``normalize`` or ``star_normalize`` computed it (a zero total
+    drops the entry before its words get ids), then each word's id by
+    ``setdefault``, in word order."""
+    from reaction_lens.engine import ALL_SCHEMA, get_schema
+
+    for words, counts in entries:
+        if model == "star":
+            _, love, wow, _, sad, angry, _ = counts
+            total = love + wow + sad + angry
+            base = ((love + wow) / total, (sad + angry) / total) if total > 0 else None
+        else:
+            raw = [counts[ALL_SCHEMA.reactions.index(name)] for name in get_schema(model).reactions]
+            total = sum(raw)
+            base = tuple(n / total for n in raw) if total > 0 else None
+        if base is None:
+            if tally is not None:
+                tally["excluded"] += 1
+            continue
+        yield tuple({ids.setdefault(w, len(ids)) for w in words}), base

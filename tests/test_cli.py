@@ -254,6 +254,18 @@ class TestStatsCommand:
         path.write_text("message,like\nx,1\n", encoding="utf-8")
         assert main(["stats", "--input", str(path)]) == EXIT_SCHEMA
 
+    def test_unterminated_quote_costs_one_row(self, tmp_path, capsys):
+        path = tmp_path / "open.csv"
+        path.write_text(
+            HEADER + '"bad row,1,1,1,1,1,1,0\ngood,1,2,0,0,0,0,0\nalso good,0,1,1,0,0,0,0\n',
+            encoding="utf-8",
+        )
+        out_json = tmp_path / "stats.json"
+        assert main(["stats", "--input", str(path), "--output", str(out_json)]) == EXIT_OK
+        assert "rows: 2   (malformed skipped: 1)" in capsys.readouterr().out
+        payload = json.loads(out_json.read_text(encoding="utf-8"))
+        assert payload["totals"]["love"] == 3
+
     def test_count_beyond_float_range_exits_ok(self, tmp_path, capsys):
         # 10**400 is a valid count but has no float value; the percentages
         # are still finite.

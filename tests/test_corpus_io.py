@@ -5,19 +5,21 @@ import json
 import logging
 import random
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_entries
+from oracles import oracle_load_corpus, oracle_load_entries
 from reaction_lens import corpus_io
 from reaction_lens.corpus_io import (
     MalformedRow,
     PostRecord,
     ReactionCounts,
     atomic_write,
+    corpus_entries,
     corpus_stats,
     load_corpus,
     load_lexicon,
@@ -25,6 +27,7 @@ from reaction_lens.corpus_io import (
     save_lexicon,
 )
 from reaction_lens.engine import (
+    _BLOCK,
     ALL_SCHEMA,
     CORE_SCHEMA,
     STAR_SCHEMA,
@@ -207,6 +210,38 @@ class TestLoadCsv:
         records = list(load_corpus(csv_source('"line1\nline2",1,0,0,0,0,0,0\n')))
         assert records[0].message == "line1\nline2"
 
+    def test_multiline_messages_up_to_the_bound_parse(self):
+        longest = "\n".join(f'part {i} ""q""' for i in range(corpus_io.MAX_RECORD_LINES))
+        body = f'"{longest}",1,0,0,0,0,0,0\n"a\r\nb",0,1,0,0,0,0,0\nc,0,0,1,0,0,0,0\n'
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(csv_source(body), errors=errors))
+        assert [r.message for r in records] == [longest.replace('""', '"'), "a\r\nb", "c"]
+        assert errors == []
+
+    def test_quote_open_at_end_quarantines_its_opening_line(self):
+        body = '"bad row,1,1,1,1,1,1,0\ngood,1,2,0,0,0,0,0\nalso good,0,1,1,0,0,0,0\n'
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(csv_source(body), errors=errors))
+        assert [r.message for r in records] == ["good", "also good"]
+        assert errors == [MalformedRow(2, "quoted field still open at end of input")]
+
+    def test_quote_open_past_the_bound_quarantines_its_opening_line(self):
+        lines = [f"w{i},1,0,0,0,0,0,0\n" for i in range(corpus_io.MAX_RECORD_LINES + 5)]
+        body = "first,1,0,0,0,0,0,0\n" + '"open,1,0,0,0,0,0,0\n' + "".join(lines) + '"x,1\nlast,1,0,0,0,0,0,0'
+        errors: list[MalformedRow] = []
+        records = list(load_corpus(csv_source(body), errors=errors))
+        assert [r.message for r in records] == ["first", *(f"w{i}" for i in range(len(lines))), "last"]
+        last_line = 3 + len(lines) + 1
+        assert errors == [
+            MalformedRow(3, f"quoted field not closed within {corpus_io.MAX_RECORD_LINES} lines"),
+            MalformedRow(last_line, "quoted field still open at end of input"),
+        ]
+
+    def test_quote_open_in_header_is_schema_mismatch(self):
+        source = io.BytesIO((HEADER.rstrip("\n") + ',"note\nx,1,0,0,0,0,0,0,y\n').encode("utf-8"))
+        with pytest.raises(SchemaMismatch, match="quoted field still open"):
+            load_corpus(source)
+
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(UnreadableSource):
             list(load_corpus(tmp_path / "missing.csv"))
@@ -381,6 +416,227 @@ class TestIngestMatchesConstructor:
         assert len(errors) == len(reasons)
         for error, prefix in zip(errors, reasons):
             assert error.reason.startswith(prefix), (error.reason, prefix)
+
+
+BLOCK = _BLOCK
+# Row positions at and around the first two block boundaries (the header is
+# read before the first block), and one mid-block.
+EDGE_ROWS = (0, 1, BLOCK // 2, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1)
+
+CSV_KINDS = (
+    "short", "not_int", "negative", "bad_bytes_message", "bad_bytes_count", "oversized",
+    "blank", "spaces", "multiline", "quoted", "no_id", "extra", "open_quote",
+)
+JSONL_KINDS = (
+    "blank", "not_object", "missing_key", "bool", "negative", "float", "string_count",
+    "escaped_surrogate", "escaped_surrogate_id", "bad_bytes", "bad_json", "int_id", "no_id",
+)
+
+
+@st.composite
+def layouts(draw, row_kinds):
+    """(rows, rng, {row: kind}): a kind or none at each edge row, a few more at random rows."""
+    n_rows = draw(st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]))
+    edges = draw(st.lists(st.sampled_from((None,) + row_kinds),
+                          min_size=len(EDGE_ROWS), max_size=len(EDGE_ROWS)))
+    kinds = {row: kind for row, kind in zip(EDGE_ROWS, edges) if kind and row < n_rows}
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    for _ in range(rng.randint(0, 3)):
+        kinds[rng.randrange(n_rows)] = rng.choice(row_kinds)
+    return n_rows, rng, kinds
+
+
+@contextmanager
+def logged_warnings():
+    """The messages ``reaction_lens.corpus_io`` logs inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("reaction_lens.corpus_io")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def csv_row(kind, rng, index):
+    """One CSV data row (a dict of logical field -> cell text) or raw text."""
+    message = " ".join(rng.choice(("ab", "c", "ශු", "x9")) for _ in range(rng.randint(1, 4)))
+    counts = [str(rng.randint(0, 9)) for _ in range(7)]
+    if kind == "quoted":
+        message += rng.choice((', "q"', ",", '"'))
+    elif kind == "multiline":
+        message += "\n" + rng.choice(("second", '"quoted" line', "\r\nthird"))
+    elif kind == "not_int":
+        counts[rng.randrange(7)] = rng.choice(("x", "1.5", ""))
+    elif kind == "negative":
+        counts[rng.randrange(7)] = rng.choice(("-1", "-3"))
+    elif kind == "bad_bytes_message":
+        message += chr(0xDCFF)
+    elif kind == "bad_bytes_count":
+        counts[rng.randrange(7)] = "1" + chr(0xDCC0)
+    elif kind == "oversized":
+        message = "y" * (csv.field_size_limit() + 1)
+    return {"message": message, **dict(zip(ALL_SCHEMA.reactions, counts)), "id": f"r{index}"}
+
+
+def csv_corpus(n_rows, rng, kinds, remap=False, terminator="\n", bom=False):
+    """(bytes, schema_map) of a CSV corpus with ``kinds[row]`` rows; ``remap``
+    renames and shuffles the columns and adds a last ``id`` column."""
+    fields = ["message", *ALL_SCHEMA.reactions]
+    order = fields[:]
+    if remap:
+        rng.shuffle(order)
+        fields.append("id")
+        order.append("id")  # last, so that a row can end before it
+    names = {f: (f"col_{f}" if remap else f) for f in fields}
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=terminator)
+    writer.writerow([names[f] for f in order])
+    for i in range(n_rows):
+        kind = kinds.get(i)
+        if kind == "blank":
+            out.write(terminator)
+        elif kind == "spaces":
+            out.write("  " + terminator)
+        elif kind == "open_quote":
+            out.write('"open row,1,1,1,1,1,1,0' + terminator)
+        else:
+            row = csv_row(kind, rng, i)
+            cells = [row[f] for f in order]
+            if kind == "short":
+                cells = cells[:rng.randint(1, len(cells) - 1)]
+            elif kind == "no_id" and remap:
+                cells.pop()
+            elif kind == "extra":
+                cells += ["extra", "cells"]
+            writer.writerow(cells)
+    data = out.getvalue().encode("utf-8", "surrogateescape")
+    return (b"\xef\xbb\xbf" if bom else b"") + data, ({f: names[f] for f in fields} if remap else None)
+
+
+@st.composite
+def csv_corpora(draw):
+    n_rows, rng, kinds = draw(layouts(CSV_KINDS))
+    return csv_corpus(n_rows, rng, kinds, draw(st.booleans()),
+                      draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans()))
+
+
+def jsonl_line(kind, rng, i):
+    obj = {
+        "message": " ".join(rng.choice(("ab", "c", "ශු")) for _ in range(rng.randint(1, 4))),
+        **{name: rng.randint(0, 9) for name in ALL_SCHEMA.reactions},
+        "id": f"r{i}",
+    }
+    name = rng.choice(ALL_SCHEMA.reactions)
+    if kind == "blank":
+        return "   "
+    if kind == "not_object":
+        return rng.choice(("[1, 2]", '"text"', "5", "null"))
+    if kind == "bad_json":
+        return '{"message": "x", "like": '
+    if kind == "missing_key":
+        del obj[rng.choice(("message", name))]
+    elif kind == "bool":
+        obj[name] = True
+    elif kind == "negative":
+        obj[name] = -1
+    elif kind == "float":
+        obj[name] = 1.0
+    elif kind == "string_count":
+        obj[name] = "3"
+    elif kind == "int_id":
+        obj["id"] = i
+    elif kind == "no_id":
+        del obj["id"]
+    line = json.dumps(obj, ensure_ascii=False)
+    if kind == "escaped_surrogate":
+        line = line.replace('"message": "', '"message": "\\udc80', 1)
+    elif kind == "escaped_surrogate_id":
+        line = line.replace('"id": "', '"id": "\\ud800', 1)
+    elif kind == "bad_bytes":
+        line = line.replace('"message": "', '"message": "\udcff', 1)
+    return line
+
+
+def jsonl_corpus(n_rows, rng, kinds, bom=False):
+    text = "".join(jsonl_line(kinds.get(i), rng, i) + "\n" for i in range(n_rows))
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8", "surrogateescape")
+
+
+@st.composite
+def jsonl_corpora(draw):
+    n_rows, rng, kinds = draw(layouts(JSONL_KINDS))
+    data = jsonl_corpus(n_rows, rng, kinds, draw(st.booleans()))
+    return data, draw(st.sampled_from([None, {"id": "id"}]))
+
+
+class TestBlockReaderMatchesOracle:
+    """The block readers give the per-row readers' records, malformed rows
+    (line, reason, order) and log lines, whichever blocks fail their checks."""
+
+    def check(self, data, schema_map, fmt):
+        errors, oracle_errors, entry_errors = [], [], []
+        with logged_warnings() as logged:
+            records = list(load_corpus(io.BytesIO(data), fmt, schema_map, errors))
+        with logged_warnings() as oracle_logged:
+            expected = oracle_load_corpus(io.BytesIO(data), fmt, schema_map, oracle_errors)
+        entries = list(corpus_entries(io.BytesIO(data), fmt, schema_map, entry_errors))
+        assert records == expected
+        assert all(type(r.reactions) is ReactionCounts for r in records)
+        assert errors == oracle_errors == entry_errors
+        assert logged == oracle_logged
+        assert entries == [(r.message.split(), tuple(r.reactions)) for r in expected]
+        assert all(type(counts) is tuple for _, counts in entries)
+
+    @settings(max_examples=60, deadline=None)
+    @given(csv_corpora())
+    def test_csv(self, corpus):
+        self.check(*corpus, "csv")
+
+    @settings(max_examples=60, deadline=None)
+    @given(jsonl_corpora())
+    def test_jsonl(self, corpus):
+        self.check(*corpus, "jsonl")
+
+    @pytest.mark.parametrize("kind", CSV_KINDS)
+    def test_csv_row_kind_alone_at_each_edge(self, kind):
+        for row in EDGE_ROWS:
+            corpus = csv_corpus(BLOCK + 2, random.Random(row), {row: kind}, remap=row % 2 == 1)
+            self.check(*corpus, "csv")
+
+    @pytest.mark.parametrize("kind", JSONL_KINDS)
+    def test_jsonl_row_kind_alone_at_each_edge(self, kind):
+        for row in EDGE_ROWS:
+            data = jsonl_corpus(BLOCK + 2, random.Random(row), {row: kind})
+            self.check(data, {"id": "id"} if row % 2 else None, "jsonl")
+
+    def test_dense_multiline_records_with_rows_that_stop_a_block(self):
+        # Whole multi-line records are parsed with their block; a record the
+        # parser rejects or one that crosses the block's end is read alone.
+        for stopper in ("oversized", "open_quote", "short"):
+            rng = random.Random(stopper)
+            kinds = {row: "multiline" for row in range(0, 3 * BLOCK, 7)}
+            kinds.update({BLOCK - 3: stopper, BLOCK + 40: stopper})
+            for row in (BLOCK - 1, 2 * BLOCK - 2):
+                kinds[row] = "multiline"
+            self.check(*csv_corpus(3 * BLOCK, rng, kinds, remap=True), "csv")
+
+    def test_whole_records_stay_within_the_line_bound(self):
+        assert _BLOCK < corpus_io.MAX_RECORD_LINES
+
+    def test_oversized_field_mid_block_and_bad_rows_at_block_edges(self):
+        rows = [f"m{i},1,0,0,0,0,0,0\n" for i in range(2 * BLOCK + 1)]
+        rows[0] = "first,x,0,0,0,0,0,0\n"
+        rows[BLOCK - 1] = "last,1,-1,0,0,0,0,0\n"
+        rows[BLOCK // 2] = "z" * (csv.field_size_limit() + 1) + ",1,0,0,0,0,0,0\n"
+        rows[BLOCK] = "short,1\n"
+        data = (HEADER + "".join(rows)).encode("utf-8")
+        self.check(data, None, "csv")
+        errors = []
+        list(load_corpus(io.BytesIO(data), errors=errors))
+        assert [e.line for e in errors] == [2, BLOCK // 2 + 2, BLOCK + 1, BLOCK + 2]
 
 
 class TestCorpusStats:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from reaction_lens.evaluation import (
     ExperimentConfig,
     _score,
     fit,
+    prepare,
     report_emit,
     run_experiment,
     split_label,
@@ -28,7 +30,7 @@ from reaction_lens.star import (
 )
 from reaction_lens.synth import SynthSpec, iter_rows
 
-from oracles import oracle_add_overlaps, oracle_score, split
+from oracles import oracle_add_overlaps, oracle_prepare, oracle_score, split
 
 
 def random_distribution(rng, k=5, allow_zero_components=True):
@@ -528,3 +530,37 @@ def test_score_equals_per_entry_oracle(seed, model, n_test, sigma):
             return star_vector(*base, *bounds)
 
     assert _score(test, fold, bounds, sigma) == oracle_score(test, fold, one_vector, sigma)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(["core", "all", "star"]),
+    n=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1]),
+    known_words=st.integers(0, 40),
+    words_as=st.sampled_from([list, tuple, iter]),
+)
+def test_prepare_equals_per_entry_oracle(seed, model, n, known_words, words_as):
+    # Same (word_ids, base) pairs bit for bit, same id order and the same
+    # exclusions.  Zero-total entries sit mid-block with a word no other
+    # entry has, which must get no id; the last entry of each block brings
+    # a word seen nowhere before.  ``ids`` may start with words in it.
+    # Words given as iterators are read once, like any other.
+    rng = random.Random(seed)
+    entries = [
+        ([f"w{rng.randrange(60)}" for _ in range(rng.randint(0, 6))], random_counts(rng))
+        for _ in range(n)
+    ]
+    for k in range(_BLOCK // 2, n, _BLOCK):
+        entries[k] = (["only_here", "w1"], ReactionCounts(like=3, haha=1))
+        entries[k - 1] = (["w2"], ReactionCounts(like=2))
+    for k in range(_BLOCK - 1, n, _BLOCK):
+        entries[k] = ([f"w{k % 7}", f"fresh{k}", f"fresh{k}"], random_counts(rng))
+    start = {f"w{i}": i for i in range(known_words)}
+    ids, oracle_ids = dict(start), dict(start)
+    tally, oracle_tally = Counter(), Counter()
+    got = list(prepare(((words_as(w), c) for w, c in entries), model, ids, tally))
+    want = list(oracle_prepare(iter(entries), model, oracle_ids, oracle_tally))
+    assert got == want
+    assert list(ids.items()) == list(oracle_ids.items())
+    assert tally["excluded"] == oracle_tally["excluded"]
