@@ -1,11 +1,13 @@
 """Command-line surface: clean, train, predict, eval, stats, synth.
 
-Every command is deterministic given its inputs and seed.  Each command
-that writes a primary output also writes ``<output>.manifest.json`` beside
-it: a run manifest with the configuration snapshot, input checksums, tool
-version, timestamps, and (for clean) per-step drop counts.  JSON reports
-and lexicon artifacts embed the manifest's run id; other formats rely on
-the sidecar naming convention.
+Every command is deterministic given its inputs and seed.  Each setting
+is one ``_SETTINGS`` entry, and its flag is declared from it; ``main`` gives
+each setting the command declares its value (flag, then config file, then
+default) before any input is read.  Each command that writes a primary
+output also writes ``<output>.manifest.json`` beside it through a ``_Run``:
+the configuration snapshot, input checksums, tool version, timestamps, and
+row accounting.  JSON reports and lexicon artifacts embed the run id; other
+formats rely on the sidecar naming convention.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data.
 
@@ -70,54 +72,52 @@ _DATA_ERRORS = (
 )
 
 
-def _sha256_file(path) -> tuple[str, int]:
-    digest = hashlib.sha256()
-    size = 0
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-            size += len(block)
-    return digest.hexdigest(), size
+def _now() -> str:
+    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
 
 
-def _make_manifest(command: str, config: dict, inputs: list, started: str) -> dict:
-    """The run manifest, a dict in the key order its JSON file keeps."""
-    described = []
-    for path in inputs:
-        # A pipe or device can be read only once, and the command needs it.
-        if stat.S_ISREG(os.stat(path).st_mode):
-            checksum, size = _sha256_file(path)
-        else:
-            checksum = size = None
-        described.append({"path": str(path), "sha256": checksum, "bytes": size})
-    run_id = hashlib.sha256(
-        json.dumps(
-            {"command": command, "config": config, "inputs": described},
-            sort_keys=True,
-        ).encode("utf-8")
-    ).hexdigest()[:16]
-    return {
-        "run_id": run_id,
-        "tool": f"reaction-lens {__version__}",
-        "command": command,
-        "created_at": started,
-        "finished_at": "",
-        "config": config,
-        "inputs": described,
-        "outputs": [],
-        "row_drops": None,
-    }
-
-
-def _finish_manifest(manifest: dict, outputs: list, row_drops=None) -> None:
-    manifest.update(finished_at=_now(), outputs=[str(p) for p in outputs], row_drops=row_drops)
-    with atomic_write(str(outputs[0]) + ".manifest.json") as fh:
-        json.dump(manifest, fh, indent=2)
+def _write_json(path, payload) -> None:
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+class _Run:
+    """A run manifest: the settings ``names`` of ``args`` (then ``extra``) and the
+    inputs' checksums, taken at the start; ``finish`` writes it beside the first output."""
+
+    def __init__(self, args, names, inputs=(), **extra):
+        self.started = _now()
+        self.command = args.command
+        self.config = {**{name: getattr(args, name) for name in names}, **extra}
+        self.inputs = []
+        for path in inputs:
+            checksum = size = None
+            # A pipe or device can be read only once, and the command needs it.
+            if stat.S_ISREG(os.stat(path).st_mode):
+                digest, size = hashlib.sha256(), 0
+                with open(path, "rb") as fh:
+                    for block in iter(lambda: fh.read(1 << 20), b""):
+                        digest.update(block)
+                        size += len(block)
+                checksum = digest.hexdigest()
+            self.inputs.append({"path": str(path), "sha256": checksum, "bytes": size})
+        key = json.dumps({"command": self.command, "config": self.config, "inputs": self.inputs},
+                         sort_keys=True)
+        self.id = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+
+    def finish(self, outputs, row_drops=None) -> None:
+        _write_json(str(outputs[0]) + ".manifest.json", {
+            "run_id": self.id,
+            "tool": f"reaction-lens {__version__}",
+            "command": self.command,
+            "created_at": self.started,
+            "finished_at": _now(),
+            "config": self.config,
+            "inputs": self.inputs,
+            "outputs": [str(p) for p in outputs],
+            "row_drops": row_drops,
+        })
 
 
 def _read_config_file(path) -> dict:
@@ -135,29 +135,13 @@ def _read_config_file(path) -> dict:
     return values
 
 
-_BOOL_STRINGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+def _parse_bool(value: str) -> bool:
+    if value.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected boolean, got {value!r}")
+    return value.lower() in ("1", "true", "yes")
 
 
-def _coerce(value: str, kind):
-    if kind is bool:
-        normalized = value.lower()
-        if normalized not in _BOOL_STRINGS:
-            raise ValueError(f"expected boolean, got {value!r}")
-        return _BOOL_STRINGS[normalized]
-    return kind(value)
-
-
-def _resolve(args, config: dict, dest: str, kind, default):
-    """Precedence: command-line flag, then config file, then default."""
-    value = getattr(args, dest, None)
-    if value is not None:
-        return value
-    if dest in config:
-        return _coerce(config[dest], kind)
-    return default
-
-
-def _parse_columns(spec: str | None) -> dict | None:
+def _parse_columns(spec: str) -> dict | None:
     if not spec:
         return None
     mapping = {}
@@ -184,6 +168,56 @@ def _parse_splits(spec: str) -> tuple[float, ...]:
     return tuple(fractions)
 
 
+def _parse_floats(spec: str) -> tuple[float, ...] | None:
+    return tuple(float(v) for v in spec.split(",")) if spec else None
+
+
+# Every setting a config file may give: name -> (parse, default).  A tuple
+# parse lists the allowed values.  argparse parses a flag's int, float and
+# choice values; every other string, from a flag or the config file, goes
+# through the parse in ``_settle``.
+_SETTINGS = {
+    "format": (("csv", "jsonl"), "csv"),
+    "columns": (_parse_columns, None),
+    "stopwords": (str, None),
+    "casefold_ascii": (_parse_bool, False),
+    "model": (MODELS, "core"),
+    "splits": (_parse_splits, "95,90,80,70,50"),
+    "runs": (int, 5),
+    "seed": (int, 0),
+    "sigma": (float, 1.0),
+    "report_format": (("json", "csv"), "json"),
+    "rows": (int, 10_000),
+    "vocab_size": (int, 2000),
+    "length_min": (int, 3),
+    "length_max": (int, 12),
+    "reaction_scale": (float, 20.0),
+    "like_dominance": (float, 0.95),
+    # Not SynthSpec's 0.8: the golden digests pin 0.35, perfbench set-up 0.8 (README).
+    "like_variability": (float, 0.35),
+    "affinity_concentration": (float, 0.5),
+    "affinity": (_parse_floats, None),
+    "thankful_rate": (float, 0.001),
+}
+
+
+def _settle(args, config: dict) -> None:
+    """Set each setting the command declares: its flag, else the config file, else the default."""
+    for name, (parse, default) in _SETTINGS.items():
+        if not hasattr(args, name):
+            continue
+        value = getattr(args, name)
+        if value is None:
+            value = config.get(name, default)
+        if isinstance(parse, tuple):
+            if value not in parse:
+                raise ValueError(f"{name.replace('_', '-')}: invalid choice {value!r} "
+                                 f"(choose from {', '.join(map(repr, parse))})")
+        elif isinstance(value, str):
+            value = parse(value)
+        setattr(args, name, value)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reaction-lens",
@@ -197,17 +231,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def setting(p, name, help=None):
+        parse = _SETTINGS[name][0]
+        kind = {}
+        if parse is _parse_bool:
+            kind["action"] = "store_true"
+        elif isinstance(parse, tuple):
+            kind["choices"] = parse
+        elif parse in (int, float):
+            kind["type"] = parse
+        p.add_argument("--" + name.replace("_", "-"), default=None, help=help, **kind)
+
     def add_corpus_flags(p, output_required=True):
         p.add_argument("--input", required=True, help="corpus file")
         if output_required:
             p.add_argument("--output", required=True, help="output path")
-        p.add_argument("--format", choices=("csv", "jsonl"), default=None)
-        p.add_argument("--columns", default=None, help="field=column[,field=column...]")
+        setting(p, "format")
+        setting(p, "columns", "field=column[,field=column...]")
 
     p = sub.add_parser("clean", help="clean messages, drop empty rows")
     add_corpus_flags(p)
-    p.add_argument("--stopwords", default=None, help="stopword file (one word per line)")
-    p.add_argument("--casefold-ascii", action="store_true", default=None)
+    setting(p, "stopwords", "stopword file (one word per line)")
+    setting(p, "casefold_ascii")
 
     p = sub.add_parser("stats", help="per-reaction totals and percentages")
     add_corpus_flags(p, output_required=False)
@@ -215,72 +260,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="build a lexicon from a cleaned corpus")
     add_corpus_flags(p)
-    p.add_argument("--model", choices=MODELS, default=None)
+    setting(p, "model")
 
     p = sub.add_parser("predict", help="predict vectors for messages, one per line")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--input", default="-", help="message file, '-' for stdin")
     p.add_argument("--output", default="-", help="output file, '-' for stdout")
-    p.add_argument("--stopwords", default=None)
+    setting(p, "stopwords")
+    setting(p, "casefold_ascii")
 
     p = sub.add_parser("eval", help="multi-split evaluation of one model")
     add_corpus_flags(p)
-    p.add_argument("--model", choices=MODELS, default=None)
-    p.add_argument("--splits", default=None, help="train percents, e.g. 95,90,80,70,50")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--report-format", choices=("json", "csv"), default=None)
+    setting(p, "model")
+    setting(p, "splits", "train percents, e.g. 95,90,80,70,50")
+    for name in ("runs", "seed", "sigma", "report_format"):
+        setting(p, name)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known affinities")
     p.add_argument("--output", required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default=None)
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--vocab-size", type=int, default=None)
-    p.add_argument("--length-min", type=int, default=None)
-    p.add_argument("--length-max", type=int, default=None)
-    p.add_argument("--reaction-scale", type=float, default=None)
-    p.add_argument("--like-dominance", type=float, default=None)
-    p.add_argument("--like-variability", type=float, default=None)
-    p.add_argument("--affinity-concentration", type=float, default=None)
-    p.add_argument("--affinity", default=None, help="fixed affinity, e.g. 1,0,0,0,0")
-    p.add_argument("--thankful-rate", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    for name in ("format", "rows", "vocab_size", "length_min", "length_max", "reaction_scale",
+                 "like_dominance", "like_variability", "affinity_concentration"):
+        setting(p, name)
+    setting(p, "affinity", "fixed affinity, e.g. 1,0,0,0,0")
+    setting(p, "thankful_rate")
+    setting(p, "seed")
     return parser
 
 
-def _clean_config(args, config):
+def _clean_config(args):
     from .cleaning import CleanConfig, read_stopwords
 
-    stopword_path = _resolve(args, config, "stopwords", str, None)
-    stopwords = read_stopwords(stopword_path) if stopword_path else frozenset()
-    return CleanConfig(
-        stopwords=stopwords,
-        casefold_ascii=_resolve(args, config, "casefold_ascii", bool, False),
-    )
+    stopwords = read_stopwords(args.stopwords) if args.stopwords else frozenset()
+    return CleanConfig(stopwords=stopwords, casefold_ascii=args.casefold_ascii)
 
 
-def _cmd_clean(args, config) -> int:
+def _cmd_clean(args) -> int:
     from .cleaning import CleanStats, clean_message
     from .star import POLAR_REACTIONS
 
-    clean_config = _clean_config(args, config)
-    corpus_format = _resolve(args, config, "format", str, "csv")
-    columns = _parse_columns(_resolve(args, config, "columns", str, None))
-    started = _now()
-    manifest = _make_manifest(
-        "clean",
-        {
-            "input": args.input,
-            "output": args.output,
-            "format": corpus_format,
-            "stopwords": _resolve(args, config, "stopwords", str, None),
-            "casefold_ascii": clean_config.casefold_ascii,
-            "columns": columns,
-        },
-        [args.input],
-        started,
-    )
+    clean_config = _clean_config(args)
+    run = _Run(args, ("input", "output", "format", "stopwords", "casefold_ascii", "columns"),
+               [args.input])
     errors: list[MalformedRow] = []
     clean_stats = CleanStats()
     tally: Counter = Counter()
@@ -299,8 +319,8 @@ def _cmd_clean(args, config) -> int:
                 tally["zero_polar"] += 1
             yield PostRecord(cleaned.text, counts, record_id)
 
-    records = load_corpus(args.input, corpus_format, columns, errors)
-    rows_out = save_corpus(kept(records), args.output, corpus_format)
+    records = load_corpus(args.input, args.format, args.columns, errors)
+    rows_out = save_corpus(kept(records), args.output, args.format)
     drops = {
         "rows_read": rows_out + tally["empty"] + len(errors),
         "malformed_rows": len(errors),
@@ -310,7 +330,7 @@ def _cmd_clean(args, config) -> int:
         "kept_with_zero_polar_total": tally["zero_polar"],
         "token_removals": clean_stats.as_dict(),
     }
-    _finish_manifest(manifest, [args.output], drops)
+    run.finish([args.output], drops)
     print(
         f"cleaned {drops['rows_read']} rows -> {rows_out} kept "
         f"({len(errors)} malformed, {tally['empty']} empty after cleaning)"
@@ -318,15 +338,11 @@ def _cmd_clean(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args, config) -> int:
-    corpus_format = _resolve(args, config, "format", str, "csv")
-    columns = _parse_columns(_resolve(args, config, "columns", str, None))
+def _cmd_stats(args) -> int:
     if args.output:
-        settings = {"input": args.input, "output": args.output, "format": corpus_format,
-                    "columns": columns}
-        manifest = _make_manifest("stats", settings, [args.input], _now())
+        run = _Run(args, ("input", "output", "format", "columns"), [args.input])
     errors: list[MalformedRow] = []
-    stats = corpus_stats(load_corpus(args.input, corpus_format, columns, errors))
+    stats = corpus_stats(load_corpus(args.input, args.format, args.columns, errors))
     print(f"rows: {stats.rows}   (malformed skipped: {len(errors)})")
     print(f"{'reaction':<10}{'count':>14}{'all %':>10}{'core %':>10}")
     for name in ALL_SCHEMA.reactions:
@@ -337,66 +353,46 @@ def _cmd_stats(args, config) -> int:
             core_pct = "-"
         print(f"{name:<10}{stats.totals[name]:>14}{all_pct:>10}{core_pct:>10}")
     if args.output:
-        payload = {
+        _write_json(args.output, {
             "rows": stats.rows,
             "totals": stats.totals,
             "all_percent": stats.all_percent,
             "core_percent": stats.core_percent,
             "malformed_rows": len(errors),
-        }
-        with atomic_write(args.output) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        _finish_manifest(manifest, [args.output], {"malformed_rows": len(errors)})
+        })
+        run.finish([args.output], {"malformed_rows": len(errors)})
     return EXIT_OK
 
 
-def _cmd_train(args, config) -> int:
+def _cmd_train(args) -> int:
     from .evaluation import fit, prepare
 
-    model = _resolve(args, config, "model", str, "core")
-    corpus_format = _resolve(args, config, "format", str, "csv")
-    columns = _parse_columns(_resolve(args, config, "columns", str, None))
-    started = _now()
-    manifest = _make_manifest(
-        "train",
-        {"input": args.input, "output": args.output, "model": model,
-         "format": corpus_format, "columns": columns},
-        [args.input],
-        started,
-    )
+    run = _Run(args, ("input", "output", "model", "format", "columns"), [args.input])
     errors: list[MalformedRow] = []
     ids: dict = {}
     tally: Counter = Counter()
-    entries = corpus_entries(args.input, corpus_format, columns, errors)
-    fold, _ = fit(prepare(entries, model, ids, tally), model, ids)
+    entries = corpus_entries(args.input, args.format, args.columns, errors)
+    fold, _ = fit(prepare(entries, args.model, ids, tally), args.model, ids)
     lexicon = fold.lexicon()
-    save_lexicon(lexicon, args.output, manifest_id=manifest["run_id"])
-    _finish_manifest(manifest, [args.output])
+    save_lexicon(lexicon, args.output, manifest_id=run.id)
+    run.finish([args.output])
     print(
-        f"trained {model} lexicon: {len(lexicon.entries)} words from "
+        f"trained {args.model} lexicon: {len(lexicon.entries)} words from "
         f"{lexicon.train_entry_count} entries ({tally['excluded']} zero-total rows skipped, "
         f"{len(errors)} malformed)"
     )
     return EXIT_OK
 
 
-def _cmd_predict(args, config) -> int:
+def _cmd_predict(args) -> int:
     from .cleaning import clean_message
 
-    started = _now()
-    lexicon = load_lexicon(args.lexicon)
-    clean_config = _clean_config(args, config)
-    manifest = None
+    lexicon = load_lexicon(args.lexicon)  # first, so a bad lexicon is the error reported
+    clean_config = _clean_config(args)
+    run = None
     if args.output != "-":
-        manifest = _make_manifest(
-            "predict",
-            {"lexicon": args.lexicon, "input": args.input, "output": args.output,
-             "stopwords": _resolve(args, config, "stopwords", str, None),
-             "casefold_ascii": clean_config.casefold_ascii},
-            [args.lexicon] + ([] if args.input == "-" else [args.input]),
-            started,
-        )
+        run = _Run(args, ("lexicon", "input", "output", "stopwords", "casefold_ascii"),
+                   [args.lexicon] + ([] if args.input == "-" else [args.input]))
     # "%.17g" % x is format(x, ".17g"), the digits of evaluation.format_float.
     template = ",".join(["%.17g"] * lexicon.schema.size) + " coverage=%.17g\n"
     messages = zero_coverage = 0
@@ -415,8 +411,8 @@ def _cmd_predict(args, config) -> int:
             messages += 1
             coverage_sum += coverage
             zero_coverage += not coverage
-    if manifest is not None:
-        _finish_manifest(manifest, [args.output], {
+    if run is not None:
+        run.finish([args.output], {
             "messages": messages,
             "mean_coverage": coverage_sum / messages if messages else None,
             "zero_coverage_share": zero_coverage / messages if messages else None,
@@ -424,47 +420,28 @@ def _cmd_predict(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_eval(args, config) -> int:
+def _cmd_eval(args) -> int:
     from .evaluation import ExperimentConfig, report_emit, run_experiment
 
-    model = _resolve(args, config, "model", str, "core")
-    corpus_format = _resolve(args, config, "format", str, "csv")
-    columns = _parse_columns(_resolve(args, config, "columns", str, None))
-    splits = _parse_splits(_resolve(args, config, "splits", str, "95,90,80,70,50"))
-    experiment = ExperimentConfig(
-        model=model,
-        train_fractions=splits,
-        runs=_resolve(args, config, "runs", int, 5),
-        seed=_resolve(args, config, "seed", int, 0),
-        sigma=_resolve(args, config, "sigma", float, 1.0),
-    )
-    report_format = _resolve(args, config, "report_format", str, "json")
-    started = _now()
-    manifest = _make_manifest(
-        "eval",
-        {"input": args.input, "output": args.output, "model": model,
-         "format": corpus_format, "columns": columns,
-         "splits": list(experiment.train_fractions), "runs": experiment.runs,
-         "seed": experiment.seed, "sigma": experiment.sigma,
-         "report_format": report_format},
-        [args.input],
-        started,
-    )
+    experiment = ExperimentConfig(model=args.model, train_fractions=args.splits, runs=args.runs,
+                                  seed=args.seed, sigma=args.sigma)
+    run = _Run(args, ("input", "output", "model", "format", "columns", "splits", "runs",
+                      "seed", "sigma", "report_format"), [args.input])
     errors: list[MalformedRow] = []
-    entries = corpus_entries(args.input, corpus_format, columns, errors)
+    entries = corpus_entries(args.input, args.format, args.columns, errors)
     report = run_experiment(entries, experiment)
-    report.manifest = manifest["run_id"]
+    report.manifest = run.id
     with atomic_write(args.output) as fh:
-        fh.write(report_emit(report, report_format))
+        fh.write(report_emit(report, args.report_format))
     accounting = report.accounting
-    _finish_manifest(manifest, [args.output], {"malformed_rows": len(errors), **accounting})
+    run.finish([args.output], {"malformed_rows": len(errors), **accounting})
     first = report.split_labels[0]
     summary = "  ".join(
         f"{reaction}={report.value(first, reaction, 'f1'):.4f}"
         for reaction in report.reactions
     )
     print(
-        f"eval {model}: wrote {args.output} ({accounting['entries_used']} entries used, "
+        f"eval {args.model}: wrote {args.output} ({accounting['entries_used']} entries used, "
         f"{accounting['entries_excluded_zero_total']} excluded for a zero total, "
         f"{len(errors)} malformed rows skipped)"
     )
@@ -472,32 +449,15 @@ def _cmd_eval(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_synth(args, config) -> int:
+def _cmd_synth(args) -> int:
     from .synth import SynthSpec, write_corpus  # the only command that loads numpy
 
-    affinity = _resolve(args, config, "affinity", str, None)
-    spec = SynthSpec(
-        rows=_resolve(args, config, "rows", int, 10_000),
-        vocab_size=_resolve(args, config, "vocab_size", int, 2000),
-        affinity_concentration=_resolve(args, config, "affinity_concentration", float, 0.5),
-        fixed_affinity=(
-            tuple(float(v) for v in affinity.split(",")) if affinity else None
-        ),
-        length_min=_resolve(args, config, "length_min", int, 3),
-        length_max=_resolve(args, config, "length_max", int, 12),
-        reaction_scale=_resolve(args, config, "reaction_scale", float, 20.0),
-        like_dominance=_resolve(args, config, "like_dominance", float, 0.95),
-        like_variability=_resolve(args, config, "like_variability", float, 0.35),
-        thankful_rate=_resolve(args, config, "thankful_rate", float, 0.001),
-        seed=_resolve(args, config, "seed", int, 0),
-    )
-    corpus_format = _resolve(args, config, "format", str, "csv")
-    started = _now()
-    manifest = _make_manifest(
-        "synth", {"output": args.output, "format": corpus_format, **vars(spec)}, [], started
-    )
-    summary = write_corpus(spec, args.output, corpus_format)
-    _finish_manifest(manifest, [args.output, summary["truth_path"]])
+    fields = ("rows", "vocab_size", "affinity_concentration", "length_min", "length_max",
+              "reaction_scale", "like_dominance", "like_variability", "thankful_rate", "seed")
+    spec = SynthSpec(fixed_affinity=args.affinity, **{name: getattr(args, name) for name in fields})
+    run = _Run(args, ("output", "format"), **vars(spec))
+    summary = write_corpus(spec, args.output, args.format)
+    run.finish([args.output, summary["truth_path"]])
     print(
         f"wrote {summary['rows']} rows to {args.output} "
         f"(like share {summary['like_share']:.4f}); truth at {summary['truth_path']}"
@@ -516,12 +476,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     config_path = args.config or os.environ.get(CONFIG_ENV)
     try:
-        config = _read_config_file(config_path) if config_path else {}
-        return _COMMANDS[args.command](args, config)
+        _settle(args, _read_config_file(config_path) if config_path else {})
+        return _COMMANDS[args.command](args)
     except _IO_ERRORS as exc:
         print(f"reaction-lens: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

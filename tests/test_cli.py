@@ -653,6 +653,70 @@ class TestConfigFile:
             main(["synth"])  # missing required --output
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("line, command, key, value", [
+        ("casefold-ascii = yes", "clean", "casefold_ascii", True),
+        ("sigma = 0.5", "eval", "sigma", 0.5),
+        ("model = star", "train", "model", "star"),
+        ("splits = 90,50", "eval", "splits", [0.9, 0.5]),
+        ("columns = message=text", "stats", "columns", {"message": "text"}),
+    ])
+    def test_each_kind_of_value(self, tmp_path, line, command, key, value):
+        header = HEADER.replace("message", "text") if key == "columns" else HEADER
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(header + "".join(
+            f"w{i % 5} w{i % 3},1,{i % 4},{i % 2},0,{(i + 1) % 3},0,0\n" for i in range(20)
+        ), encoding="utf-8")
+        config = tmp_path / "lens.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), command, "--input", str(corpus),
+                     "--output", str(out)]) == EXIT_OK
+        assert json.loads((tmp_path / "out.manifest.json").read_text())["config"][key] == value
+
+    def test_bad_value_is_a_usage_error(self, synth_corpus, tmp_path, capsys):
+        config = tmp_path / "lens.conf"
+        config.write_text("runs = x\n", encoding="utf-8")
+        report = tmp_path / "r.json"
+        assert main(["--config", str(config), "eval", "--input", str(synth_corpus),
+                     "--output", str(report)]) == EXIT_USAGE
+        assert "invalid arguments" in capsys.readouterr().err
+        assert not report.exists()
+        assert not (tmp_path / "r.json.manifest.json").exists()
+
+    def test_value_outside_the_flags_choices_exits_before_any_input_is_read(self, tmp_path, capsys):
+        # One entry leaves an empty side (exit 5) once the corpus is read.
+        corpus = tmp_path / "one.csv"
+        corpus.write_text(HEADER + "a,0,1,0,0,0,0,0\n", encoding="utf-8")
+        config = tmp_path / "lens.conf"
+        config.write_text("report-format = xml\n", encoding="utf-8")
+        assert main(["--config", str(config), "eval", "--input", str(corpus),
+                     "--output", str(tmp_path / "r.json"), "--splits", "50", "--runs", "1"],
+                    ) == EXIT_USAGE
+        assert "report-format: invalid choice 'xml'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lens.conf", "one.csv"]
+
+    def test_predict_folds_case_from_the_flag_or_the_config(self, tmp_path, capsys):
+        raw, cleaned, lexicon = tmp_path / "raw.csv", tmp_path / "c.csv", tmp_path / "c.lex"
+        raw.write_text(HEADER + "W0001 w0002,0,1,0,0,0,0,0\nw0002 W0003,0,0,1,0,0,0,0\n",
+                       encoding="utf-8")
+        assert main(["clean", "--input", str(raw), "--output", str(cleaned),
+                     "--casefold-ascii"]) == EXIT_OK
+        assert main(["train", "--input", str(cleaned), "--output", str(lexicon)]) == EXIT_OK
+        messages = tmp_path / "m.txt"
+        messages.write_text("W0001\n", encoding="utf-8")
+        config = tmp_path / "lens.conf"
+        config.write_text("casefold-ascii = yes\n", encoding="utf-8")
+        predict = ["predict", "--lexicon", str(lexicon), "--input", str(messages)]
+        capsys.readouterr()
+        assert main([*predict, "--casefold-ascii"]) == EXIT_OK
+        from_flag = capsys.readouterr().out
+        assert main(["--config", str(config), *predict]) == EXIT_OK
+        from_config = capsys.readouterr().out
+        assert main(predict) == EXIT_OK
+        unfolded = capsys.readouterr().out
+        assert from_flag == from_config == "1,0,0,0,0 coverage=1\n"
+        assert unfolded.endswith(" coverage=0\n")
+
 
 # Run in a fresh interpreter: the command's argv follows the code, and the
 # exit code and every loaded module name go to stderr's last line.
@@ -673,6 +737,28 @@ LOADS = {
     "train": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
     "eval": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
     "stats": ({"reaction_lens.corpus_io"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
+}
+
+
+# command -> (flags beside its paths, manifest config keys, row_drops keys or None)
+MANIFEST_KEYS = {
+    "clean": ([], ["input", "output", "format", "stopwords", "casefold_ascii", "columns"], [
+        "rows_read", "malformed_rows", "empty_after_cleaning", "rows_out",
+        "kept_with_zero_core_total", "kept_with_zero_polar_total", "token_removals",
+    ]),
+    "eval": (["--splits", "80", "--runs", "1"], [
+        "input", "output", "model", "format", "columns", "splits", "runs", "seed", "sigma",
+        "report_format",
+    ], ["malformed_rows", "entries_used", "entries_excluded_zero_total", "runs"]),
+    "predict": ([], ["lexicon", "input", "output", "stopwords", "casefold_ascii"],
+                ["messages", "mean_coverage", "zero_coverage_share"]),
+    "stats": ([], ["input", "output", "format", "columns"], ["malformed_rows"]),
+    "train": ([], ["input", "output", "model", "format", "columns"], None),
+    "synth": (["--rows", "20", "--vocab-size", "10"], [
+        "output", "format", "rows", "vocab_size", "affinity_concentration", "fixed_affinity",
+        "length_min", "length_max", "reaction_scale", "like_dominance", "like_variability",
+        "thankful_rate", "seed",
+    ], None),
 }
 
 
@@ -725,35 +811,36 @@ class TestStartup:
         ] + ["2 more malformed rows not shown"]
         assert "(7 malformed, 0 empty after cleaning)" in result.stdout
 
-    def test_manifest_key_order(self, synth_corpus, tmp_path):
-        corpus = str(synth_corpus)
-        assert main(["clean", "--input", corpus, "--output", str(tmp_path / "c.csv")]) == EXIT_OK
-        assert main(["eval", "--input", corpus, "--output", str(tmp_path / "r.json"),
-                     "--splits", "80", "--runs", "1"]) == EXIT_OK
-        clean = json.loads((tmp_path / "c.csv.manifest.json").read_text())
-        evaluated = json.loads((tmp_path / "r.json.manifest.json").read_text())
-        for manifest in (clean, evaluated):
-            assert list(manifest) == ["run_id", "tool", "command", "created_at", "finished_at",
-                                      "config", "inputs", "outputs", "row_drops"]
-            assert list(manifest["inputs"][0]) == ["path", "sha256", "bytes"]
-        assert list(clean["config"]) == ["input", "output", "format", "stopwords",
-                                         "casefold_ascii", "columns"]
-        assert list(clean["row_drops"]) == [
-            "rows_read", "malformed_rows", "empty_after_cleaning", "rows_out",
-            "kept_with_zero_core_total", "kept_with_zero_polar_total", "token_removals",
-        ]
-        assert list(clean["row_drops"]["token_removals"]) == [
-            "zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
-            "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens",
-        ]
-        assert list(evaluated["config"]) == ["input", "output", "model", "format", "columns",
-                                             "splits", "runs", "seed", "sigma", "report_format"]
-        assert list(evaluated["row_drops"]) == [
-            "malformed_rows", "entries_used", "entries_excluded_zero_total", "runs",
-        ]
-        assert list(evaluated["row_drops"]["runs"][0]) == [
-            "split", "run", "n_train", "n_test", "vocab_size", "test_oov_rate",
-        ]
+    @pytest.mark.parametrize("command", sorted(MANIFEST_KEYS))
+    def test_manifest_key_order(self, synth_corpus, tmp_path, command):
+        flags, config_keys, drop_keys = MANIFEST_KEYS[command]
+        if command == "predict":
+            lexicon = tmp_path / "core.lex"
+            assert main(["train", "--input", str(synth_corpus), "--output", str(lexicon)]) == EXIT_OK
+            messages = tmp_path / "m.txt"
+            messages.write_text("w0001 w0002\nw0003\n", encoding="utf-8")
+            flags = ["--lexicon", str(lexicon), "--input", str(messages)]
+        elif command != "synth":
+            flags = ["--input", str(synth_corpus), *flags]
+        out = tmp_path / "out"
+        assert main([command, *flags, "--output", str(out)]) == EXIT_OK
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert list(manifest) == ["run_id", "tool", "command", "created_at", "finished_at",
+                                  "config", "inputs", "outputs", "row_drops"]
+        for described in manifest["inputs"]:
+            assert list(described) == ["path", "sha256", "bytes"]
+        assert list(manifest["config"]) == config_keys
+        drops = manifest["row_drops"]
+        assert (drops if drop_keys is None else list(drops)) == drop_keys
+        if command == "clean":
+            assert list(drops["token_removals"]) == [
+                "zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
+                "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens",
+            ]
+        if command == "eval":
+            assert list(drops["runs"][0]) == [
+                "split", "run", "n_train", "n_test", "vocab_size", "test_oov_rate",
+            ]
 
     def test_manifest_timestamps_are_utc_seconds(self, synth_corpus, tmp_path):
         out = tmp_path / "c.csv"
