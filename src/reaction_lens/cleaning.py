@@ -80,6 +80,8 @@ class CleanConfig(
 
     ``casefold_ascii`` lowercases ASCII letters before tokenization; it is
     off by default and exists only to trade faithfulness for sparsity.
+    With it on, the stopwords are folded the same way, so that ``Saha``
+    still drops the token ``SAHA`` folds to.
     """
 
     __slots__ = ()
@@ -91,6 +93,9 @@ class CleanConfig(
                 raise ValueError(
                     f"stopword {w!r} is empty or contains whitespace"
                 )
+        if config.casefold_ascii:
+            folded = frozenset(w.translate(_ASCII_FOLD) for w in config.stopwords)
+            config = super().__new__(cls, folded, config.casefold_ascii)
         return config
 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make

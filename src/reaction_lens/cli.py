@@ -11,9 +11,10 @@ formats rely on the sidecar naming convention.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data.
 
-Every command needs ``corpus_io`` and ``engine``; ``cleaning``,
-``evaluation`` and ``star`` are imported inside the commands that run them,
-so each command loads only the layers it uses.
+Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
+``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
+that run them, so each command loads only the layers it uses (``predict``
+reads no corpus).
 """
 
 from __future__ import annotations
@@ -29,18 +30,8 @@ from collections import Counter
 from contextlib import ExitStack
 
 from . import __version__
-from .corpus_io import (
-    MalformedRow,
-    PostRecord,
-    atomic_write,
-    corpus_entries,
-    corpus_stats,
-    load_corpus,
-    load_lexicon,
-    save_corpus,
-    save_lexicon,
-)
-from .engine import ALL_SCHEMA, CORE_SCHEMA, MODELS, count_getter, predict
+from .artifacts import atomic_write, load_lexicon, save_lexicon
+from .engine import ALL_SCHEMA, CORE_SCHEMA, MODELS, POLAR_REACTIONS, count_getter, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -296,19 +287,19 @@ def _clean_config(args):
 
 def _cmd_clean(args) -> int:
     from .cleaning import CleanStats, clean_message
-    from .star import POLAR_REACTIONS
+    from .corpus_io import corpus_rows, save_corpus
 
     clean_config = _clean_config(args)
     run = _Run(args, ("input", "output", "format", "stopwords", "casefold_ascii", "columns"),
                [args.input])
-    errors: list[MalformedRow] = []
+    errors = []
     clean_stats = CleanStats()
     tally: Counter = Counter()
     core_counts = count_getter(CORE_SCHEMA.reactions)
     polar_counts = count_getter(POLAR_REACTIONS)
 
-    def kept(records):
-        for message, counts, record_id in records:
+    def kept(rows):
+        for message, counts, record_id in rows:
             cleaned = clean_message(message, clean_config, clean_stats)
             if cleaned.empty:
                 tally["empty"] += 1
@@ -317,10 +308,10 @@ def _cmd_clean(args) -> int:
                 tally["zero_core"] += 1
             if not any(polar_counts(counts)):
                 tally["zero_polar"] += 1
-            yield PostRecord(cleaned.text, counts, record_id)
+            yield cleaned.text, counts, record_id
 
-    records = load_corpus(args.input, args.format, args.columns, errors)
-    rows_out = save_corpus(kept(records), args.output, args.format)
+    rows = corpus_rows(args.input, args.format, args.columns, errors)
+    rows_out = save_corpus(kept(rows), args.output, args.format)
     drops = {
         "rows_read": rows_out + tally["empty"] + len(errors),
         "malformed_rows": len(errors),
@@ -339,9 +330,11 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from .corpus_io import corpus_stats, load_corpus
+
     if args.output:
         run = _Run(args, ("input", "output", "format", "columns"), [args.input])
-    errors: list[MalformedRow] = []
+    errors = []
     stats = corpus_stats(load_corpus(args.input, args.format, args.columns, errors))
     print(f"rows: {stats.rows}   (malformed skipped: {len(errors)})")
     print(f"{'reaction':<10}{'count':>14}{'all %':>10}{'core %':>10}")
@@ -365,10 +358,11 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from .corpus_io import corpus_entries
     from .evaluation import fit, prepare
 
     run = _Run(args, ("input", "output", "model", "format", "columns"), [args.input])
-    errors: list[MalformedRow] = []
+    errors = []
     ids: dict = {}
     tally: Counter = Counter()
     entries = corpus_entries(args.input, args.format, args.columns, errors)
@@ -421,13 +415,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .corpus_io import corpus_entries
     from .evaluation import ExperimentConfig, report_emit, run_experiment
 
     experiment = ExperimentConfig(model=args.model, train_fractions=args.splits, runs=args.runs,
                                   seed=args.seed, sigma=args.sigma)
     run = _Run(args, ("input", "output", "model", "format", "columns", "splits", "runs",
                       "seed", "sigma", "report_format"), [args.input])
-    errors: list[MalformedRow] = []
+    errors = []
     entries = corpus_entries(args.input, args.format, args.columns, errors)
     report = run_experiment(entries, experiment)
     report.manifest = run.id

@@ -1,61 +1,34 @@
-"""Streaming corpus ingestion, corpus accounting, and lexicon persistence.
+"""Streaming corpus ingestion, corpus writing and corpus accounting.
 
-``load_corpus`` yields one immutable PostRecord per row, and
-``corpus_entries`` one ``(words, counts)`` pair, from one reader per format
-that holds a block of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in a
+``corpus_rows`` yields one ``(message, counts, record_id)`` triple per good
+row, ``load_corpus`` one immutable PostRecord, and ``corpus_entries`` one
+``(words, counts)`` pair, all from one reader per format that holds a block
+of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in a
 caller ledger (and logged) with their line number, then skipped; only
 structural problems (unreadable source, missing columns) abort the stream.
-``save_corpus`` writes records back in the format ``load_corpus`` reads.
-
-Every file written by path goes through ``atomic_write``: a temporary file
-in the same directory that replaces the target only once it is complete.
-
-The lexicon artifact is line-oriented UTF-8 text: a handful of ``#`` header
-lines (format version, schema, entry count, train-mean fallback, checksum)
-followed by one tab-separated line per word with its entry count and one
-17-significant-digit decimal per schema reaction.  Loading verifies the
-body checksum, the field count of every entry line and that every count
-and decimal parses, naming the first bad line in file order; it
-reproduces every vector bit-exactly.
+``save_corpus`` writes such triples back in the format ``corpus_rows``
+reads, through ``artifacts.atomic_write`` when given a path.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
-import os
 import re
 from collections import deque, namedtuple
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from functools import partial
-from itertools import chain, count, repeat
+from itertools import chain, repeat, starmap
 from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .engine import (
-    _BLOCK,
-    ALL_SCHEMA,
-    CORE_SCHEMA,
-    SCHEMAS,
-    ReactionLexicon,
-    ReactionSchema,
-    blocks,
-    get_schema,
-)
-from .errors import (
-    CorruptArtifact,
-    SchemaMismatch,
-    UnreadableSource,
-    VersionMismatch,
-)
+from .artifacts import atomic_write
+from .engine import _BLOCK, ALL_SCHEMA, CORE_SCHEMA, blocks
+from .errors import SchemaMismatch, UnreadableSource
 
 LOGGED_MALFORMED_ROWS = 5
-
-LEXICON_MAGIC = "#reaction-lexicon"
-LEXICON_VERSION = "v1"
 
 # Logical field -> file column; every field defaults to its own name.
 DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + ALL_SCHEMA.reactions}
@@ -109,38 +82,6 @@ class CorpusStats(NamedTuple):
     totals: dict[str, int]
     all_percent: dict[str, float] | None
     core_percent: dict[str, float] | None
-
-
-def _naming_target(exc: OSError, path) -> OSError:
-    """The same error, naming the target instead of the temporary file."""
-    return type(exc)(exc.errno, exc.strerror, str(path))
-
-
-@contextmanager
-def atomic_write(path, newline=None):
-    """Open ``path`` for UTF-8 text writing, all or nothing.
-
-    The text goes to a temporary file beside ``path``, which ``os.replace``
-    moves onto ``path`` when the block ends.  If the block raises, the
-    temporary file is removed and a file already at ``path`` is untouched.
-    An OSError from creating or moving the temporary file names ``path``.
-    """
-    temp = f"{path}.{os.getpid()}.tmp"
-    try:
-        fh = open(temp, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise _naming_target(exc, path) from None
-    try:
-        with fh:
-            yield fh
-        try:
-            os.replace(temp, path)
-        except OSError as exc:
-            raise _naming_target(exc, path) from None
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(temp)
-        raise
 
 
 # errors="surrogateescape" maps undecodable bytes into U+DC80-U+DCFF; a JSON
@@ -208,27 +149,37 @@ class _Quarantine:
 MAX_RECORD_LINES = 1000
 
 
+def corpus_rows(
+    source,
+    format: str = "csv",
+    schema_map: dict[str, str] | None = None,
+    errors: list[MalformedRow] | None = None,
+) -> Iterator[tuple[str, tuple[int, ...], str | None]]:
+    """Stream ``(message, counts, record_id)`` per good row of a CSV or JSONL source.
+
+    ``counts`` is a plain tuple of the seven counts in ``ALL_SCHEMA`` order;
+    ``record_id`` is None for a row without one.  ``schema_map`` maps the
+    logical fields (``message``, the seven reaction names, optionally
+    ``id``) to the column names actually present in the file.  Missing
+    columns raise SchemaMismatch immediately; row-level problems (bad
+    encoding, non-integer counts, short rows) are appended to ``errors``
+    and logged, and the stream continues.  This is what ``clean`` reads with.
+    """
+    return chain.from_iterable(starmap(zip, _read_blocks(source, format, schema_map, errors)))
+
+
 def load_corpus(
     source,
     format: str = "csv",
     schema_map: dict[str, str] | None = None,
     errors: list[MalformedRow] | None = None,
 ) -> Iterator[PostRecord]:
-    """Stream PostRecords from a CSV or JSONL source.
-
-    ``schema_map`` maps the logical fields (``message``, the seven reaction
-    names, optionally ``id``) to the column names actually present in the
-    file.  Missing columns raise SchemaMismatch immediately; row-level
-    problems (bad encoding, non-integer counts, short rows) are appended to
-    ``errors`` and logged, and the stream continues.
-    """
-    column_blocks = _read_blocks(source, format, schema_map, errors)
+    """Stream a PostRecord per row ``corpus_rows`` yields, its counts a ReactionCounts."""
     # ``_make`` of each type without its Python-level call: rows come checked and whole.
     make_counts = partial(tuple.__new__, ReactionCounts)
-    make_record = partial(tuple.__new__, PostRecord)
-    return chain.from_iterable(
-        map(make_record, zip(messages, map(make_counts, counts), record_ids))
-        for messages, counts, record_ids in column_blocks
+    return (
+        tuple.__new__(PostRecord, (message, make_counts(counts), record_id))
+        for message, counts, record_id in corpus_rows(source, format, schema_map, errors)
     )
 
 
@@ -238,10 +189,9 @@ def corpus_entries(
     schema_map: dict[str, str] | None = None,
     errors: list[MalformedRow] | None = None,
 ) -> Iterator[tuple[list[str], tuple[int, ...]]]:
-    """Stream ``(message.split(), counts)`` per row that ``load_corpus`` would yield.
+    """Stream ``(message.split(), counts)`` per row that ``corpus_rows`` would yield.
 
-    ``counts`` is a plain tuple of the seven counts in ``ALL_SCHEMA`` order.
-    Rows, checks and ``errors`` are ``load_corpus``'s; no record object is
+    Rows, checks and ``errors`` are ``corpus_rows``'; no record object is
     built.  This is what ``train`` and ``eval`` read a cleaned corpus with.
     """
     column_blocks = _read_blocks(source, format, schema_map, errors)
@@ -553,33 +503,36 @@ def _jsonl_checked(lines, start, keys, bad):
     return messages, counts, record_ids
 
 
-def save_corpus(records: Iterable[PostRecord], sink, format: str = "csv") -> int:
-    """Write records to ``sink`` (path or text file) as ``load_corpus`` reads them.
+def save_corpus(
+    rows: Iterable[tuple[str, Sequence[int], str | None]], sink, format: str = "csv"
+) -> int:
+    """Write ``(message, counts, record_id)`` rows to ``sink`` (path or text file)
+    as ``corpus_rows`` reads them; a PostRecord is such a row.
 
     CSV rows are the message and the seven counts (``ALL_SCHEMA`` order) under
     a header line; a JSONL object carries ``id`` after them only when the
-    record has one.  Returns the number of records written.
+    row has one.  Returns the number of rows written.
     """
     if format not in ("csv", "jsonl"):
         raise ValueError(f"unknown corpus format {format!r}")
     if isinstance(sink, (str, Path)):
         with atomic_write(sink, newline="") as fh:
-            return save_corpus(records, fh, format)
+            return save_corpus(rows, fh, format)
     if format == "csv":
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(("message",) + ALL_SCHEMA.reactions)
-    rows = 0
-    for record in records:
+    written = 0
+    for message, counts, record_id in rows:
         if format == "csv":
-            writer.writerow((record.message, *record.reactions))
+            writer.writerow((message, *counts))
         else:
-            obj = {"message": record.message}
-            obj.update(zip(ALL_SCHEMA.reactions, record.reactions))
-            if record.id is not None:
-                obj["id"] = record.id
+            obj = {"message": message}
+            obj.update(zip(ALL_SCHEMA.reactions, counts))
+            if record_id is not None:
+                obj["id"] = record_id
             sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
-        rows += 1
-    return rows
+        written += 1
+    return written
 
 
 def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
@@ -603,181 +556,3 @@ def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
         else None
     )
     return CorpusStats(rows, totals, all_percent, core_percent)
-
-
-def _format_floats(values) -> str:
-    return "\t".join(format(v, ".17g") for v in values)
-
-
-_LINE_BREAKING = re.compile("[\t\n\r]")
-
-
-def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None) -> None:
-    """Write a lexicon to ``sink`` (path or text file object)."""
-    schema = lexicon.schema
-    line = "%s\t%d" + "\t%.17g" * schema.size + "\n"
-    body_lines = []
-    for word in sorted(lexicon.entries):
-        if _LINE_BREAKING.search(word):
-            raise ValueError(f"word {word!r} contains tab or newline")
-        vector, count = lexicon.entries[word]
-        body_lines.append(line % (word, count, *vector))
-    body = "".join(body_lines)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    mean = "-" if lexicon.train_mean is None else _format_floats(lexicon.train_mean)
-    header = [
-        f"{LEXICON_MAGIC} {LEXICON_VERSION}\n",
-        f"#schema\t{schema.name}\t{','.join(schema.reactions)}\n",
-        f"#entries\t{len(lexicon.entries)}\n",
-        f"#train_entries\t{lexicon.train_entry_count}\n",
-        f"#mean\t{mean}\n",
-    ]
-    if manifest_id:
-        header.append(f"#manifest\t{manifest_id}\n")
-    header.append(f"#sha256\t{digest}\n")
-    text = "".join(header) + body
-    if isinstance(sink, (str, Path)):
-        with atomic_write(sink, newline="\n") as fh:
-            fh.write(text)
-    else:
-        sink.write(text)
-
-
-# Entry lines parsed per join-and-split; bounds the field list held at once.
-_LOAD_BLOCK = 2048
-
-
-def _entry_error(lines, stride) -> str:
-    """Why entry lines failed to load: the first bad line, in file order."""
-    for line in lines:
-        fields = line.split("\t")
-        if len(fields) != stride:
-            return f"entry line has {len(fields)} fields: {line!r}"
-        try:
-            int(fields[1])
-            for v in fields[2:]:
-                float(v)
-        except ValueError:
-            return f"unparseable entry line: {line!r}"
-    raise AssertionError("no bad entry line")
-
-
-def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) -> ReactionLexicon:
-    """Read a lexicon artifact back into a ReactionLexicon.
-
-    Raises VersionMismatch for unsupported format versions, SchemaMismatch
-    when the artifact's schema differs from ``expected_schema``, and
-    CorruptArtifact for checksum or structural failures.
-    """
-    if isinstance(source, (str, Path)):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise UnreadableSource(f"cannot open {source}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise CorruptArtifact(f"artifact is not UTF-8: {exc}") from exc
-    else:
-        text = source.read()
-    end = text.find("\n")
-    first = text if end < 0 else text[:end]
-    if not first.startswith(LEXICON_MAGIC):
-        raise CorruptArtifact("not a reaction-lexicon artifact")
-    version = first[len(LEXICON_MAGIC):].strip()
-    if version != LEXICON_VERSION:
-        raise VersionMismatch(f"unsupported lexicon format version {version!r}")
-
-    # Header lines run from the magic line to #sha256; the body is the rest.
-    headers: dict[str, list[str]] = {}
-    meta: dict[str, str] = {}
-    pos = len(first) + 1
-    while text.startswith("#", pos):
-        end = text.find("\n", pos)
-        if end < 0:
-            end = len(text)
-        fields = text[pos + 1:end].split("\t")
-        pos = end + 1
-        key, values = fields[0], fields[1:]
-        if key == "manifest":
-            meta["manifest"] = values[0] if values else ""
-        else:
-            headers[key] = values
-        if key == "sha256":
-            break
-    body = text[pos:]
-
-    for required in ("schema", "entries", "mean", "sha256"):
-        if required not in headers:
-            raise CorruptArtifact(f"missing #{required} header")
-    schema_fields = headers["schema"]
-    if len(schema_fields) != 2:
-        raise CorruptArtifact("malformed #schema header")
-    name, reaction_csv = schema_fields
-    if name not in SCHEMAS:
-        raise SchemaMismatch(f"unknown schema {name!r} in artifact")
-    schema = get_schema(name)
-    if tuple(reaction_csv.split(",")) != schema.reactions:
-        raise CorruptArtifact(
-            f"artifact reaction list does not match schema {name!r}"
-        )
-    if expected_schema is not None:
-        expected = (
-            get_schema(expected_schema)
-            if isinstance(expected_schema, str)
-            else expected_schema
-        )
-        if expected != schema:
-            raise SchemaMismatch(
-                f"artifact has schema {schema.name!r}, expected {expected.name!r}"
-            )
-
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    if headers["sha256"] != [digest]:
-        raise CorruptArtifact("checksum mismatch; artifact is corrupt or truncated")
-
-    try:
-        declared = int(headers["entries"][0])
-    except (IndexError, ValueError):
-        raise CorruptArtifact("malformed #entries header") from None
-    train_entries = 0
-    if "train_entries" in headers:
-        try:
-            train_entries = int(headers["train_entries"][0])
-        except (IndexError, ValueError):
-            raise CorruptArtifact("malformed #train_entries header") from None
-
-    mean_fields = headers["mean"]
-    if mean_fields == ["-"]:
-        train_mean = None
-    else:
-        try:
-            train_mean = tuple(float(v) for v in mean_fields)
-        except ValueError:
-            raise CorruptArtifact("malformed #mean header") from None
-        if len(train_mean) != schema.size:
-            raise CorruptArtifact("train-mean vector has wrong dimension")
-
-    stride = 2 + schema.size
-    lines = list(filter(None, body.split("\n")))
-    if set(map(str.count, lines, repeat("\t"))) - {stride - 1}:
-        raise CorruptArtifact(_entry_error(lines, stride))
-    entries = {}
-    try:
-        for start in range(0, len(lines), _LOAD_BLOCK):
-            fields = "\t".join(lines[start:start + _LOAD_BLOCK]).split("\t")
-            counts = map(int, fields[1::stride])
-            vectors = zip(*(map(float, fields[k::stride]) for k in range(2, stride)))
-            entries.update(zip(fields[0::stride], zip(vectors, counts)))
-    except ValueError:
-        raise CorruptArtifact(_entry_error(lines, stride)) from None
-    if len(entries) != declared:
-        raise CorruptArtifact(
-            f"artifact declares {declared} entries but contains {len(entries)}"
-        )
-    return ReactionLexicon(
-        schema=schema,
-        entries=entries,
-        train_entry_count=train_entries,
-        train_mean=train_mean,
-        meta=meta,
-    )

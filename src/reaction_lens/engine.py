@@ -48,6 +48,18 @@ STAR_SCHEMA = ReactionSchema("star4", ("positive", "negative", "star_disc", "sta
 
 SCHEMAS = {s.name: s for s in (CORE_SCHEMA, ALL_SCHEMA, STAR_SCHEMA)}
 
+# The sign of each core reaction in the star model (``star``): Haha is
+# uncertain, used both genuinely and sarcastically.
+POLARITY = {
+    "love": "positive",
+    "wow": "positive",
+    "haha": "uncertain",
+    "sad": "negative",
+    "angry": "negative",
+}
+
+POLAR_REACTIONS = tuple(r for r, polarity in POLARITY.items() if polarity != "uncertain")
+
 # The models a lexicon is trained for: the core and all reaction
 # distributions, and star-sentiment vectors over STAR_SCHEMA.
 MODELS = ("core", "all", "star")
@@ -194,7 +206,7 @@ class ReactionLexicon(
     """Mapping word -> (mean reaction vector, number of training entries).
 
     A lexicon is a finished table: ``Fold.lexicon`` and
-    ``corpus_io.load_lexicon`` are the only places that make one.
+    ``artifacts.load_lexicon`` are the only places that make one.
 
     ``train_mean`` is the component-wise mean over all training entries'
     vectors (not over words); it is the fallback prediction for messages

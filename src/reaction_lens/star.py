@@ -2,11 +2,12 @@
 
 Love and Wow count as positive, Sad and Angry as negative; Haha is excluded
 as uncertain (it is used both genuinely and sarcastically), and Like and
-Thankful never enter these sums.  Each post's positive and negative masses
-are normalized over the four polar reactions, their difference is min-max
-scaled onto [1, 5] using the training range, and the star value is also
-snapped to the nearest 0.5 bin.  The resulting 4-component vectors
-[positive, negative, star_disc, star_cont] feed the shared lexicon engine.
+Thankful never enter these sums (``engine.POLARITY``).  Each post's
+positive and negative masses are normalized over the four polar reactions,
+their difference is min-max scaled onto [1, 5] using the training range,
+and the star value is also snapped to the nearest 0.5 bin.  The resulting
+4-component vectors [positive, negative, star_disc, star_cont] feed the
+shared lexicon engine.
 """
 
 from __future__ import annotations
@@ -17,16 +18,6 @@ from typing import Iterable, Sequence
 
 from .engine import divide_columns
 from .errors import DegenerateRange, ZeroReactionTotal
-
-POLARITY = {
-    "love": "positive",
-    "wow": "positive",
-    "haha": "uncertain",
-    "sad": "negative",
-    "angry": "negative",
-}
-
-POLAR_REACTIONS = tuple(r for r, polarity in POLARITY.items() if polarity != "uncertain")
 
 STAR_MIN = 1.0
 STAR_MAX = 5.0

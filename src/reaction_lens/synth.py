@@ -26,7 +26,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .corpus_io import PostRecord, atomic_write, save_corpus
+from .artifacts import atomic_write
+from .corpus_io import save_corpus
 from .engine import ALL_SCHEMA, CORE_SCHEMA
 from .errors import InvalidSpec
 
@@ -224,7 +225,7 @@ def write_corpus(
     def records():
         for message, counts in _rows(spec, vocab, affinities):
             sums[:] = map(add, sums, counts)
-            yield PostRecord(message, counts)
+            yield message, counts, None
 
     rows = save_corpus(records(), output, format)
     totals = dict(zip(ALL_SCHEMA.reactions, sums))

@@ -89,6 +89,16 @@ class TestPipelineRules:
         folded = clean_message("MiXeD සABC", CleanConfig(casefold_ascii=True))
         assert folded.text == "mixed සabc"
 
+    def test_casefold_ascii_folds_the_stopwords_too(self):
+        stopwords = frozenset({"Saha", "mama"})
+        message = "SAHA saha Saha mama Mama w1"
+        stats = CleanStats()
+        folded = clean_message(message, CleanConfig(stopwords, True), stats)
+        assert folded.tokens == ("w1",)
+        assert stats.stopword_tokens == 5
+        # Without folding, a stopword matches only its own spelling.
+        assert clean_message(message, CleanConfig(stopwords)).tokens == ("SAHA", "saha", "Mama", "w1")
+
     def test_stats_counters(self):
         stats = CleanStats()
         clean_message(

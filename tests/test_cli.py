@@ -11,7 +11,8 @@ import pytest
 
 import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
-from reaction_lens.corpus_io import load_corpus, load_lexicon
+from reaction_lens.artifacts import load_lexicon
+from reaction_lens.corpus_io import load_corpus
 
 from oracles import oracle_lexicon, oracle_nearest_half, oracle_star_vectors, oracle_train_mean
 
@@ -730,10 +731,13 @@ TIMESTAMP = re.compile(r"^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00$")
 # command -> (modules it must load, modules it must not load); no command
 # but synth loads dataclasses, which brings inspect, ast, dis and tokenize.
 UNUSED_EVERYWHERE = {"logging", "datetime", "dataclasses", "inspect"}
+# predict reads a lexicon and messages, never a corpus: no corpus reader, no csv.
 LOADS = {
-    "predict": ({"reaction_lens.cleaning"},
-                {"reaction_lens.evaluation", "reaction_lens.star", *UNUSED_EVERYWHERE}),
-    "clean": ({"reaction_lens.cleaning"}, {"reaction_lens.evaluation", *UNUSED_EVERYWHERE}),
+    "predict": ({"reaction_lens.artifacts", "reaction_lens.cleaning"},
+                {"reaction_lens.corpus_io", "csv", "reaction_lens.evaluation",
+                 "reaction_lens.star", *UNUSED_EVERYWHERE}),
+    "clean": ({"reaction_lens.cleaning", "reaction_lens.corpus_io"},
+              {"reaction_lens.evaluation", "reaction_lens.star", *UNUSED_EVERYWHERE}),
     "train": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
     "eval": ({"reaction_lens.evaluation"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),
     "stats": ({"reaction_lens.corpus_io"}, {"reaction_lens.cleaning", *UNUSED_EVERYWHERE}),

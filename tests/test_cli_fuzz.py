@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reaction_lens.cli import EXIT_OK, main
-from reaction_lens.corpus_io import save_lexicon
+from reaction_lens.artifacts import save_lexicon
 from reaction_lens.engine import CORE_SCHEMA, build_lexicon
 
 EXIT_CODES = {0, 2, 3, 4, 5}

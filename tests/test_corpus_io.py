@@ -13,18 +13,17 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_load_corpus, oracle_load_entries
-from reaction_lens import corpus_io
+from reaction_lens import artifacts, corpus_io
+from reaction_lens.artifacts import atomic_write, load_lexicon, save_lexicon
 from reaction_lens.corpus_io import (
     MalformedRow,
     PostRecord,
     ReactionCounts,
-    atomic_write,
     corpus_entries,
+    corpus_rows,
     corpus_stats,
     load_corpus,
-    load_lexicon,
     save_corpus,
-    save_lexicon,
 )
 from reaction_lens.engine import (
     _BLOCK,
@@ -577,15 +576,18 @@ class TestBlockReaderMatchesOracle:
     (line, reason, order) and log lines, whichever blocks fail their checks."""
 
     def check(self, data, schema_map, fmt):
-        errors, oracle_errors, entry_errors = [], [], []
+        errors, oracle_errors, entry_errors, row_errors = [], [], [], []
         with logged_warnings() as logged:
             records = list(load_corpus(io.BytesIO(data), fmt, schema_map, errors))
         with logged_warnings() as oracle_logged:
             expected = oracle_load_corpus(io.BytesIO(data), fmt, schema_map, oracle_errors)
         entries = list(corpus_entries(io.BytesIO(data), fmt, schema_map, entry_errors))
+        rows = list(corpus_rows(io.BytesIO(data), fmt, schema_map, row_errors))
         assert records == expected
         assert all(type(r.reactions) is ReactionCounts for r in records)
-        assert errors == oracle_errors == entry_errors
+        assert errors == oracle_errors == entry_errors == row_errors
+        assert rows == [(r.message, tuple(r.reactions), r.id) for r in expected]
+        assert all(type(counts) is tuple for _, counts, _ in rows)
         assert logged == oracle_logged
         assert entries == [(r.message.split(), tuple(r.reactions)) for r in expected]
         assert all(type(counts) is tuple for _, counts in entries)
@@ -807,8 +809,8 @@ class TestLexiconPersistence:
         body = "".join(line + "\n" for line in entry_lines)
         digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
         text = "".join(line + "\n" for line in head) + f"#sha256\t{digest}\n" + body
-        block = data.draw(st.sampled_from([1, 2, 3, corpus_io._LOAD_BLOCK]))
-        with mock.patch.object(corpus_io, "_LOAD_BLOCK", block):
+        block = data.draw(st.sampled_from([1, 2, 3, artifacts._LOAD_BLOCK]))
+        with mock.patch.object(artifacts, "_LOAD_BLOCK", block):
             try:
                 expected = oracle_load_entries(body, lex.schema)
             except CorruptArtifact as exc:
@@ -895,6 +897,14 @@ class TestSaveCorpus:
         # CSV has no id column; JSONL keeps the id of the record that has one.
         expected_ids = ["p1", None] if fmt == "jsonl" else [None, None]
         assert [r.id for r in loaded] == expected_ids
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_plain_triples_write_as_records_do(self, fmt):
+        records, triples = io.StringIO(), io.StringIO()
+        assert save_corpus(self.RECORDS, records, fmt) == 2
+        assert save_corpus([(r.message, tuple(r.reactions), r.id) for r in self.RECORDS],
+                           triples, fmt) == 2
+        assert triples.getvalue() == records.getvalue()
 
     def test_jsonl_id_only_when_present(self):
         sink = io.StringIO()

@@ -25,7 +25,7 @@ import json
 import pytest
 
 from reaction_lens.cli import EXIT_OK, main
-from reaction_lens.corpus_io import load_lexicon, save_lexicon
+from reaction_lens.artifacts import load_lexicon, save_lexicon
 
 MODELS = ("core", "all", "star")
 SYNTH_FLAGS = ["--rows", "2000", "--vocab-size", "400", "--seed", "11"]

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from reaction_lens.corpus_io import ReactionCounts
+from reaction_lens.engine import POLARITY
 from reaction_lens.errors import DegenerateRange, ZeroReactionTotal
 from reaction_lens.star import (
-    POLARITY,
     discretize_star,
     gaussian_similarity,
     star_normalize,
