@@ -20,7 +20,9 @@ reads no corpus).
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import io
 import json
 import os
 import stat
@@ -392,9 +394,12 @@ def _cmd_predict(args) -> int:
     messages = zero_coverage = 0
     coverage_sum = 0.0
     with ExitStack() as stack:
-        source = sys.stdin if args.input == "-" else stack.enter_context(
-            open(args.input, encoding="utf-8", newline="\n")  # one message per "\n", as on stdin
-        )
+        # Strict UTF-8 and one message per "\n" from a file or stdin alike, whatever the locale.
+        if args.input == "-":
+            source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
+            stack.callback(source.detach)  # leaves sys.stdin open
+        else:
+            source = stack.enter_context(open(args.input, encoding="utf-8", newline="\n"))
         sink = sys.stdout if args.output == "-" else stack.enter_context(
             atomic_write(args.output)
         )
@@ -471,9 +476,20 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    config_path = args.config or os.environ.get(CONFIG_ENV)
+    """Run one command; the cyclic garbage collector is paused for the run.
+
+    No command leaves cyclic garbage that grows with its input
+    (``tests/test_cli.py::TestCollectorPaused``), so the collector's passes
+    would find nothing; the state found on entry is restored on return.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
+        # The parser is now cyclic garbage, all of it in the youngest generation: freeing
+        # it (about 0.2 ms) keeps the command's peak RSS what it is with the collector on.
+        gc.collect(0)
+        config_path = args.config or os.environ.get(CONFIG_ENV)
         _settle(args, _read_config_file(config_path) if config_path else {})
         return _COMMANDS[args.command](args)
     except _IO_ERRORS as exc:
@@ -488,7 +504,21 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"reaction-lens: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def entry() -> None:
+    """The process entry point (``python -m reaction_lens.cli``, the ``reaction-lens`` script).
+
+    ``gc.freeze()`` moves the heap out of the collector's reach, so the
+    interpreter's collection passes at shutdown skip it.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

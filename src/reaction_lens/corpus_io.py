@@ -521,6 +521,8 @@ def save_corpus(
     if format == "csv":
         writer = csv.writer(sink, lineterminator="\n")
         writer.writerow(("message",) + ALL_SCHEMA.reactions)
+    else:
+        encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps builds one per call
     written = 0
     for message, counts, record_id in rows:
         if format == "csv":
@@ -530,7 +532,7 @@ def save_corpus(
             obj.update(zip(ALL_SCHEMA.reactions, counts))
             if record_id is not None:
                 obj["id"] = record_id
-            sink.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            sink.write(encode(obj) + "\n")
         written += 1
     return written
 

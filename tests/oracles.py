@@ -194,6 +194,9 @@ def oracle_clean(raw, stopwords, casefold_ascii, control_ranges):
          "digit_tokens"),
         0,
     )
+    if casefold_ascii:  # the stopwords are folded as the message is
+        stopwords = {"".join(chr(ord(c) + 32) if "A" <= c <= "Z" else c for c in w)
+                     for w in stopwords}
     chars = []
     for c in raw:
         cp = ord(c)

@@ -1,3 +1,5 @@
+import gc
+import io
 import json
 import logging
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import reaction_lens
-from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, entry, main
 from reaction_lens.artifacts import load_lexicon
 from reaction_lens.corpus_io import load_corpus
 
@@ -469,6 +471,41 @@ class TestTrainPredict:
         assert out.read_text(encoding="utf-8") == "earlier output\n"
         assert not list(tmp_path.glob("p.txt.*"))
 
+    # UTF-8 mode reads stdin with surrogateescape; a latin-1 stdin decodes any byte.
+    @pytest.mark.parametrize("env", [{"PYTHONUTF8": "1", "LC_ALL": "C"},
+                                     {"PYTHONIOENCODING": "latin-1"}])
+    def test_predict_stdin_is_strict_utf8_whatever_the_locale(self, tmp_path, env):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(HEADER + "ආයුබෝවන් b,0,1,0,0,0,0,0\nb c,0,0,1,0,0,0,0\n",
+                          encoding="utf-8")
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+
+        def predict(stdin):
+            return subprocess.run(
+                [sys.executable, "-m", "reaction_lens.cli", "predict", "--lexicon", str(lexicon)],
+                env={**os.environ, "PYTHONPATH": str(Path(reaction_lens.__file__).parents[1]),
+                     **env},
+                input=stdin, capture_output=True, timeout=120,
+            )
+
+        good = predict("ආයුබෝවන්\n".encode("utf-8"))
+        assert good.returncode == EXIT_OK, good.stderr
+        assert good.stdout == b"1,0,0,0,0 coverage=1\n"
+        bad = predict(b"w0001\n\xff\xfe bad\n")
+        assert bad.returncode == EXIT_IO
+        assert bad.stderr.startswith(b"reaction-lens: i/o error: 'utf-8' codec can't decode")
+
+    def test_predict_from_stdin_leaves_stdin_open(self, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"a c\n\xff\n")))
+        capsys.readouterr()
+        assert main(["predict", "--lexicon", str(lexicon)]) == EXIT_IO
+        assert not sys.stdin.closed
+
     def test_star_training(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"
         corpus.write_text(
@@ -852,3 +889,104 @@ class TestStartup:
         manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
         assert TIMESTAMP.match(manifest["created_at"]), manifest["created_at"]
         assert TIMESTAMP.match(manifest["finished_at"]), manifest["finished_at"]
+
+
+def noisy_corpus(path, good_rows):
+    """A CSV of ``good_rows`` rows with a non-integer, a short and an invalid
+    UTF-8 row after every 50th, and one quoted field left open at the end."""
+    lines = [HEADER.encode("utf-8")]
+    for i in range(good_rows):
+        lines.append(f"w{i % 97:04d} w{i * 7 % 89:04d} x{i % 13},{i % 5},1,{i % 3},0,{i % 2},0,0\n"
+                     .encode("utf-8"))
+        if i % 50 == 0:
+            lines += [b"nonint,x,0,0,0,0,0,0\n", b"short,1,2\n", b"\xff\xfe bad,1,0,0,0,0,0,0\n"]
+    lines.append(b'"open,1,1,1,1,1,1,0\n')
+    path.write_bytes(b"".join(lines))
+
+
+class TestCollectorPaused:
+    """``main`` runs with the cyclic collector off, which is safe only while no
+    command leaves cyclic garbage that grows with its input."""
+
+    COMMANDS = {
+        "clean": lambda n: ["clean", "--input", f"c{n}.csv", "--output", f"o{n}.csv"],
+        "stats": lambda n: ["stats", "--input", f"c{n}.csv", "--output", f"s{n}.json"],
+        "train core": lambda n: ["train", "--input", f"c{n}.csv", "--output", f"t{n}.lex"],
+        "train star": lambda n: ["train", "--input", f"c{n}.csv", "--output", f"t{n}.lex",
+                                 "--model", "star"],
+        "eval core": lambda n: ["eval", "--input", f"c{n}.csv", "--output", f"e{n}.json",
+                                "--splits", "90,50", "--runs", "2"],
+        "eval star": lambda n: ["eval", "--input", f"c{n}.csv", "--output", f"e{n}.json",
+                                "--splits", "90,50", "--runs", "2", "--model", "star"],
+        "predict": lambda n: ["predict", "--lexicon", "l.lex", "--input", f"m{n}.txt",
+                              "--output", f"p{n}.txt"],
+        "synth": lambda n: ["synth", "--output", f"y{n}.csv", "--rows", str(n)],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_garbage_does_not_grow_with_the_input(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        for n in (200, 2000):
+            noisy_corpus(tmp_path / f"c{n}.csv", n)
+            (tmp_path / f"m{n}.txt").write_text(
+                "".join(f"w{i % 97:04d} zz{i} w{i * 3 % 89:04d}\n" for i in range(n)),
+                encoding="utf-8")
+        assert main(["train", "--input", "c200.csv", "--output", "l.lex"]) == EXIT_OK
+
+        def garbage(n):
+            gc.collect()
+            assert main(self.COMMANDS[command](n)) == EXIT_OK
+            return gc.collect()
+
+        garbage(200)  # first imports and one-time set-up
+        small, large = garbage(200), garbage(2000)
+        assert small == large
+        assert large < 100  # main frees the parser's 393 objects before the command runs
+        if command == "clean":
+            drops = json.loads((tmp_path / "o2000.csv.manifest.json").read_text())["row_drops"]
+            assert drops["malformed_rows"] == 3 * 40 + 1
+
+    def test_command_runs_with_the_collector_off(self, monkeypatch):
+        from reaction_lens import cli
+
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, "stats", lambda args: seen.append(gc.isenabled()))
+        assert gc.isenabled()
+        main(["stats", "--input", "unread.csv"])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_restores_the_collector_state(self, tmp_path, capsys, enabled):
+        bad_lexicon = tmp_path / "bad.lex"
+        bad_lexicon.write_text("#reaction-lexicon v9\n", encoding="utf-8")
+        runs = [
+            (["synth", "--output", str(tmp_path / "s.csv"), "--rows", "10"], EXIT_OK),
+            (["eval", "--input", "x", "--output", "y", "--sigma", "nan"], EXIT_USAGE),
+            (["stats", "--input", str(tmp_path / "missing.csv")], EXIT_IO),
+            (["predict", "--lexicon", str(bad_lexicon), "--input", str(bad_lexicon)], EXIT_SCHEMA),
+            (["synth", "--output", str(tmp_path / "x.csv"), "--rows", "0"], EXIT_DATA),
+        ]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv, code in runs:
+                assert main(argv) == code
+                assert gc.isenabled() is enabled
+            with pytest.raises(SystemExit):  # argparse's own usage error
+                main(["train"])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert gc.get_freeze_count() == 0
+
+    def test_entry_freezes_the_heap_and_exits_with_mains_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["reaction-lens", "synth", "--output",
+                                          str(tmp_path / "s.csv"), "--rows", "0"])
+        try:
+            with pytest.raises(SystemExit) as exit_info:
+                entry()
+            assert exit_info.value.code == EXIT_DATA
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
