@@ -13,9 +13,9 @@ __version__ = "0.1.0"
 # submodule on first use, so importing the package (as every command does)
 # loads none of them, and numpy comes only with synth.
 _SUBMODULES = {
-    "CleanConfig": "cleaning", "clean_message": "cleaning", "ReactionCounts": "corpus_io",
-    "CORE_SCHEMA": "engine", "build_lexicon": "engine", "normalize": "engine",
-    "predict": "engine", "SynthSpec": "synth", "write_corpus": "synth",
+    "CleanConfig": "cleaning", "clean_message": "cleaning", "corpus_entries": "corpus_io",
+    "fit": "evaluation", "prepare": "evaluation", "predict": "engine",
+    "SynthSpec": "synth", "write_corpus": "synth",
 }
 
 
@@ -27,14 +27,4 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    "CORE_SCHEMA",
-    "CleanConfig",
-    "ReactionCounts",
-    "SynthSpec",
-    "build_lexicon",
-    "clean_message",
-    "normalize",
-    "predict",
-    "write_corpus",
-]
+__all__ = list(_SUBMODULES)

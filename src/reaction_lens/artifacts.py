@@ -21,7 +21,7 @@ from contextlib import contextmanager, suppress
 from itertools import repeat
 from pathlib import Path
 
-from .engine import SCHEMAS, ReactionLexicon, ReactionSchema, get_schema
+from .engine import SCHEMAS, ReactionLexicon, get_schema
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -122,12 +122,12 @@ def _entry_error(lines, stride) -> str:
     raise AssertionError("no bad entry line")
 
 
-def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) -> ReactionLexicon:
+def load_lexicon(source) -> ReactionLexicon:
     """Read a lexicon artifact back into a ReactionLexicon.
 
     Raises VersionMismatch for unsupported format versions, SchemaMismatch
-    when the artifact's schema differs from ``expected_schema``, and
-    CorruptArtifact for checksum or structural failures.
+    for a schema no model has, and CorruptArtifact for checksum or
+    structural failures.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -180,16 +180,6 @@ def load_lexicon(source, expected_schema: ReactionSchema | str | None = None) ->
         raise CorruptArtifact(
             f"artifact reaction list does not match schema {name!r}"
         )
-    if expected_schema is not None:
-        expected = (
-            get_schema(expected_schema)
-            if isinstance(expected_schema, str)
-            else expected_schema
-        )
-        if expected != schema:
-            raise SchemaMismatch(
-                f"artifact has schema {schema.name!r}, expected {expected.name!r}"
-            )
 
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     if headers["sha256"] != [digest]:

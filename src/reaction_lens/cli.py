@@ -9,7 +9,8 @@ the configuration snapshot, input checksums, tool version, timestamps, and
 row accounting.  JSON reports and lexicon artifacts embed the run id; other
 formats rely on the sidecar naming convention.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data;
+an interrupted command dies by SIGINT (``entry``).
 
 Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
 ``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
@@ -43,7 +44,6 @@ from .errors import (
     SchemaMismatch,
     UnreadableSource,
     VersionMismatch,
-    ZeroReactionTotal,
 )
 
 EXIT_OK = 0
@@ -57,7 +57,6 @@ CONFIG_ENV = "REACTION_LENS_CONFIG"
 _IO_ERRORS = (UnreadableSource, OSError, UnicodeDecodeError)
 _SCHEMA_ERRORS = (SchemaMismatch, VersionMismatch, CorruptArtifact)
 _DATA_ERRORS = (
-    ZeroReactionTotal,
     EmptyTrainingSet,
     DegenerateRange,
     EmptySide,
@@ -332,12 +331,13 @@ def _cmd_clean(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    from .corpus_io import corpus_stats, load_corpus
+    from .corpus_io import corpus_rows, corpus_stats
 
     if args.output:
         run = _Run(args, ("input", "output", "format", "columns"), [args.input])
     errors = []
-    stats = corpus_stats(load_corpus(args.input, args.format, args.columns, errors))
+    rows = corpus_rows(args.input, args.format, args.columns, errors)
+    stats = corpus_stats(counts for _, counts, _ in rows)
     print(f"rows: {stats.rows}   (malformed skipped: {len(errors)})")
     print(f"{'reaction':<10}{'count':>14}{'all %':>10}{'core %':>10}")
     for name in ALL_SCHEMA.reactions:
@@ -513,9 +513,19 @@ def entry() -> None:
     """The process entry point (``python -m reaction_lens.cli``, the ``reaction-lens`` script).
 
     ``gc.freeze()`` moves the heap out of the collector's reach, so the
-    interpreter's collection passes at shutdown skip it.
+    interpreter's collection passes at shutdown skip it.  An interrupt
+    (Ctrl-C) prints one line, then the process dies by SIGINT, so a shell
+    loop around the command stops too.
     """
-    code = main()
+    try:
+        code = main()
+    except KeyboardInterrupt:
+        import signal
+
+        print("reaction-lens: interrupted", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        raise
     gc.freeze()
     sys.exit(code)
 

@@ -1,10 +1,10 @@
 """Streaming corpus ingestion, corpus writing and corpus accounting.
 
 ``corpus_rows`` yields one ``(message, counts, record_id)`` triple per good
-row, ``load_corpus`` one immutable PostRecord, and ``corpus_entries`` one
-``(words, counts)`` pair, all from one reader per format that holds a block
-of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in a
-caller ledger (and logged) with their line number, then skipped; only
+row and ``corpus_entries`` one ``(words, counts)`` pair (``counts``: seven
+ints in ``ALL_SCHEMA`` order), both from one reader per format that holds a
+block of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in
+a caller ledger (and logged) with their line number, then skipped; only
 structural problems (unreadable source, missing columns) abort the stream.
 ``save_corpus`` writes such triples back in the format ``corpus_rows``
 reads, through ``artifacts.atomic_write`` when given a path.
@@ -16,9 +16,8 @@ import csv
 import io
 import json
 import re
-from collections import deque, namedtuple
+from collections import deque
 from contextlib import suppress
-from functools import partial
 from itertools import chain, repeat, starmap
 from operator import add, itemgetter
 from pathlib import Path
@@ -32,36 +31,6 @@ LOGGED_MALFORMED_ROWS = 5
 
 # Logical field -> file column; every field defaults to its own name.
 DEFAULT_SCHEMA_MAP = {name: name for name in ("message",) + ALL_SCHEMA.reactions}
-
-
-class ReactionCounts(
-    namedtuple("ReactionCounts", ALL_SCHEMA.reactions, defaults=(0,) * ALL_SCHEMA.size)
-):
-    """The seven reaction counts of a post, a tuple in ``ALL_SCHEMA`` order.
-
-    The constructor rejects a count that is negative, not an int, or a bool.
-    ``_make`` does not check, and neither does ``tuple.__new__``, which
-    ingest builds checked counts with.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        counts = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(cls._fields, counts):
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"reaction count {name}={value!r} must be a non-negative integer")
-        return counts
-
-    def _replace(self, /, **kwargs):
-        # The inherited _replace builds through the unchecked _make.
-        return type(self)(*super()._replace(**kwargs))
-
-
-class PostRecord(NamedTuple):
-    message: str
-    reactions: ReactionCounts
-    id: str | None = None
 
 
 class MalformedRow(NamedTuple):
@@ -166,21 +135,6 @@ def corpus_rows(
     and logged, and the stream continues.  This is what ``clean`` reads with.
     """
     return chain.from_iterable(starmap(zip, _read_blocks(source, format, schema_map, errors)))
-
-
-def load_corpus(
-    source,
-    format: str = "csv",
-    schema_map: dict[str, str] | None = None,
-    errors: list[MalformedRow] | None = None,
-) -> Iterator[PostRecord]:
-    """Stream a PostRecord per row ``corpus_rows`` yields, its counts a ReactionCounts."""
-    # ``_make`` of each type without its Python-level call: rows come checked and whole.
-    make_counts = partial(tuple.__new__, ReactionCounts)
-    return (
-        tuple.__new__(PostRecord, (message, make_counts(counts), record_id))
-        for message, counts, record_id in corpus_rows(source, format, schema_map, errors)
-    )
 
 
 def corpus_entries(
@@ -507,7 +461,7 @@ def save_corpus(
     rows: Iterable[tuple[str, Sequence[int], str | None]], sink, format: str = "csv"
 ) -> int:
     """Write ``(message, counts, record_id)`` rows to ``sink`` (path or text file)
-    as ``corpus_rows`` reads them; a PostRecord is such a row.
+    as ``corpus_rows`` reads them.
 
     CSV rows are the message and the seven counts (``ALL_SCHEMA`` order) under
     a header line; a JSONL object carries ``id`` after them only when the
@@ -537,13 +491,13 @@ def save_corpus(
     return written
 
 
-def corpus_stats(corpus: Iterable[PostRecord]) -> CorpusStats:
-    """Exact totals per reaction plus all/core percentage columns."""
+def corpus_stats(counts: Iterable[Sequence[int]]) -> CorpusStats:
+    """Exact totals per reaction plus all/core percentages of seven-count rows."""
     sums = [0] * ALL_SCHEMA.size
     rows = 0
-    for record in corpus:
+    for row in counts:
         rows += 1
-        sums = list(map(add, sums, record.reactions))
+        sums = list(map(add, sums, row))
     totals = dict(zip(ALL_SCHEMA.reactions, sums))
     grand = sum(totals.values())
     core = sum(totals[name] for name in CORE_SCHEMA.reactions)

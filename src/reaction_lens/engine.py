@@ -1,9 +1,10 @@
 """Word-averaging reaction lexicon engine.
 
-A post's reaction counts are normalized into a distribution over a declared
-reaction schema.  Training folds each post's distribution into every unique
-word of its message (``Fold``, keyed by integer word id); ``Fold.lexicon``
-averages the per-word sums into a frozen, word-keyed ``ReactionLexicon``.
+A block of posts' reaction counts is normalized into distributions over a
+declared reaction schema (``normalize_columns``).  Training folds each
+post's distribution into every unique word of its message (``Fold``, keyed
+by integer word id); ``Fold.lexicon`` averages the per-word sums into a
+frozen, word-keyed ``ReactionLexicon``.
 Prediction averages the vectors of a message's known words and falls back
 to the training mean when no word is known.
 
@@ -18,7 +19,7 @@ from itertools import compress, islice
 from operator import itemgetter, truediv
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
+from .errors import EmptyTrainingSet, SchemaMismatch
 
 
 class ReactionSchema(namedtuple("ReactionSchema", "name reactions")):
@@ -80,25 +81,10 @@ def count_getter(names: Sequence[str]) -> itemgetter:
 _PROJECTIONS = {schema.name: count_getter(schema.reactions) for schema in (CORE_SCHEMA, ALL_SCHEMA)}
 
 
-def normalize(counts, schema: ReactionSchema) -> tuple[float, ...]:
-    """Normalize raw reaction counts into a distribution over the schema.
-
-    ``counts`` is a ``ReactionCounts`` or any sequence of seven non-negative
-    integers in ``ALL_SCHEMA`` order; ``schema`` is ``CORE_SCHEMA`` or
-    ``ALL_SCHEMA``.  Only schema reactions enter the total, so a post whose
-    mass lies entirely outside the schema raises ZeroReactionTotal and must
-    be excluded from training and evaluation.
-    """
-    kept, columns = normalize_columns([counts], schema)
-    if kept is not None:
-        raise ZeroReactionTotal(
-            f"no positive count among schema {schema.name!r} reactions"
-        )
-    return tuple(column[0] for column in columns)
-
-
 def normalize_columns(counts: Sequence, schema: ReactionSchema):
-    """``normalize`` of a block of counts: ``(kept, columns)`` as ``divide_columns`` gives."""
+    """Seven-count tuples (``ALL_SCHEMA`` order) as distributions over ``schema``
+    (core or all), whose reactions alone enter a total: ``(kept, columns)`` as
+    ``divide_columns`` gives them, so an entry with a zero total is dropped."""
     raw = list(map(_PROJECTIONS[schema.name], counts))
     return divide_columns(list(zip(*raw)), list(map(sum, raw)))
 
@@ -226,21 +212,6 @@ class ReactionLexicon(
 
     def __ne__(self, other):  # tuple.__ne__ would compare meta too
         return not self == other
-
-
-def build_lexicon(
-    training: Iterable[tuple[Iterable[str], Sequence[float]]],
-    schema: ReactionSchema,
-) -> ReactionLexicon:
-    """Build a lexicon from (words, vector) pairs; repeated words count once.
-
-    An empty training iterable still yields a lexicon, but with
-    ``train_mean`` None; prediction against it raises EmptyTrainingSet.
-    """
-    fold = Fold(schema)
-    ids = fold.ids
-    fold.add_many(({ids.setdefault(w, len(ids)) for w in words}, v) for words, v in training)
-    return fold.lexicon()
 
 
 def mean_vector(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:

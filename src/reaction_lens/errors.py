@@ -21,10 +21,6 @@ class CorruptArtifact(ReactionLensError):
     """A persisted artifact fails checksum or structural validation."""
 
 
-class ZeroReactionTotal(ReactionLensError):
-    """No schema reaction has a positive count; normalization is undefined."""
-
-
 class EmptyTrainingSet(ReactionLensError):
     """The lexicon was built from zero entries; the fallback vector is undefined."""
 

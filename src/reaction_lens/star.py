@@ -2,11 +2,12 @@
 
 Love and Wow count as positive, Sad and Angry as negative; Haha is excluded
 as uncertain (it is used both genuinely and sarcastically), and Like and
-Thankful never enter these sums (``engine.POLARITY``).  Each post's
-positive and negative masses are normalized over the four polar reactions,
-their difference is min-max scaled onto [1, 5] using the training range,
-and the star value is also snapped to the nearest 0.5 bin.  The resulting
-4-component vectors [positive, negative, star_disc, star_cont] feed the
+Thankful never enter these sums (``engine.POLARITY``).  A block of posts'
+positive and negative masses are normalized over the four polar reactions
+(``star_normalize_columns``), their difference is min-max scaled onto
+[1, 5] using the training range, and the star value is also snapped to the
+nearest 0.5 bin.  ``star_columns`` builds the resulting 4-component vectors
+[positive, negative, star_disc, star_cont] a block at a time; they feed the
 shared lexicon engine.
 """
 
@@ -17,28 +18,18 @@ from operator import add
 from typing import Iterable, Sequence
 
 from .engine import divide_columns
-from .errors import DegenerateRange, ZeroReactionTotal
+from .errors import DegenerateRange
 
 STAR_MIN = 1.0
 STAR_MAX = 5.0
 STAR_BIN = 0.5
 
 
-def star_normalize(counts) -> tuple[float, float]:
-    """Positive and negative masses normalized over the four polar reactions.
-
-    ``counts`` is a ``ReactionCounts`` or any 7-sequence in ``ALL_SCHEMA`` order.
-    """
-    kept, (positive, negative) = star_normalize_columns([counts])
-    if kept is not None:
-        raise ZeroReactionTotal("no positive count among love/wow/sad/angry")
-    return positive[0], negative[0]
-
-
 def star_normalize_columns(counts: Sequence):
-    """``star_normalize`` of a block of counts: ``(kept, [positive, negative])``.
+    """Positive and negative masses of counts, normalized over the four polar reactions.
 
-    ``kept`` is as ``engine.divide_columns`` gives it.
+    ``counts`` are seven-count tuples in ``ALL_SCHEMA`` order.  Returns
+    ``(kept, [positive, negative])`` as ``engine.divide_columns`` gives them.
     """
     _, love, wow, _, sad, angry, _ = zip(*counts)
     positive = list(map(add, love, wow))
@@ -88,11 +79,6 @@ def star_columns(bases: Sequence[tuple[float, float]], lo: float, hi: float) -> 
     """The star4 vectors of (positive, negative) bases, one sequence per component."""
     stars = [star_scale(p - n, lo, hi) for p, n in bases]
     return (*zip(*bases), list(map(discretize_star, stars)), stars)
-
-
-def star_vector(positive: float, negative: float, lo: float, hi: float) -> tuple[float, ...]:
-    """The star4 vector [positive, negative, star_disc, star_cont] of one entry."""
-    return next(zip(*star_columns([(positive, negative)], lo, hi)))
 
 
 def gaussian_similarity(predicted: float, actual: float, sigma: float = 1.0) -> float:

@@ -208,17 +208,14 @@ def _write_truth(spec: SynthSpec, fh, vocab: list[str], affinities: np.ndarray) 
     fh.write("\n  }\n}\n")
 
 
-def write_corpus(
-    spec: SynthSpec, output, format: str = "csv", truth_path=None
-) -> dict:
+def write_corpus(spec: SynthSpec, output, format: str = "csv") -> dict:
     """Write the corpus plus a ground-truth affinity file next to it.
 
-    Returns a summary with the row count, per-reaction totals, and the
-    aggregate like share actually realized.
+    Returns a summary with the row count, per-reaction totals, the
+    aggregate like share actually realized, and the affinity file's path.
     """
     output = Path(output)
-    if truth_path is None:
-        truth_path = output.with_name(output.name + ".affinities.json")
+    truth_path = output.with_name(output.name + ".affinities.json")
     sums = [0] * ALL_SCHEMA.size
     vocab, affinities = vocabulary(spec), word_affinities(spec)
 

@@ -1,6 +1,9 @@
 """Independent brute-force reference implementations used to cross-check
 the engine.  Everything here is written as literal loops over definitions,
 deliberately ignoring the library's incremental/streaming code paths.
+
+The last section holds test helpers that do use the library: one-entry
+forms of its block functions, for tests that build data an entry at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import io
 import json
 import logging
 import random
+from collections import namedtuple
 from dataclasses import asdict
 
 from reaction_lens.errors import CorruptArtifact, EmptySide, SchemaMismatch
@@ -413,7 +417,8 @@ def _oracle_count_error(texts, columns):
 
 
 def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
-    """The corpus readers one row at a time, as a list of PostRecords.
+    """The corpus readers one row at a time, as a list of ``(message, counts,
+    record_id)`` triples, ``counts`` a tuple of seven ints.
 
     ``source`` is a binary file or a path.  CSV records are read one at a
     time, each by a fresh ``csv.reader`` from the line after the last
@@ -422,7 +427,7 @@ def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
     input quarantines its opening line, with reading resumed on the line
     after it.  A row's line is its last line.  JSONL is read line by line.
     """
-    from reaction_lens.corpus_io import DEFAULT_SCHEMA_MAP, PostRecord, ReactionCounts
+    from reaction_lens.corpus_io import DEFAULT_SCHEMA_MAP
     from reaction_lens.engine import ALL_SCHEMA
 
     if not hasattr(source, "read"):
@@ -475,7 +480,7 @@ def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
                 ledger.add(line, _oracle_count_error(texts, count_columns))
                 continue
             record_id = row[id_index] if id_index is not None and id_index < len(row) else None
-            records.append(PostRecord(message, ReactionCounts(*values), record_id))
+            records.append((message, tuple(values), record_id))
     elif format == "jsonl":
         for line_num, line in enumerate(lines, 1):
             line = line.strip()
@@ -520,7 +525,7 @@ def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
             except ValueError as exc:
                 ledger.add(line_num, str(exc))
                 continue
-            records.append(PostRecord(message, ReactionCounts(*values), record_id))
+            records.append((message, tuple(values), record_id))
     else:
         raise ValueError(f"unknown corpus format {format!r}")
     ledger.close()
@@ -528,8 +533,8 @@ def oracle_load_corpus(source, format="csv", schema_map=None, errors=None):
 
 
 def oracle_prepare(entries, model, ids, tally=None):
-    """(word_ids, base) per entry, one entry at a time: the base as the
-    per-entry ``normalize`` or ``star_normalize`` computed it (a zero total
+    """(word_ids, base) per entry, one entry at a time: the base by plain
+    division of the schema (or polar) counts by their total (a zero total
     drops the entry before its words get ids), then each word's id by
     ``setdefault``, in word order."""
     from reaction_lens.engine import ALL_SCHEMA, get_schema
@@ -548,3 +553,43 @@ def oracle_prepare(entries, model, ids, tally=None):
                 tally["excluded"] += 1
             continue
         yield tuple({ids.setdefault(w, len(ids)) for w in words}), base
+
+
+# Test helpers that use the library.
+
+# Reaction counts by name, a plain tuple in ALL_SCHEMA order; unnamed counts are 0.
+Counts = namedtuple("Counts", "like love wow haha sad angry thankful", defaults=(0,) * 7)
+
+
+def build_lexicon(training, schema):
+    """The lexicon of (words, vector) pairs, repeated words counted once:
+    one ``Fold``, one ``add_many``, then ``Fold.lexicon``."""
+    from reaction_lens.engine import Fold
+
+    fold = Fold(schema)
+    ids = fold.ids
+    fold.add_many(({ids.setdefault(w, len(ids)) for w in words}, v) for words, v in training)
+    return fold.lexicon()
+
+
+def one_base(counts, model):
+    """The base of one entry's counts (the ``prepare`` base of ``model``) by the
+    library's block function on a block of one; None for a zero total."""
+    from reaction_lens.engine import get_schema, normalize_columns
+    from reaction_lens.star import star_normalize_columns
+
+    if model == "star":
+        kept, columns = star_normalize_columns([counts])
+    else:
+        kept, columns = normalize_columns([counts], get_schema(model))
+    if kept is not None:
+        assert kept == [False] and not any(columns)
+        return None
+    return tuple(column[0] for column in columns)
+
+
+def one_star_vector(base, lo, hi):
+    """The star4 vector of one (positive, negative) base, by ``star.star_columns``."""
+    from reaction_lens.star import star_columns
+
+    return next(zip(*star_columns([base], lo, hi)))

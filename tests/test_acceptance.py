@@ -14,27 +14,21 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import pytest
-
 from reaction_lens.cleaning import CleanConfig, clean_message
-from reaction_lens.corpus_io import ReactionCounts, load_corpus
-from reaction_lens.engine import (
-    ALL_SCHEMA,
-    CORE_SCHEMA,
-    build_lexicon,
-    normalize,
-    predict,
-)
-from reaction_lens.errors import ZeroReactionTotal
+from reaction_lens.corpus_io import corpus_rows
+from reaction_lens.engine import ALL_SCHEMA, CORE_SCHEMA, normalize_columns, predict
 from reaction_lens.evaluation import (
     METRICS,
     ExperimentConfig,
     run_experiment,
 )
-from reaction_lens.star import star_normalize, star_range, star_vector
+from reaction_lens.star import star_columns, star_range
 from reaction_lens.synth import SynthSpec, iter_rows
 
 from oracles import (
+    Counts,
+    build_lexicon,
+    one_base,
     oracle_add_overlaps,
     oracle_lexicon,
     oracle_predict,
@@ -56,9 +50,9 @@ def _verdict(criterion: str, ok: bool, detail: str = "") -> None:
 
 def star_vectors(counts_list):
     """Star4 vectors of a training set at its own range, as ``fit`` makes them."""
-    bases = [star_normalize(c) for c in counts_list]
+    bases = [one_base(c, "star") for c in counts_list]
     lo, hi = star_range(bases)
-    return [star_vector(p, n, lo, hi) for p, n in bases], lo, hi
+    return list(zip(*star_columns(bases, lo, hi))), lo, hi
 
 
 def entry_metrics(actual, predicted):
@@ -70,7 +64,7 @@ def entry_metrics(actual, predicted):
 
 def synth_entries(seed: int, rows: int, **overrides):
     spec = SynthSpec(rows=rows, vocab_size=2000, seed=seed, **overrides)
-    return [(m.split(), ReactionCounts(*c)) for m, c in iter_rows(spec)]
+    return [(m.split(), c) for m, c in iter_rows(spec)]
 
 
 def test_criterion_1_oracle_equivalence():
@@ -84,11 +78,10 @@ def test_criterion_1_oracle_equivalence():
         entries = []
         counts_list = []
         while len(entries) < n:
-            counts = ReactionCounts(*[rng.randint(0, 9) for _ in range(7)])
+            counts = Counts(*[rng.randint(0, 9) for _ in range(7)])
             words = frozenset(rng.sample(vocab, rng.randint(1, 6)))
-            try:
-                vector = normalize(counts, CORE_SCHEMA)
-            except ZeroReactionTotal:
+            vector = one_base(counts, "core")
+            if vector is None:
                 continue
             entries.append((words, vector))
             counts_list.append(counts)
@@ -122,25 +115,27 @@ def test_criterion_1_oracle_equivalence():
 
 
 def test_criterion_2_normalization_invariants():
-    """10k random counts: unit sum within 1e-9, components in [0,1]; T=0 raises."""
+    """10k random counts: unit sum within 1e-9, components in [0,1]; T=0 is dropped."""
     start = time.time()
     rng = random.Random(2)
     ok = True
     for _ in range(10_000):
-        counts = ReactionCounts(*[rng.randint(0, 60) for _ in range(7)])
+        counts = Counts(*[rng.randint(0, 60) for _ in range(7)])
         for schema in (CORE_SCHEMA, ALL_SCHEMA):
             total = sum(getattr(counts, r) for r in schema.reactions)
+            kept, columns = normalize_columns([counts], schema)
             if total == 0:
-                with pytest.raises(ZeroReactionTotal):
-                    normalize(counts, schema)
+                assert (kept, columns) == ([False], [[]] * schema.size)
                 continue
-            vector = normalize(counts, schema)
+            assert kept is None
+            vector = [value for column in columns for value in column]
+            ok &= len(vector) == schema.size
             ok &= abs(sum(vector) - 1.0) <= 1e-9
             ok &= all(0.0 <= v <= 1.0 for v in vector)
     zero_seen = False
     for _ in range(50):
-        with pytest.raises(ZeroReactionTotal):
-            normalize(ReactionCounts(like=rng.randint(0, 5)), CORE_SCHEMA)
+        dropped = normalize_columns([Counts(like=rng.randint(0, 5))], CORE_SCHEMA)
+        assert dropped == ([False], [[]] * CORE_SCHEMA.size)
         zero_seen = True
     elapsed = time.time() - start
     ok &= zero_seen and elapsed < 5.0
@@ -250,7 +245,7 @@ def test_criterion_7_star_properties_and_binary_advantage():
     rng = random.Random(7)
     counts = []
     while len(counts) < 400:
-        c = ReactionCounts(
+        c = Counts(
             love=rng.randint(0, 9), wow=rng.randint(0, 9),
             haha=rng.randint(0, 9), sad=rng.randint(0, 9),
             angry=rng.randint(0, 9),
@@ -309,7 +304,7 @@ def test_criterion_8_scale_smoke_one_million_rows(tmp_path):
 
     # streaming contract: consuming the file keeps the heap near-constant
     tracemalloc.start()
-    rows = sum(1 for _ in load_corpus(corpus))
+    rows = sum(1 for _ in corpus_rows(corpus))
     _, heap_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     ok = rows == 1_000_000

@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -14,9 +15,15 @@ import pytest
 import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, entry, main
 from reaction_lens.artifacts import load_lexicon
-from reaction_lens.corpus_io import load_corpus
+from reaction_lens.corpus_io import corpus_rows
 
-from oracles import oracle_lexicon, oracle_nearest_half, oracle_star_vectors, oracle_train_mean
+from oracles import (
+    Counts,
+    oracle_lexicon,
+    oracle_nearest_half,
+    oracle_star_vectors,
+    oracle_train_mean,
+)
 
 HEADER = "message,like,love,wow,haha,sad,angry,thankful\n"
 JSONL_ROW = (
@@ -544,13 +551,13 @@ class TestTrainPredict:
             "--model", "star",
         ]) == EXIT_OK
         records = [
-            r for r in load_corpus(synth_corpus)
-            if r.reactions.love + r.reactions.wow + r.reactions.sad + r.reactions.angry > 0
+            (message, Counts(*counts)) for message, counts, _ in corpus_rows(synth_corpus)
         ]
-        stars, _, _ = oracle_star_vectors([r.reactions for r in records])
+        records = [(m, c) for m, c in records if c.love + c.wow + c.sad + c.angry > 0]
+        stars, _, _ = oracle_star_vectors([counts for _, counts in records])
         entries = [
-            (set(r.message.split()), (positive, negative, oracle_nearest_half(star), star))
-            for r, (positive, negative, _, star) in zip(records, stars)
+            (set(message.split()), (positive, negative, oracle_nearest_half(star), star))
+            for (message, _), (positive, negative, _, star) in zip(records, stars)
         ]
         lexicon = load_lexicon(lexicon_path)
         table = oracle_lexicon(entries, 4)
@@ -990,3 +997,18 @@ class TestCollectorPaused:
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+
+
+def test_interrupt_prints_one_line_and_dies_by_sigint():
+    # Ctrl-C during a command: one line on stderr, no traceback, and the
+    # process ends by SIGINT itself, so a shell loop around it stops too.
+    script = (
+        "from reaction_lens import cli\n"
+        "def interrupted(argv=None):\n"
+        "    raise KeyboardInterrupt\n"
+        "cli.main = interrupted\n"
+        "cli.entry()\n"
+    )
+    result = run_python("-c", script)
+    assert result.returncode == -signal.SIGINT
+    assert result.stderr.splitlines() == ["reaction-lens: interrupted"]

@@ -12,27 +12,17 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_load_corpus, oracle_load_entries
+from oracles import Counts, build_lexicon, oracle_load_corpus, oracle_load_entries
 from reaction_lens import artifacts, corpus_io
 from reaction_lens.artifacts import atomic_write, load_lexicon, save_lexicon
 from reaction_lens.corpus_io import (
     MalformedRow,
-    PostRecord,
-    ReactionCounts,
     corpus_entries,
     corpus_rows,
     corpus_stats,
-    load_corpus,
     save_corpus,
 )
-from reaction_lens.engine import (
-    _BLOCK,
-    ALL_SCHEMA,
-    CORE_SCHEMA,
-    STAR_SCHEMA,
-    ReactionLexicon,
-    build_lexicon,
-)
+from reaction_lens.engine import _BLOCK, ALL_SCHEMA, CORE_SCHEMA, STAR_SCHEMA, ReactionLexicon
 from reaction_lens.errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -63,70 +53,43 @@ def csv_source(body: str) -> io.BytesIO:
     return io.BytesIO((HEADER + body).encode("utf-8"))
 
 
-class TestReactionCounts:
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            ReactionCounts(like=-1)
-
-    def test_bool_rejected(self):
-        with pytest.raises(ValueError):
-            ReactionCounts(love=True)
-
-    def test_tuple_order(self):
-        counts = ReactionCounts(like=1, love=2, wow=3, haha=4, sad=5, angry=6, thankful=7)
-        assert tuple(counts) == (1, 2, 3, 4, 5, 6, 7)
-
-    def test_replace_checks_like_the_constructor(self):
-        counts = ReactionCounts(love=1)
-        replaced = counts._replace(like=5)
-        assert replaced == (5, 1, 0, 0, 0, 0, 0)
-        assert type(replaced) is ReactionCounts
-        for value in (-1, True, 1.0, "1"):
-            with pytest.raises(ValueError):
-                counts._replace(like=value)
-        with pytest.raises(ValueError):
-            counts._replace(nope=1)
-
-
 class TestLoadCsv:
     def test_direct_field_mapping(self):
-        records = list(load_corpus(csv_source('"hello",3,1,0,0,0,0,0\n')))
-        assert records == [
-            PostRecord("hello", ReactionCounts(like=3, love=1), None)
-        ]
+        records = list(corpus_rows(csv_source('"hello",3,1,0,0,0,0,0\n')))
+        assert records == [("hello", (3, 1, 0, 0, 0, 0, 0), None)]
 
     def test_malformed_count_skipped_stream_continues(self):
         errors: list[MalformedRow] = []
         records = list(
-            load_corpus(
+            corpus_rows(
                 csv_source('"a",abc,0,0,0,0,0,0\n"b",1,0,0,0,0,0,0\n'),
                 errors=errors,
             )
         )
-        assert [r.message for r in records] == ["b"]
+        assert [message for message, _, _ in records] == ["b"]
         assert len(errors) == 1
         assert errors[0].line == 2
         assert "abc" in errors[0].reason
 
     def test_empty_file(self):
         errors: list[MalformedRow] = []
-        assert list(load_corpus(io.BytesIO(b""), errors=errors)) == []
+        assert list(corpus_rows(io.BytesIO(b""), errors=errors)) == []
         assert errors == []
 
     def test_header_only(self):
-        assert list(load_corpus(csv_source(""))) == []
+        assert list(corpus_rows(csv_source(""))) == []
 
     def test_missing_column(self):
         source = io.BytesIO(b"message,like\nx,1\n")
         with pytest.raises(SchemaMismatch):
-            load_corpus(source)
+            corpus_rows(source)
 
     def test_byte_order_mark_dropped(self, tmp_path):
         path = tmp_path / "bom.csv"
         path.write_bytes(b"\xef\xbb\xbf" + (HEADER + "hi,1,2,0,0,0,0,0\n").encode("utf-8"))
         errors: list[MalformedRow] = []
-        records = list(load_corpus(path, "csv", errors=errors))
-        assert [(r.message, r.reactions.love) for r in records] == [("hi", 2)]
+        records = list(corpus_rows(path, "csv", errors=errors))
+        assert records == [("hi", (1, 2, 0, 0, 0, 0, 0), None)]
         assert errors == []
 
     def test_schema_map(self):
@@ -139,19 +102,17 @@ class TestLoadCsv:
             "wow": "Wows", "haha": "Hahas", "sad": "Sads",
             "angry": "Angrys", "thankful": "Thankfuls", "id": "Id",
         }
-        records = list(load_corpus(source, "csv", mapping))
-        assert records[0].message == "hi"
-        assert records[0].reactions.love == 2
-        assert records[0].id == "p1"
+        records = list(corpus_rows(source, "csv", mapping))
+        assert records == [("hi", (1, 2, 0, 0, 0, 0, 0), "p1")]
 
     def test_negative_count_is_malformed(self):
         errors: list[MalformedRow] = []
-        assert list(load_corpus(csv_source("x,-1,0,0,0,0,0,0\n"), errors=errors)) == []
+        assert list(corpus_rows(csv_source("x,-1,0,0,0,0,0,0\n"), errors=errors)) == []
         assert len(errors) == 1
 
     def test_short_row_is_malformed(self):
         errors: list[MalformedRow] = []
-        assert list(load_corpus(csv_source("onlymessage\n"), errors=errors)) == []
+        assert list(corpus_rows(csv_source("onlymessage\n"), errors=errors)) == []
         assert len(errors) == 1
 
     def test_bad_encoding_is_row_level(self):
@@ -161,8 +122,8 @@ class TestLoadCsv:
             + "\u0dc1\u0dca\u200d\u0dbb\u0dd3 ok,0,1,0,0,0,0,0\n".encode("utf-8")
         )
         errors: list[MalformedRow] = []
-        records = list(load_corpus(io.BytesIO(body), errors=errors))
-        assert [r.message for r in records] == ["b", "\u0dc1\u0dca\u200d\u0dbb\u0dd3 ok"]
+        records = list(corpus_rows(io.BytesIO(body), errors=errors))
+        assert [message for message, _, _ in records] == ["b", "\u0dc1\u0dca\u200d\u0dbb\u0dd3 ok"]
         assert [e.line for e in errors] == [2, 4]
         assert "UTF-8" in errors[0].reason
         assert "'wow'" in errors[1].reason and "UTF-8" in errors[1].reason
@@ -174,29 +135,29 @@ class TestLoadCsv:
             ' "haha": 0, "sad": 0, "angry": 0, "thankful": 0}\n'.encode("utf-8")
         )
         errors = []
-        records = list(load_corpus(io.BytesIO(jsonl), "jsonl", errors=errors))
-        assert [r.message for r in records] == ["\u0dc1\u0dd4\u0db6"]
+        records = list(corpus_rows(io.BytesIO(jsonl), "jsonl", errors=errors))
+        assert [message for message, _, _ in records] == ["\u0dc1\u0dd4\u0db6"]
         assert [(e.line, e.reason) for e in errors] == [(1, "invalid UTF-8 bytes")]
 
     def test_oversized_field_is_row_level(self):
         body = "a,1,0,0,0,0,0,0\n" + "x" * 200_000 + ",1,0,0,0,0,0,0\nb,0,1,0,0,0,0,0\n"
         errors: list[MalformedRow] = []
-        records = list(load_corpus(csv_source(body), errors=errors))
-        assert [r.message for r in records] == ["a", "b"]
+        records = list(corpus_rows(csv_source(body), errors=errors))
+        assert [message for message, _, _ in records] == ["a", "b"]
         assert [e.line for e in errors] == [3]
         assert "field limit" in errors[0].reason
 
     def test_oversized_header_field_is_schema_mismatch(self):
         source = io.BytesIO(("x" * 200_000 + "," + HEADER).encode("utf-8"))
         with pytest.raises(SchemaMismatch, match="unreadable CSV header"):
-            load_corpus(source)
+            corpus_rows(source)
 
     def test_malformed_rows_logged_then_summarised(self, caplog):
         body = "".join(f"m{i},x,0,0,0,0,0,0\n" for i in range(12)) + "ok,1,0,0,0,0,0,0\n"
         errors: list[MalformedRow] = []
         with caplog.at_level(logging.WARNING, logger="reaction_lens.corpus_io"):
-            records = list(load_corpus(csv_source(body), errors=errors))
-        assert [r.message for r in records] == ["ok"]
+            records = list(corpus_rows(csv_source(body), errors=errors))
+        assert [message for message, _, _ in records] == ["ok"]
         assert len(errors) == 12
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert len(warnings) == 6
@@ -206,30 +167,30 @@ class TestLoadCsv:
         assert warnings[5] == "7 more malformed rows not shown"
 
     def test_quoted_newline_in_message(self):
-        records = list(load_corpus(csv_source('"line1\nline2",1,0,0,0,0,0,0\n')))
-        assert records[0].message == "line1\nline2"
+        records = list(corpus_rows(csv_source('"line1\nline2",1,0,0,0,0,0,0\n')))
+        assert [message for message, _, _ in records] == ["line1\nline2"]
 
     def test_multiline_messages_up_to_the_bound_parse(self):
         longest = "\n".join(f'part {i} ""q""' for i in range(corpus_io.MAX_RECORD_LINES))
         body = f'"{longest}",1,0,0,0,0,0,0\n"a\r\nb",0,1,0,0,0,0,0\nc,0,0,1,0,0,0,0\n'
         errors: list[MalformedRow] = []
-        records = list(load_corpus(csv_source(body), errors=errors))
-        assert [r.message for r in records] == [longest.replace('""', '"'), "a\r\nb", "c"]
+        records = list(corpus_rows(csv_source(body), errors=errors))
+        assert [message for message, _, _ in records] == [longest.replace('""', '"'), "a\r\nb", "c"]
         assert errors == []
 
     def test_quote_open_at_end_quarantines_its_opening_line(self):
         body = '"bad row,1,1,1,1,1,1,0\ngood,1,2,0,0,0,0,0\nalso good,0,1,1,0,0,0,0\n'
         errors: list[MalformedRow] = []
-        records = list(load_corpus(csv_source(body), errors=errors))
-        assert [r.message for r in records] == ["good", "also good"]
+        records = list(corpus_rows(csv_source(body), errors=errors))
+        assert [message for message, _, _ in records] == ["good", "also good"]
         assert errors == [MalformedRow(2, "quoted field still open at end of input")]
 
     def test_quote_open_past_the_bound_quarantines_its_opening_line(self):
         lines = [f"w{i},1,0,0,0,0,0,0\n" for i in range(corpus_io.MAX_RECORD_LINES + 5)]
         body = "first,1,0,0,0,0,0,0\n" + '"open,1,0,0,0,0,0,0\n' + "".join(lines) + '"x,1\nlast,1,0,0,0,0,0,0'
         errors: list[MalformedRow] = []
-        records = list(load_corpus(csv_source(body), errors=errors))
-        assert [r.message for r in records] == ["first", *(f"w{i}" for i in range(len(lines))), "last"]
+        records = list(corpus_rows(csv_source(body), errors=errors))
+        assert [message for message, _, _ in records] == ["first", *(f"w{i}" for i in range(len(lines))), "last"]
         last_line = 3 + len(lines) + 1
         assert errors == [
             MalformedRow(3, f"quoted field not closed within {corpus_io.MAX_RECORD_LINES} lines"),
@@ -239,11 +200,11 @@ class TestLoadCsv:
     def test_quote_open_in_header_is_schema_mismatch(self):
         source = io.BytesIO((HEADER.rstrip("\n") + ',"note\nx,1,0,0,0,0,0,0,y\n').encode("utf-8"))
         with pytest.raises(SchemaMismatch, match="quoted field still open"):
-            load_corpus(source)
+            corpus_rows(source)
 
     def test_unreadable_path(self, tmp_path):
         with pytest.raises(UnreadableSource):
-            list(load_corpus(tmp_path / "missing.csv"))
+            list(corpus_rows(tmp_path / "missing.csv"))
 
 
 class TestLoadJsonl:
@@ -251,8 +212,8 @@ class TestLoadJsonl:
         path = tmp_path / "bom.jsonl"
         path.write_bytes(b"\xef\xbb\xbf" + (GOOD_JSONL % "a" + GOOD_JSONL % "b").encode("utf-8"))
         errors: list[MalformedRow] = []
-        records = list(load_corpus(path, "jsonl", errors=errors))
-        assert [r.message for r in records] == ["a", "b"]
+        records = list(corpus_rows(path, "jsonl", errors=errors))
+        assert [message for message, _, _ in records] == ["a", "b"]
         assert errors == []
 
     def test_basic(self):
@@ -260,27 +221,26 @@ class TestLoadJsonl:
             '{"message": "hi", "like": 1, "love": 0, "wow": 0, "haha": 0,'
             ' "sad": 0, "angry": 0, "thankful": 0, "extra": "ignored"}\n'
         )
-        records = list(load_corpus(io.BytesIO(line.encode("utf-8")), "jsonl"))
-        assert records[0].message == "hi"
-        assert records[0].reactions.like == 1
+        records = list(corpus_rows(io.BytesIO(line.encode("utf-8")), "jsonl"))
+        assert records == [("hi", (1, 0, 0, 0, 0, 0, 0), None)]
 
     def test_bad_json_skipped(self):
         body = b'{oops\n{"message": "ok", "like": 0, "love": 1, "wow": 0, "haha": 0, "sad": 0, "angry": 0, "thankful": 0}\n'
         errors: list[MalformedRow] = []
-        records = list(load_corpus(io.BytesIO(body), "jsonl", errors=errors))
-        assert [r.message for r in records] == ["ok"]
+        records = list(corpus_rows(io.BytesIO(body), "jsonl", errors=errors))
+        assert [message for message, _, _ in records] == ["ok"]
         assert errors[0].line == 1
 
     def test_missing_key_skipped(self):
         body = b'{"message": "x", "like": 1}\n'
         errors: list[MalformedRow] = []
-        assert list(load_corpus(io.BytesIO(body), "jsonl", errors=errors)) == []
+        assert list(corpus_rows(io.BytesIO(body), "jsonl", errors=errors)) == []
         assert len(errors) == 1
 
     def test_non_integer_count_skipped(self):
         body = b'{"message": "x", "like": 1.5, "love": 0, "wow": 0, "haha": 0, "sad": 0, "angry": 0, "thankful": 0}\n'
         errors: list[MalformedRow] = []
-        assert list(load_corpus(io.BytesIO(body), "jsonl", errors=errors)) == []
+        assert list(corpus_rows(io.BytesIO(body), "jsonl", errors=errors)) == []
         assert len(errors) == 1
 
     def test_oversized_int_and_deep_nesting_are_malformed_rows(self):
@@ -290,8 +250,8 @@ class TestLoadJsonl:
         deep = "[" * 100_000 + "\n"
         body = GOOD_JSONL % "a" + huge + GOOD_JSONL % "b" + deep + GOOD_JSONL % "c"
         errors: list[MalformedRow] = []
-        records = list(load_corpus(io.BytesIO(body.encode("utf-8")), "jsonl", errors=errors))
-        assert [r.message for r in records] == ["a", "b", "c"]
+        records = list(corpus_rows(io.BytesIO(body.encode("utf-8")), "jsonl", errors=errors))
+        assert [message for message, _, _ in records] == ["a", "b", "c"]
         assert [e.line for e in errors] == [2, 4]
 
     def test_escaped_surrogate_is_malformed_row(self):
@@ -302,30 +262,30 @@ class TestLoadJsonl:
         good_id = GOOD_JSONL.replace("}", ', "id": "d7"}') % "d"
         body = GOOD_JSONL % "a" + bad_message + GOOD_JSONL % "b" + bad_id + good_id
         errors: list[MalformedRow] = []
-        records = list(load_corpus(
+        records = list(corpus_rows(
             io.BytesIO(body.encode("ascii")), "jsonl", {"id": "id"}, errors,
         ))
-        assert [(r.message, r.id) for r in records] == [("a", None), ("b", None), ("d", "d7")]
+        assert [(m, record_id) for m, _, record_id in records] == [
+            ("a", None), ("b", None), ("d", "d7"),
+        ]
         assert [e.line for e in errors] == [2, 4]
         assert all("surrogate" in e.reason for e in errors)
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
-            load_corpus(io.BytesIO(b""), "xml")
+            corpus_rows(io.BytesIO(b""), "xml")
 
 
 def first_rejected(values) -> str | None:
-    """The first reaction whose value ``ReactionCounts`` rejects on its own."""
+    """The first reaction whose value is no count: negative, not an int, or a bool."""
     for name, value in zip(ALL_SCHEMA.reactions, values):
-        try:
-            ReactionCounts(**{name: value})
-        except ValueError:
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             return name
     return None
 
 
 def as_count(text: str):
-    """A CSV cell as the constructor would see it: its int value, or the text."""
+    """A CSV cell as a typed value: its int value, or the text."""
     try:
         return int(text)
     except ValueError:
@@ -361,9 +321,10 @@ def rows_of(message, junk):
 
 
 class TestIngestMatchesConstructor:
-    """Ingest builds counts with ``ReactionCounts._make``, which skips the
-    constructor's checks; it must keep exactly the rows the constructor
-    accepts, and name the column of each row it drops."""
+    """Ingest checks counts a block at a time; it must keep exactly the rows
+    whose seven counts are all counts by ``first_rejected``'s rule (a typed
+    check, one value at a time), as plain tuples, and name the column of
+    each row it drops."""
 
     @settings(max_examples=150, deadline=None)
     @given(rows_of(MESSAGE, CSV_JUNK))
@@ -374,7 +335,7 @@ class TestIngestMatchesConstructor:
         writer.writerows([message, *values] for message, values in rows)
         errors: list[MalformedRow] = []
         source = io.BytesIO(text.getvalue().encode("utf-8", "surrogateescape"))
-        records = list(load_corpus(source, errors=errors))
+        records = list(corpus_rows(source, errors=errors))
 
         kept, reasons = [], []
         for message, cells in rows:
@@ -384,9 +345,9 @@ class TestIngestMatchesConstructor:
             elif (name := first_rejected(values)) is not None:
                 reasons.append(f"column {name!r}: ")
             else:
-                kept.append(PostRecord(message, ReactionCounts(*values)))
+                kept.append((message, tuple(values), None))
         assert records == kept
-        assert all(type(r.reactions) is ReactionCounts for r in records)
+        assert all(type(counts) is tuple for _, counts, _ in records)
         assert len(errors) == len(reasons)
         for error, prefix in zip(errors, reasons):
             assert error.reason.startswith(prefix), (error.reason, prefix)
@@ -400,7 +361,7 @@ class TestIngestMatchesConstructor:
         ]
         errors: list[MalformedRow] = []
         source = io.BytesIO("".join(line + "\n" for line in lines).encode("ascii"))
-        records = list(load_corpus(source, "jsonl", errors=errors))
+        records = list(corpus_rows(source, "jsonl", errors=errors))
 
         kept, reasons = [], []
         for message, values in rows:
@@ -409,9 +370,9 @@ class TestIngestMatchesConstructor:
             elif (name := first_rejected(values)) is not None:
                 reasons.append(f"key {name!r}: ")
             else:
-                kept.append(PostRecord(message, ReactionCounts(*values)))
+                kept.append((message, tuple(values), None))
         assert records == kept
-        assert all(type(r.reactions) is ReactionCounts for r in records)
+        assert all(type(counts) is tuple for _, counts, _ in records)
         assert len(errors) == len(reasons)
         for error, prefix in zip(errors, reasons):
             assert error.reason.startswith(prefix), (error.reason, prefix)
@@ -576,20 +537,17 @@ class TestBlockReaderMatchesOracle:
     (line, reason, order) and log lines, whichever blocks fail their checks."""
 
     def check(self, data, schema_map, fmt):
-        errors, oracle_errors, entry_errors, row_errors = [], [], [], []
+        errors, oracle_errors, entry_errors = [], [], []
         with logged_warnings() as logged:
-            records = list(load_corpus(io.BytesIO(data), fmt, schema_map, errors))
+            rows = list(corpus_rows(io.BytesIO(data), fmt, schema_map, errors))
         with logged_warnings() as oracle_logged:
             expected = oracle_load_corpus(io.BytesIO(data), fmt, schema_map, oracle_errors)
         entries = list(corpus_entries(io.BytesIO(data), fmt, schema_map, entry_errors))
-        rows = list(corpus_rows(io.BytesIO(data), fmt, schema_map, row_errors))
-        assert records == expected
-        assert all(type(r.reactions) is ReactionCounts for r in records)
-        assert errors == oracle_errors == entry_errors == row_errors
-        assert rows == [(r.message, tuple(r.reactions), r.id) for r in expected]
+        assert rows == expected
         assert all(type(counts) is tuple for _, counts, _ in rows)
+        assert errors == oracle_errors == entry_errors
         assert logged == oracle_logged
-        assert entries == [(r.message.split(), tuple(r.reactions)) for r in expected]
+        assert entries == [(message.split(), counts) for message, counts, _ in expected]
         assert all(type(counts) is tuple for _, counts in entries)
 
     @settings(max_examples=60, deadline=None)
@@ -637,7 +595,7 @@ class TestBlockReaderMatchesOracle:
         data = (HEADER + "".join(rows)).encode("utf-8")
         self.check(data, None, "csv")
         errors = []
-        list(load_corpus(io.BytesIO(data), errors=errors))
+        list(corpus_rows(io.BytesIO(data), errors=errors))
         assert [e.line for e in errors] == [2, BLOCK // 2 + 2, BLOCK + 1, BLOCK + 2]
 
 
@@ -646,8 +604,7 @@ class TestCorpusStats:
         # Hand-verified: like share of the grand total, love share of the
         # five-reaction core total, and so on.
         rows = [
-            PostRecord("x", ReactionCounts(**{name: REFERENCE_TOTALS[name]}))
-            for name in ALL_SCHEMA.reactions
+            Counts(**{name: REFERENCE_TOTALS[name]}) for name in ALL_SCHEMA.reactions
         ]
         stats = corpus_stats(rows)
         assert stats.totals == REFERENCE_TOTALS
@@ -668,7 +625,7 @@ class TestCorpusStats:
     def test_percentages_match_float_formula_below_2_53(self, counts):
         # With 100 * grand < 2**53 every total converts to a float exactly,
         # so 100 * total / grand rounds once, as 100.0 * total / grand does.
-        stats = corpus_stats([PostRecord("m", ReactionCounts(*counts))])
+        stats = corpus_stats([tuple(counts)])
         totals = stats.totals
         for percent, names in ((stats.all_percent, ALL_SCHEMA.reactions),
                                (stats.core_percent, CORE_SCHEMA.reactions)):
@@ -680,17 +637,13 @@ class TestCorpusStats:
 
     def test_percentages_sum_to_100(self):
         rng = random.Random(1)
-        rows = [
-            PostRecord("m", ReactionCounts(*[rng.randint(0, 9) for _ in range(7)]))
-            for _ in range(500
-            )
-        ]
+        rows = [tuple(rng.randint(0, 9) for _ in range(7)) for _ in range(500)]
         stats = corpus_stats(rows)
         assert sum(stats.all_percent.values()) == pytest.approx(100.0, abs=0.01)
         assert sum(stats.core_percent.values()) == pytest.approx(100.0, abs=0.01)
 
     def test_single_love_post(self):
-        stats = corpus_stats([PostRecord("m", ReactionCounts(love=1))])
+        stats = corpus_stats([Counts(love=1)])
         assert stats.core_percent["love"] == 100.0
         assert all(
             stats.core_percent[name] == 0.0 for name in CORE_SCHEMA.reactions if name != "love"
@@ -705,13 +658,10 @@ class TestCorpusStats:
 
     def test_matches_bruteforce_second_pass(self):
         rng = random.Random(9)
-        rows = [
-            PostRecord("m", ReactionCounts(*[rng.randint(0, 99) for _ in range(7)]))
-            for _ in range(300)
-        ]
+        rows = [tuple(rng.randint(0, 99) for _ in range(7)) for _ in range(300)]
         stats = corpus_stats(rows)
         for i, name in enumerate(ALL_SCHEMA.reactions):
-            assert stats.totals[name] == sum(tuple(r.reactions)[i] for r in rows)
+            assert stats.totals[name] == sum(row[i] for row in rows)
 
 
 # Entry words: any text without tab, CR, LF or lone surrogates, with
@@ -839,11 +789,14 @@ class TestLexiconPersistence:
         assert first.startswith("#reaction-lexicon v1")
 
     def test_schema_mismatch_on_load(self, tmp_path):
+        # A schema no model has is a schema error, not a corrupt artifact.
         lex = build_lexicon([({"a"}, tuple([1.0] + [0.0] * 6))], ALL_SCHEMA)
         path = tmp_path / "all.lex"
         save_lexicon(lex, path)
-        with pytest.raises(SchemaMismatch):
-            load_lexicon(path, expected_schema="core")
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("#schema\tall\t", "#schema\tall9\t"), encoding="utf-8")
+        with pytest.raises(SchemaMismatch, match="unknown schema 'all9' in artifact"):
+            load_lexicon(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v2.lex"
@@ -882,28 +835,26 @@ class TestLexiconPersistence:
 
 class TestSaveCorpus:
     RECORDS = [
-        PostRecord("ආයුබෝවන් hi", ReactionCounts(like=3, love=1), "p1"),
-        PostRecord('say "x", y', ReactionCounts(sad=2, thankful=1)),
+        ("ආයුබෝවන් hi", Counts(like=3, love=1), "p1"),
+        ('say "x", y', Counts(sad=2, thankful=1), None),
     ]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_round_trip(self, tmp_path, fmt):
         path = tmp_path / f"c.{fmt}"
         assert save_corpus(self.RECORDS, path, fmt) == 2
-        loaded = list(load_corpus(path, fmt, {"id": "id"}))
-        assert [(r.message, r.reactions) for r in loaded] == [
-            (r.message, r.reactions) for r in self.RECORDS
-        ]
+        loaded = list(corpus_rows(path, fmt, {"id": "id"}))
+        assert [(m, c) for m, c, _ in loaded] == [(m, c) for m, c, _ in self.RECORDS]
         # CSV has no id column; JSONL keeps the id of the record that has one.
         expected_ids = ["p1", None] if fmt == "jsonl" else [None, None]
-        assert [r.id for r in loaded] == expected_ids
+        assert [record_id for _, _, record_id in loaded] == expected_ids
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_plain_triples_write_as_records_do(self, fmt):
+        # Named count tuples (RECORDS) write as plain ones do.
         records, triples = io.StringIO(), io.StringIO()
         assert save_corpus(self.RECORDS, records, fmt) == 2
-        assert save_corpus([(r.message, tuple(r.reactions), r.id) for r in self.RECORDS],
-                           triples, fmt) == 2
+        assert save_corpus([(m, tuple(c), i) for m, c, i in self.RECORDS], triples, fmt) == 2
         assert triples.getvalue() == records.getvalue()
 
     def test_jsonl_id_only_when_present(self):
@@ -956,7 +907,7 @@ class TestStreaming:
                 fh.write(row)
         tracemalloc.start()
         count = 0
-        for record in load_corpus(path):
+        for record in corpus_rows(path):
             count += 1
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

@@ -5,23 +5,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reaction_lens.cleaning import CleanConfig, CleanedMessage
-from reaction_lens.corpus_io import MalformedRow, ReactionCounts
+from reaction_lens.corpus_io import MalformedRow
 from reaction_lens.engine import (
     _BLOCK,
     ALL_SCHEMA,
     CORE_SCHEMA,
     STAR_SCHEMA,
     Fold,
-    build_lexicon,
     get_schema,
-    normalize,
+    normalize_columns,
     predict,
 )
-from reaction_lens.errors import EmptyTrainingSet, SchemaMismatch, ZeroReactionTotal
+from reaction_lens.errors import EmptyTrainingSet, SchemaMismatch
 from reaction_lens.evaluation import ExperimentConfig
-from reaction_lens.star import star_vector
 
-from oracles import oracle_fold, oracle_lexicon, oracle_predict, oracle_train_mean
+from oracles import (
+    Counts,
+    build_lexicon,
+    one_star_vector,
+    oracle_fold,
+    oracle_lexicon,
+    oracle_predict,
+    oracle_train_mean,
+)
+
+
+def normalize_one(counts, schema):
+    """``normalize_columns`` on a block of one: ``(kept, vector)``; the vector is
+    empty when the entry is dropped."""
+    kept, columns = normalize_columns([counts], schema)
+    return kept, tuple(value for column in columns for value in column)
 
 
 def random_corpus(rng, n_entries, vocab_size=30, schema=CORE_SCHEMA):
@@ -51,7 +64,7 @@ class TestSchemas:
     def test_star_is_not_unit_sum(self):
         assert STAR_SCHEMA.reactions == ("positive", "negative", "star_disc", "star_cont")
         assert STAR_SCHEMA.size == 4
-        assert sum(star_vector(1.0, 0.0, -1.0, 1.0)) == 11.0
+        assert sum(one_star_vector((1.0, 0.0), -1.0, 1.0)) == 11.0
 
     def test_get_schema_unknown(self):
         with pytest.raises(SchemaMismatch):
@@ -66,18 +79,17 @@ class TestSchemas:
 
 class TestNormalize:
     def test_core_direct_ratio(self):
-        counts = ReactionCounts(love=2, wow=1, haha=1)
-        assert normalize(counts, CORE_SCHEMA) == (0.5, 0.25, 0.25, 0.0, 0.0)
+        counts = Counts(love=2, wow=1, haha=1)
+        assert normalize_one(counts, CORE_SCHEMA) == (None, (0.5, 0.25, 0.25, 0.0, 0.0))
 
     def test_core_ignores_like(self):
-        counts = ReactionCounts(like=100)
-        with pytest.raises(ZeroReactionTotal):
-            normalize(counts, CORE_SCHEMA)
+        counts = Counts(like=100)
+        assert normalize_one(counts, CORE_SCHEMA) == ([False], ())
 
     def test_all_direct_ratio(self):
-        counts = ReactionCounts(like=95, love=2, wow=1, haha=1, sad=1)
-        assert normalize(counts, ALL_SCHEMA) == (
-            0.95, 0.02, 0.01, 0.01, 0.01, 0.0, 0.0,
+        counts = Counts(like=95, love=2, wow=1, haha=1, sad=1)
+        assert normalize_one(counts, ALL_SCHEMA) == (
+            None, (0.95, 0.02, 0.01, 0.01, 0.01, 0.0, 0.0),
         )
 
     def test_random_vectors_are_valid(self):
@@ -85,11 +97,11 @@ class TestNormalize:
         rng = random.Random(11)
         for _ in range(10_000):
             values = [rng.randint(0, 50) for _ in range(7)]
-            counts = ReactionCounts(*values)
+            counts = Counts(*values)
             schema = CORE_SCHEMA if rng.random() < 0.5 else ALL_SCHEMA
-            try:
-                vector = normalize(counts, schema)
-            except ZeroReactionTotal:
+            kept, vector = normalize_one(counts, schema)
+            if kept is not None:
+                assert kept == [False] and vector == ()
                 assert sum(getattr(counts, r) for r in schema.reactions) == 0
                 continue
             assert len(vector) == schema.size
@@ -102,12 +114,11 @@ class TestNormalize:
         rng = random.Random(5)
         for _ in range(2000):
             values = [rng.randint(0, 30) for _ in range(7)]
-            counts = ReactionCounts(*values)
-            try:
-                core = normalize(counts, CORE_SCHEMA)
-            except ZeroReactionTotal:
+            counts = Counts(*values)
+            kept, core = normalize_one(counts, CORE_SCHEMA)
+            if kept is not None:
                 continue
-            full = normalize(counts, ALL_SCHEMA)
+            _, full = normalize_one(counts, ALL_SCHEMA)
             for name, core_value in zip(CORE_SCHEMA.reactions, core):
                 all_value = full[ALL_SCHEMA.reactions.index(name)]
                 assert all_value <= core_value + 1e-15

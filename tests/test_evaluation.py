@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reaction_lens.corpus_io import ReactionCounts
-from reaction_lens.engine import _BLOCK, STAR_SCHEMA, build_lexicon, get_schema, normalize, predict
-from reaction_lens.errors import DegenerateRange, EmptySide, ZeroReactionTotal
+from reaction_lens.engine import _BLOCK, STAR_SCHEMA, get_schema, predict
+from reaction_lens.errors import DegenerateRange, EmptySide
 from reaction_lens.evaluation import (
     METRICS,
     EvalReport,
@@ -21,16 +20,19 @@ from reaction_lens.evaluation import (
     run_experiment,
     split_label,
 )
-from reaction_lens.star import (
-    discretize_star,
-    gaussian_similarity,
-    star_normalize,
-    star_range,
-    star_vector,
-)
+from reaction_lens.star import discretize_star, gaussian_similarity, star_range
 from reaction_lens.synth import SynthSpec, iter_rows
 
-from oracles import oracle_add_overlaps, oracle_prepare, oracle_score, split
+from oracles import (
+    Counts,
+    build_lexicon,
+    one_base,
+    one_star_vector,
+    oracle_add_overlaps,
+    oracle_prepare,
+    oracle_score,
+    split,
+)
 
 
 def random_distribution(rng, k=5, allow_zero_components=True):
@@ -105,7 +107,7 @@ class TestEntryMetrics:
 
 def numbered_corpus(n):
     """``n`` entries, each with its own word and a core reaction."""
-    return [([f"w{i}"], ReactionCounts(love=1 + i % 3, sad=1)) for i in range(n)]
+    return [([f"w{i}"], Counts(love=1 + i % 3, sad=1)) for i in range(n)]
 
 
 def run_sizes(n, fraction, seed=0, runs=1):
@@ -199,7 +201,7 @@ class TestEvalReport:
 
 
 def memorizable_corpus(n=20):
-    counts = ReactionCounts(love=2, wow=1, haha=1)
+    counts = Counts(love=2, wow=1, haha=1)
     return [(["x"], counts) for _ in range(n)]
 
 
@@ -217,14 +219,14 @@ class TestRunExperiment:
         assert report.value("95", "love", "accuracy") == pytest.approx(0.5)
 
     def test_zero_total_entries_excluded(self):
-        corpus = memorizable_corpus(30) + [(["y"], ReactionCounts(like=9))] * 10
+        corpus = memorizable_corpus(30) + [(["y"], Counts(like=9))] * 10
         report = run_experiment(
             corpus, ExperimentConfig(model="core", train_fractions=(0.5,), runs=1)
         )
         assert report.value("50", "love", "f1") == pytest.approx(1.0)
 
     def test_all_schema_rows(self):
-        corpus = [(["x"], ReactionCounts(like=9, love=1))] * 20
+        corpus = [(["x"], Counts(like=9, love=1))] * 20
         report = run_experiment(
             corpus, ExperimentConfig(model="all", train_fractions=(0.5,), runs=1)
         )
@@ -234,8 +236,8 @@ class TestRunExperiment:
         assert report.value("50", "like", "f1") == pytest.approx(1.0)
 
     def test_star_rows_and_perfect_match(self):
-        corpus = [(["p"], ReactionCounts(love=3))] * 10 + [
-            (["n"], ReactionCounts(angry=2))
+        corpus = [(["p"], Counts(love=3))] * 10 + [
+            (["n"], Counts(angry=2))
         ] * 10
         report = run_experiment(
             corpus,
@@ -258,7 +260,7 @@ class TestRunExperiment:
     def test_flat_star_range_names_the_first_prefix_folded(self):
         # Every train side is flat; the first prefix folded is run 0's
         # smallest fraction, which the message names.
-        corpus = [([f"w{i}"], ReactionCounts(love=1 + i % 2)) for i in range(10)]
+        corpus = [([f"w{i}"], Counts(love=1 + i % 2)) for i in range(10)]
         config = ExperimentConfig(model="star", train_fractions=(0.9, 0.5), runs=2)
         with pytest.raises(DegenerateRange, match=r"\(split 50%, run 0\)$"):
             run_experiment(corpus, config)
@@ -268,7 +270,7 @@ class TestRunExperiment:
         corpus = [
             (
                 [f"w{rng.randint(0, 30)}" for _ in range(4)],
-                ReactionCounts(*[rng.randint(0, 5) for _ in range(7)]),
+                Counts(*[rng.randint(0, 5) for _ in range(7)]),
             )
             for _ in range(300)
         ]
@@ -338,7 +340,7 @@ class TestReportEmit:
 
 def synth_corpus(seed=4, rows=600):
     spec = SynthSpec(rows=rows, vocab_size=150, seed=seed)
-    return [(m.split(), ReactionCounts(*c)) for m, c in iter_rows(spec)]
+    return [(m.split(), Counts(*c)) for m, c in iter_rows(spec)]
 
 
 def literal_experiment(corpus, config):
@@ -347,11 +349,9 @@ def literal_experiment(corpus, config):
     star = config.model == "star"
     entries = []
     for words, counts in corpus:
-        try:
-            base = star_normalize(counts) if star else normalize(counts, get_schema(config.model))
-        except ZeroReactionTotal:
-            continue
-        entries.append((words, base))
+        base = one_base(counts, config.model)
+        if base is not None:
+            entries.append((words, base))
     per_run = {}
     for fraction in config.train_fractions:
         runs = []
@@ -359,8 +359,8 @@ def literal_experiment(corpus, config):
             train, test = split(entries, fraction, config.seed + run)
             if star:
                 lo, hi = star_range(base for _, base in train)
-                train = [(words, star_vector(*base, lo, hi)) for words, base in train]
-                test = [(words, star_vector(*base, lo, hi)) for words, base in test]
+                train = [(words, one_star_vector(base, lo, hi)) for words, base in train]
+                test = [(words, one_star_vector(base, lo, hi)) for words, base in test]
             lexicon = build_lexicon(train, STAR_SCHEMA if star else get_schema(config.model))
             rows = 3 if star else lexicon.schema.size
             sums = [[0.0] * len(METRICS) for _ in range(rows)]
@@ -415,13 +415,13 @@ def star_widening_corpus():
     corpus = [
         (
             [f"w{rng.randint(0, 12)}" for _ in range(3)],
-            ReactionCounts(love=rng.randint(1, 3), wow=rng.randint(0, 2),
-                           sad=rng.randint(1, 3), angry=rng.randint(0, 2)),
+            Counts(love=rng.randint(1, 3), wow=rng.randint(0, 2),
+                   sad=rng.randint(1, 3), angry=rng.randint(0, 2)),
         )
         for _ in range(60)
     ]
-    corpus[17] = (["w1", "w2"], ReactionCounts(love=5))
-    corpus[41] = (["w3", "w4"], ReactionCounts(angry=4))
+    corpus[17] = (["w1", "w2"], Counts(love=5))
+    corpus[41] = (["w3", "w4"], Counts(angry=4))
     return corpus
 
 
@@ -451,7 +451,7 @@ class TestRunExperimentMatchesLiteralLoop:
     def test_star_range_widening_after_the_smallest_prefix(self):
         corpus = star_widening_corpus()
         config = ExperimentConfig(model="star", train_fractions=(0.5, 0.95, 0.7), runs=3, seed=4)
-        bases = [star_normalize(counts) for _, counts in corpus]
+        bases = [one_base(counts, "star") for _, counts in corpus]
         widened = [
             star_range(split(bases, 0.5, config.seed + run)[0])
             != star_range(split(bases, 0.95, config.seed + run)[0])
@@ -461,8 +461,8 @@ class TestRunExperimentMatchesLiteralLoop:
         self.assert_matches_literal_loop(corpus, config)
 
     def test_accounting(self):
-        corpus = synth_corpus(rows=300) + [(["only", "likes"], ReactionCounts(like=4))] * 7
-        corpus += [([f"rare{i}", "w0001"], ReactionCounts(sad=1)) for i in range(30)]
+        corpus = synth_corpus(rows=300) + [(["only", "likes"], Counts(like=4))] * 7
+        corpus += [([f"rare{i}", "w0001"], Counts(sad=1)) for i in range(30)]
         for fractions, runs in [((0.8,), 2), ((0.5, 0.95, 0.7), 3)]:
             config = ExperimentConfig(model="core", train_fractions=fractions, runs=runs, seed=2)
             accounting = run_experiment(corpus, config).accounting
@@ -477,19 +477,15 @@ class TestRunExperimentMatchesLiteralLoop:
 
 def random_counts(rng):
     """Seven counts with some zeros, so that bases have zero components."""
-    return ReactionCounts(*(rng.choice((0, 0, 1, 2, 7)) for _ in range(7)))
+    return Counts(*(rng.choice((0, 0, 1, 2, 7)) for _ in range(7)))
 
 
 def random_base(rng, model):
     """A base as ``prepare`` makes it: a distribution, or star's masses."""
     while True:
-        counts = random_counts(rng)
-        try:
-            if model == "star":
-                return star_normalize(counts)
-            return normalize(counts, get_schema(model))
-        except ZeroReactionTotal:
-            continue
+        base = one_base(random_counts(rng), model)
+        if base is not None:
+            return base
 
 
 @settings(max_examples=30, deadline=None)
@@ -527,7 +523,7 @@ def test_score_equals_per_entry_oracle(seed, model, n_test, sigma):
         assert bounds == star_range(base for _, base in train)
 
         def one_vector(base):
-            return star_vector(*base, *bounds)
+            return one_star_vector(base, *bounds)
 
     assert _score(test, fold, bounds, sigma) == oracle_score(test, fold, one_vector, sigma)
 
@@ -552,8 +548,8 @@ def test_prepare_equals_per_entry_oracle(seed, model, n, known_words, words_as):
         for _ in range(n)
     ]
     for k in range(_BLOCK // 2, n, _BLOCK):
-        entries[k] = (["only_here", "w1"], ReactionCounts(like=3, haha=1))
-        entries[k - 1] = (["w2"], ReactionCounts(like=2))
+        entries[k] = (["only_here", "w1"], Counts(like=3, haha=1))
+        entries[k - 1] = (["w2"], Counts(like=2))
     for k in range(_BLOCK - 1, n, _BLOCK):
         entries[k] = ([f"w{k % 7}", f"fresh{k}", f"fresh{k}"], random_counts(rng))
     start = {f"w{i}": i for i in range(known_words)}

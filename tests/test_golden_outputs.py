@@ -8,7 +8,8 @@ order.  The same spec also goes through ``synth -> clean`` as JSONL.  Each
 lexicon then predicts ``MESSAGES``, raw lines that trigger every cleaning
 rule, with ``STOPWORDS`` as the stopword file.  Every output must hash to
 the digest recorded below, so a refactor that changes any lexicon value,
-report value, prediction or row by a single bit fails here.
+report value, prediction or row by a single bit fails here.  ``stats``
+of the raw corpus is pinned too: its JSON output and its standard output.
 
 Run-specific content is left out of the digests: the lexicon's
 ``#manifest`` line and the JSON report's ``manifest`` field hold a run id
@@ -21,6 +22,7 @@ headers.  Each lexicon must also load and save back to its own bytes,
 import hashlib
 import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -68,6 +70,8 @@ GOLDEN = {
     "predict_core.txt": "a7acb0d377d4602716cd3ec31a05f796649d09d261813a7781e681ceaa33d52f",
     "predict_all.txt": "10a42a111b5022b0a90afe981899021a09b5249e570bdde4d15254b2a394535a",
     "predict_star.txt": "9c97a929f651a67790523a38079689d13762963af44d753ab895a706002ff8ce",
+    "stats.json": "ac39692565dc363e4c07f86d1cf466007de1b978e07406e44b385cad36523bfe",
+    "stats.stdout": "886a75d23acc91cbe80e745d7adb989332345c2848f6ea5bec5f4aaf2eaa2111",
 }
 
 
@@ -81,7 +85,8 @@ def _digest(path) -> str:
         return _sha256("".join(x for x in lines if not x.startswith("#manifest\t")).encode())
     if path.suffix == ".json":
         report = json.loads(path.read_text(encoding="utf-8"))
-        report.pop("manifest")
+        if path.name != "stats.json":  # the one JSON output without a run id
+            report.pop("manifest")
         return _sha256(json.dumps(report, sort_keys=True, separators=(",", ":")).encode())
     return _sha256(path.read_bytes())
 
@@ -116,6 +121,10 @@ def outputs(tmp_path_factory):
                          *UNSORTED_EVAL_FLAGS])
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        assert main(["stats", "--input", str(corpus), "--output", str(d / "stats.json")]) == EXIT_OK
+    (d / "stats.stdout").write_text(stdout.getvalue(), encoding="utf-8")
     return d
 
 

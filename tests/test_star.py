@@ -3,31 +3,30 @@ import random
 
 import pytest
 
-from reaction_lens.corpus_io import ReactionCounts
 from reaction_lens.engine import POLARITY
-from reaction_lens.errors import DegenerateRange, ZeroReactionTotal
+from reaction_lens.errors import DegenerateRange
 from reaction_lens.star import (
     discretize_star,
     gaussian_similarity,
-    star_normalize,
+    star_columns,
+    star_normalize_columns,
     star_range,
     star_scale,
-    star_vector,
 )
 
-from oracles import oracle_nearest_half, oracle_star_vectors
+from oracles import Counts, one_base, one_star_vector, oracle_nearest_half, oracle_star_vectors
 
 
 def star_vectors(counts_list):
     """Star4 vectors of a training set at its own range, as ``fit`` makes them."""
-    bases = [star_normalize(c) for c in counts_list]
+    bases = [one_base(c, "star") for c in counts_list]
     lo, hi = star_range(bases)
-    return [star_vector(p, n, lo, hi) for p, n in bases], lo, hi
+    return list(zip(*star_columns(bases, lo, hi))), lo, hi
 
 
 def random_polar_counts(rng, max_count=20):
     while True:
-        counts = ReactionCounts(
+        counts = Counts(
             like=rng.randint(0, 100),
             love=rng.randint(0, max_count),
             wow=rng.randint(0, max_count),
@@ -52,20 +51,20 @@ class TestPolarity:
 
 class TestStarNormalize:
     def test_all_positive(self):
-        assert star_normalize(ReactionCounts(love=3, wow=1)) == (1.0, 0.0)
+        assert star_normalize_columns([Counts(love=3, wow=1)]) == (None, [[1.0], [0.0]])
 
     def test_symmetric(self):
-        counts = ReactionCounts(love=1, wow=1, sad=1, angry=1)
-        assert star_normalize(counts) == (0.5, 0.5)
+        counts = Counts(love=1, wow=1, sad=1, angry=1)
+        assert star_normalize_columns([counts]) == (None, [[0.5], [0.5]])
 
     def test_haha_excluded(self):
-        with pytest.raises(ZeroReactionTotal):
-            star_normalize(ReactionCounts(haha=50))
+        assert star_normalize_columns([Counts(haha=50)]) == ([False], [[], []])
 
     def test_masses_sum_to_one(self):
         rng = random.Random(4)
-        for _ in range(10_000):
-            positive, negative = star_normalize(random_polar_counts(rng))
+        kept, columns = star_normalize_columns([random_polar_counts(rng) for _ in range(10_000)])
+        assert kept is None
+        for positive, negative in zip(*columns):
             assert 0.0 <= positive <= 1.0
             assert 0.0 <= negative <= 1.0
             assert positive + negative == pytest.approx(1.0, abs=1e-12)
@@ -132,7 +131,7 @@ class TestDiscretize:
 
 class TestBuildStarVectors:
     def test_two_entry_extremes(self):
-        counts = [ReactionCounts(love=1), ReactionCounts(sad=1)]
+        counts = [Counts(love=1), Counts(sad=1)]
         vectors, lo, hi = star_vectors(counts)
         assert (lo, hi) == (-1.0, 1.0)
         assert vectors[0][3] == 5.0
@@ -140,9 +139,9 @@ class TestBuildStarVectors:
 
     def test_all_positive_corpus_spans_observed_range(self):
         counts = [
-            ReactionCounts(love=3, wow=1),  # aggregate 1.0
-            ReactionCounts(love=1, wow=1, sad=0, angry=0),  # aggregate 1.0
-            ReactionCounts(love=1, sad=1),  # aggregate 0.0
+            Counts(love=3, wow=1),  # aggregate 1.0
+            Counts(love=1, wow=1, sad=0, angry=0),  # aggregate 1.0
+            Counts(love=1, sad=1),  # aggregate 0.0
         ]
         vectors, lo, hi = star_vectors(counts)
         assert all(n == 0.0 or p - n == 0.0 for p, n, _, _ in vectors)
@@ -164,8 +163,8 @@ class TestBuildStarVectors:
             assert vector[2] == oracle_nearest_half(vector[3])
 
     def test_vector_component_order(self):
-        vectors, lo, hi = star_vectors([ReactionCounts(love=1), ReactionCounts(sad=1)])
-        positive, negative = star_normalize(ReactionCounts(love=1))
+        vectors, lo, hi = star_vectors([Counts(love=1), Counts(sad=1)])
+        positive, negative = one_base(Counts(love=1), "star")
         star = star_scale(positive - negative, lo, hi)
         assert vectors[0] == (positive, negative, discretize_star(star), star)
 
@@ -173,12 +172,12 @@ class TestBuildStarVectors:
         with pytest.raises(DegenerateRange):
             star_vectors([])
         with pytest.raises(DegenerateRange):
-            star_vectors([ReactionCounts(love=1), ReactionCounts(wow=2)])
+            star_vectors([Counts(love=1), Counts(wow=2)])
 
 
 class TestStarSentiment:
     def test_test_entry_clamped(self):
-        vector = star_vector(*star_normalize(ReactionCounts(sad=5)), 0.0, 1.0)
+        vector = one_star_vector(one_base(Counts(sad=5), "star"), 0.0, 1.0)
         assert vector[3] == 1.0
         assert vector[2] == 1.0
 

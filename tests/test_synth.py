@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from reaction_lens.corpus_io import load_corpus
-from reaction_lens.engine import CORE_SCHEMA, normalize
+from reaction_lens.corpus_io import corpus_rows
+from reaction_lens.engine import CORE_SCHEMA, normalize_columns
 from reaction_lens.errors import InvalidSpec
 from reaction_lens.synth import (
     _CHUNK,
@@ -133,7 +133,9 @@ class TestGeneration:
         )
         for message, counts in iter_rows(spec):
             assert set(message.split()) == {"w0000"}
-            assert normalize(counts, CORE_SCHEMA) == (1.0, 0.0, 0.0, 0.0, 0.0)
+            assert normalize_columns([counts], CORE_SCHEMA) == (
+                None, [[1.0], [0.0], [0.0], [0.0], [0.0]],
+            )
 
     def test_like_share_near_target(self):
         spec = SynthSpec(rows=30_000, vocab_size=300, like_dominance=0.95, seed=11)
@@ -161,7 +163,7 @@ class TestGeneration:
             path = tmp_path / f"c.{fmt}"
             summary = write_corpus(SynthSpec(rows=250, seed=4), path, fmt)
             errors = []
-            records = list(load_corpus(path, fmt, errors=errors))
+            records = list(corpus_rows(path, fmt, errors=errors))
             assert summary["rows"] == len(records) == 250
             assert errors == []
 
