@@ -10,7 +10,8 @@ row accounting.  JSON reports and lexicon artifacts embed the run id; other
 formats rely on the sidecar naming convention.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data;
-an interrupted command dies by SIGINT (``entry``).
+an interrupted command dies by SIGINT (``entry``).  ``predict`` scores a large chunk
+of a regular file in two processes (``_halves``), with the same output bytes.
 
 Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
 ``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
@@ -25,12 +26,14 @@ import gc
 import hashlib
 import io
 import json
+import marshal
 import os
 import stat
 import sys
 import time
 from collections import Counter
 from contextlib import ExitStack
+from itertools import islice
 
 from . import __version__
 from .artifacts import atomic_write, load_lexicon, save_lexicon
@@ -83,7 +86,7 @@ class _Run:
         self.command = args.command
         self.config = {**{name: getattr(args, name) for name in names}, **extra}
         self.inputs = []
-        for path in inputs:
+        for path in filter(None, inputs):
             checksum = size = None
             # A pipe or device can be read only once, and the command needs it.
             if stat.S_ISREG(os.stat(path).st_mode):
@@ -146,15 +149,8 @@ def _parse_columns(spec: str) -> dict | None:
 
 
 def _parse_splits(spec: str) -> tuple[float, ...]:
-    fractions = []
-    for token in spec.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        value = float(token)
-        if value >= 1.0:
-            value /= 100.0
-        fractions.append(value)
+    values = [float(token) for token in map(str.strip, spec.split(",")) if token]
+    fractions = [value / 100.0 if value >= 1.0 else value for value in values]
     if not fractions:
         raise ValueError("no train fractions given")
     return tuple(fractions)
@@ -292,7 +288,7 @@ def _cmd_clean(args) -> int:
 
     clean_config = _clean_config(args)
     run = _Run(args, ("input", "output", "format", "stopwords", "casefold_ascii", "columns"),
-               [args.input])
+               [args.input, args.stopwords])
     errors = []
     clean_stats = CleanStats()
     tally: Counter = Counter()
@@ -342,19 +338,11 @@ def _cmd_stats(args) -> int:
     print(f"{'reaction':<10}{'count':>14}{'all %':>10}{'core %':>10}")
     for name in ALL_SCHEMA.reactions:
         all_pct = f"{stats.all_percent[name]:.2f}" if stats.all_percent else "-"
-        if stats.core_percent and name in stats.core_percent:
-            core_pct = f"{stats.core_percent[name]:.2f}"
-        else:
-            core_pct = "-"
+        core = stats.core_percent and name in stats.core_percent
+        core_pct = f"{stats.core_percent[name]:.2f}" if core else "-"
         print(f"{name:<10}{stats.totals[name]:>14}{all_pct:>10}{core_pct:>10}")
     if args.output:
-        _write_json(args.output, {
-            "rows": stats.rows,
-            "totals": stats.totals,
-            "all_percent": stats.all_percent,
-            "core_percent": stats.core_percent,
-            "malformed_rows": len(errors),
-        })
+        _write_json(args.output, {**stats._asdict(), "malformed_rows": len(errors)})
         run.finish([args.output], {"malformed_rows": len(errors)})
     return EXIT_OK
 
@@ -380,6 +368,54 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+# Lines a regular message file is read in, each chunk split once.  A chunk's lines and results
+# are held at once: 200k messages peaked 9 MiB above line by line (17 MiB on one CPU).
+_CHUNK = 32_768
+# Break-even of a split on 2 vCPUs: a fork costs about 14 ms with a 30k-word lexicon (page
+# tables, copy-on-write of refcounted pages) and saves half of about 16 us per message.
+_MIN_SPLIT = 2_048
+
+
+def _halves(score, lines) -> list:
+    """``score(lines)`` as one ``(text, coverages)`` pair, or as two halves in order.
+
+    A chunk of ``_MIN_SPLIT`` lines or more, on two or more CPUs, is split once: a
+    forked child scores the second half and pipes back one ``marshal`` blob, and never
+    returns.  A half whose fork, child or blob fails is scored here, as in one process.
+    """
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
+    if len(lines) < _MIN_SPLIT or not hasattr(os, "fork") or len(affinity(0)) < 2:
+        return [score(lines)]
+    half = len(lines) // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return [score(lines)]
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                pipe.write(marshal.dumps(score(lines[half:])))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:  # closed before the wait: a blocked child exits
+            first = score(lines[:half])
+            blob = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    try:
+        second = marshal.loads(blob) if status == 0 else None
+    except (EOFError, ValueError, TypeError):
+        second = None
+    return [first, second or score(lines[half:])]
+
+
 def _cmd_predict(args) -> int:
     from .cleaning import clean_message
 
@@ -388,28 +424,41 @@ def _cmd_predict(args) -> int:
     run = None
     if args.output != "-":
         run = _Run(args, ("lexicon", "input", "output", "stopwords", "casefold_ascii"),
-                   [args.lexicon] + ([] if args.input == "-" else [args.input]))
+                   [args.lexicon, None if args.input == "-" else args.input, args.stopwords])
     # "%.17g" % x is format(x, ".17g"), the digits of evaluation.format_float.
     template = ",".join(["%.17g"] * lexicon.schema.size) + " coverage=%.17g\n"
+
+    def score(lines):
+        text, coverages = [], []
+        for line in lines:
+            tokens = clean_message(line.rstrip("\n"), clean_config).tokens
+            vector, coverage = predict(tokens, lexicon)
+            text.append(template % (*vector, coverage))
+            coverages.append(coverage)
+        return "".join(text), coverages
+
     messages = zero_coverage = 0
     coverage_sum = 0.0
     with ExitStack() as stack:
         # Strict UTF-8 and one message per "\n" from a file or stdin alike, whatever the locale.
+        # Stdin or a pipe is read a line per chunk, so each message is scored as it arrives.
         if args.input == "-":
             source = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="\n")
             stack.callback(source.detach)  # leaves sys.stdin open
+            chunk = 1
         else:
             source = stack.enter_context(open(args.input, encoding="utf-8", newline="\n"))
+            chunk = _CHUNK if stat.S_ISREG(os.fstat(source.fileno()).st_mode) else 1
         sink = sys.stdout if args.output == "-" else stack.enter_context(
             atomic_write(args.output)
         )
-        for line in source:
-            tokens = clean_message(line.rstrip("\n"), clean_config).tokens
-            vector, coverage = predict(tokens, lexicon)
-            sink.write(template % (*vector, coverage))
-            messages += 1
-            coverage_sum += coverage
-            zero_coverage += not coverage
+        for lines in iter(lambda: list(islice(source, chunk)), []):
+            for text, coverages in _halves(score, lines):
+                sink.write(text)
+                messages += len(coverages)
+                zero_coverage += coverages.count(0.0)
+                for coverage in coverages:  # one by one in message order; sum() compensates
+                    coverage_sum += coverage
     if run is not None:
         run.finish([args.output], {
             "messages": messages,

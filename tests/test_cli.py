@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import io
 import json
 import logging
@@ -7,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -145,6 +147,9 @@ class TestCleanCommand:
         ]) == EXIT_OK
         assert "cat,0,1" in cleaned.read_text(encoding="utf-8")
         assert "the cat" not in cleaned.read_text(encoding="utf-8")
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        assert manifest["inputs"][1] == {
+            "path": str(stop), "sha256": hashlib.sha256(b"the\n").hexdigest(), "bytes": 4}
 
     def test_missing_stopword_file_no_partial_output(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -369,14 +374,19 @@ class TestTrainPredict:
         assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
         messages = tmp_path / "msgs.txt"
         messages.write_text("a c\nzz\na zz\n\n", encoding="utf-8")
+        stop = tmp_path / "stop.txt"
+        stop.write_text("q\n", encoding="utf-8")
         out = tmp_path / "pred.txt"
         assert main([
             "predict", "--lexicon", str(lexicon), "--input", str(messages),
-            "--output", str(out),
+            "--output", str(out), "--stopwords", str(stop),
         ]) == EXIT_OK
         manifest = json.loads((tmp_path / "pred.txt.manifest.json").read_text())
         assert manifest["command"] == "predict"
-        assert [entry["path"] for entry in manifest["inputs"]] == [str(lexicon), str(messages)]
+        assert [entry["path"] for entry in manifest["inputs"]] == [
+            str(lexicon), str(messages), str(stop)]
+        assert manifest["inputs"][2]["sha256"] == hashlib.sha256(b"q\n").hexdigest()
+        assert manifest["inputs"][2]["bytes"] == 2
         assert manifest["outputs"] == [str(out)]
         assert manifest["row_drops"] == {
             "messages": 4, "mean_coverage": 0.375, "zero_coverage_share": 0.5,
@@ -1012,3 +1022,227 @@ def test_interrupt_prints_one_line_and_dies_by_sigint():
     result = run_python("-c", script)
     assert result.returncode == -signal.SIGINT
     assert result.stderr.splitlines() == ["reaction-lens: interrupted"]
+
+
+# The package run through cli.entry, with each fork's child pid appended to the file $FORKS.
+TRACK_FORKS = (
+    "import os\n"
+    "from reaction_lens import cli\n"
+    "fork = os.fork\n"
+    "def tracked():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        with open(os.environ['FORKS'], 'a') as fh:\n"
+    "            fh.write(f'{pid}\\n')\n"
+    "    return pid\n"
+    "os.fork = tracked\n"
+    "cli.entry()\n"
+)
+SPLIT_WORDS = ["ආයුබෝවන්", "ලංකාව", "සුභ", "දවසක්", "w0001", "w0002", "w0003", "w0004"]
+can_pin = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
+needs_two_cpus = pytest.mark.skipif(not can_pin, reason="needs two CPUs and sched_setaffinity")
+
+
+def split_message(i):
+    """Message ``i`` of the split tests: Sinhala and ASCII words, an empty line,
+    a lone CR, unknown words only, and the stopword ``stopw``."""
+    kind = i % 11
+    if kind == 0:
+        return ""
+    if kind == 1:
+        return f"zz{i} qq"
+    if kind == 2:
+        return f"{SPLIT_WORDS[i % 4]}\rw0003 stopw"
+    return f"{SPLIT_WORDS[i % 8]} {SPLIT_WORDS[i * 5 % 8]} x{i % 7} stopw"
+
+
+def run_predict(argv, one_cpu=False, forks=None, **kwargs):
+    """Run ``predict`` in a fresh interpreter, pinned to one CPU or not; ``forks`` is
+    the file that records the children it forks."""
+    src = str(Path(reaction_lens.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **({"FORKS": str(forks)} if forks else {})}
+    command = ["-c", TRACK_FORKS] if forks else ["-m", "reaction_lens.cli"]
+    return subprocess.run(
+        [sys.executable, *command, "predict", *argv], env=env, capture_output=True,
+        preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if one_cpu else None, timeout=120,
+        **kwargs)
+
+
+def forked(path):
+    """The child pids recorded in ``path``; each must be gone by now."""
+    pids = [int(pid) for pid in path.read_text().split()] if path.exists() else []
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    return pids
+
+
+@pytest.fixture(scope="module")
+def split_inputs(tmp_path_factory):
+    """A lexicon, a stopword file, and a message file of a full chunk plus a
+    partial one, each large enough to be split."""
+    from reaction_lens.cli import _CHUNK, _MIN_SPLIT
+
+    root = tmp_path_factory.mktemp("split")
+    corpus = root / "c.csv"
+    corpus.write_text(HEADER + "".join(
+        f"{SPLIT_WORDS[i % 8]} {SPLIT_WORDS[i * 3 % 8]} x{i % 5},{i % 4},{i % 3},1,0,{i % 2},0,0\n"
+        for i in range(40)), encoding="utf-8")
+    lexicon = root / "l.lex"
+    assert main(["train", "--input", str(corpus), "--output", str(lexicon), "--model", "all"]) \
+        == EXIT_OK
+    stop = root / "stop.txt"
+    stop.write_text("stopw\n", encoding="utf-8")
+    lines = _CHUNK + _MIN_SPLIT + 1000
+    messages = root / "m.txt"
+    messages.write_bytes("".join(split_message(i) + "\n" for i in range(lines)).encode("utf-8"))
+    return {"lexicon": lexicon, "stop": stop, "messages": messages, "lines": lines}
+
+
+def predict_argv(inputs, *flags):
+    return ["--lexicon", str(inputs["lexicon"]), "--stopwords", str(inputs["stop"]), *flags]
+
+
+@needs_two_cpus
+class TestSplitPredict:
+    """A large chunk of a message file is scored in two processes, and the
+    bytes, manifest counts, errors and exit codes are those of one process."""
+
+    def test_file_output_and_manifest_match_one_cpu(self, split_inputs, tmp_path):
+        outputs = []
+        for one_cpu in (False, True):
+            out = tmp_path / f"p{int(one_cpu)}.txt"
+            forks = tmp_path / f"forks{int(one_cpu)}"
+            flags = predict_argv(split_inputs, "--input", str(split_inputs["messages"]),
+                                 "--output", str(out))
+            result = run_predict(flags, one_cpu, forks)
+            assert result.returncode == EXIT_OK, result.stderr
+            assert result.stderr == b""
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            outputs.append((out.read_bytes(), manifest["row_drops"], len(forked(forks))))
+        (split_bytes, split_drops, split_forks), (one_bytes, one_drops, one_forks) = outputs
+        assert (split_forks, one_forks) == (2, 0)  # one per chunk: the full one and the rest
+        assert split_bytes == one_bytes
+        assert split_bytes.count(b"\n") == split_inputs["lines"]
+        assert split_drops == one_drops
+        assert split_drops["messages"] == split_inputs["lines"]
+        assert 0 < split_drops["zero_coverage_share"] < 1
+
+    def test_stdout_matches_one_cpu(self, split_inputs):
+        flags = predict_argv(split_inputs, "--input", str(split_inputs["messages"]))
+        split, one = (run_predict(flags, one_cpu) for one_cpu in (False, True))
+        assert split.returncode == one.returncode == EXIT_OK, split.stderr
+        assert split.stdout == one.stdout
+        assert split.stdout.count(b"\n") == split_inputs["lines"]
+
+    def test_piped_stdin_is_read_a_line_at_a_time(self, split_inputs, tmp_path):
+        # "-" reads a line per chunk, so a pipe is never split; a file given as
+        # --input /dev/stdin is a regular file and is split like any other.
+        messages = split_inputs["messages"]
+        piped = run_predict(predict_argv(split_inputs), forks=tmp_path / "piped",
+                            input=messages.read_bytes())
+        with open(messages, "rb") as fh:
+            redirected = run_predict(predict_argv(split_inputs, "--input", "/dev/stdin"),
+                                     forks=tmp_path / "redirected", stdin=fh)
+        assert piped.returncode == redirected.returncode == EXIT_OK, piped.stderr
+        assert piped.stdout == redirected.stdout
+        assert len(forked(tmp_path / "piped")) == 0
+        assert len(forked(tmp_path / "redirected")) == 2
+
+    @pytest.mark.parametrize("at", [0.75, 0.25])
+    def test_a_failing_half_is_the_one_process_error(self, split_inputs, tmp_path, at):
+        # No fallback vector, and one message with no known word: in the child's half (0.75),
+        # or in this process's half (0.25) while the child waits to send a full pipe's worth.
+        from reaction_lens.artifacts import save_lexicon
+        from reaction_lens.cli import _MIN_SPLIT
+        from reaction_lens.engine import ReactionLexicon
+
+        known = load_lexicon(split_inputs["lexicon"])
+        lexicon = tmp_path / "no-mean.lex"
+        save_lexicon(ReactionLexicon(known.schema, known.entries, 0, None), str(lexicon))
+        lines = ["w0001 ලංකාව"] * _MIN_SPLIT
+        lines[int(_MIN_SPLIT * at)] = "zz qq"
+        messages = tmp_path / "m.txt"
+        messages.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "p.txt"
+        results = []
+        for one_cpu in (False, True):
+            forks = tmp_path / f"forks{int(one_cpu)}"
+            result = run_predict(["--lexicon", str(lexicon), "--input", str(messages),
+                                  "--output", str(out)], one_cpu, forks)
+            results.append((result.returncode, result.stderr, len(forked(forks))))
+        assert results == [
+            (EXIT_DATA, b"reaction-lens: degenerate data: lexicon has no training entries"
+                        b" and no fallback vector\n", forks)
+            for forks in (1, 0)
+        ]
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "forks0", "m.txt", "no-mean.lex"]
+
+    def test_interrupt_mid_split_dies_by_sigint(self, split_inputs, tmp_path):
+        out, forks = tmp_path / "p.txt", tmp_path / "forks"
+        src = str(Path(reaction_lens.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TRACK_FORKS, "predict",
+             *predict_argv(split_inputs, "--input", str(split_inputs["messages"]),
+                           "--output", str(out))],
+            env={**os.environ, "PYTHONPATH": src, "FORKS": str(forks)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not (forks.exists() and forks.read_text().endswith("\n")):
+                assert proc.poll() is None, "predict ended before it forked"
+                assert time.monotonic() < deadline, "no fork within 120 s"
+                time.sleep(0.005)
+            time.sleep(0.02)  # into both halves' scoring
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert err == b"reaction-lens: interrupted\n"
+        assert len(forked(forks)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forks"]
+
+    @pytest.mark.parametrize("one_cpu", [False, True])
+    def test_stdout_closed_after_one_line_exits_io(self, split_inputs, one_cpu):
+        # predict ... | head -1
+        src = str(Path(reaction_lens.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "reaction_lens.cli", "predict",
+             *predict_argv(split_inputs, "--input", str(split_inputs["messages"]))],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if one_cpu else None)
+        try:
+            assert proc.stdout.readline().endswith(b"\n")
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == EXIT_IO
+            err = proc.stderr.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+        assert err.decode().splitlines() == ["reaction-lens: i/o error: [Errno 32] Broken pipe"]
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("cpus, fork_error", [({0}, AssertionError), ({0, 1}, OSError)])
+def test_split_path_falls_back_in_process(split_inputs, tmp_path, monkeypatch, capsys,
+                                          cpus, fork_error):
+    # One CPU never forks; a fork that fails scores the chunk here.  Either way the bytes
+    # are those of a run pinned to one CPU.
+    def fork():
+        raise fork_error("no fork")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(os, "fork", fork)
+    out = tmp_path / "p.txt"
+    flags = predict_argv(split_inputs, "--input", str(split_inputs["messages"]))
+    assert main(["predict", *flags, "--output", str(out)]) == EXIT_OK
+    one = run_predict(flags, one_cpu=True)
+    assert one.returncode == EXIT_OK, one.stderr
+    assert out.read_bytes() == one.stdout
