@@ -359,7 +359,11 @@ def _cmd_train(args) -> int:
     fold, _ = fit(prepare(entries, args.model, ids, tally), args.model, ids)
     lexicon = fold.lexicon()
     save_lexicon(lexicon, args.output, manifest_id=run.id)
-    run.finish([args.output])
+    run.finish([args.output], {
+        "malformed_rows": len(errors),
+        "entries_used": lexicon.train_entry_count,
+        "entries_excluded_zero_total": tally["excluded"],
+    })
     print(
         f"trained {args.model} lexicon: {len(lexicon.entries)} words from "
         f"{lexicon.train_entry_count} entries ({tally['excluded']} zero-total rows skipped, "
@@ -452,6 +456,8 @@ def _cmd_predict(args) -> int:
         sink = sys.stdout if args.output == "-" else stack.enter_context(
             atomic_write(args.output)
         )
+        # A co-process that writes a message to a pipe gets its answer before it writes the next.
+        answer_each_line = chunk == 1 and sink is sys.stdout
         for lines in iter(lambda: list(islice(source, chunk)), []):
             for text, coverages in _halves(score, lines):
                 sink.write(text)
@@ -459,6 +465,8 @@ def _cmd_predict(args) -> int:
                 zero_coverage += coverages.count(0.0)
                 for coverage in coverages:  # one by one in message order; sum() compensates
                     coverage_sum += coverage
+            if answer_each_line:
+                sink.flush()
     if run is not None:
         run.finish([args.output], {
             "messages": messages,

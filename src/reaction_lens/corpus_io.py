@@ -3,9 +3,12 @@
 ``corpus_rows`` yields one ``(message, counts, record_id)`` triple per good
 row and ``corpus_entries`` one ``(words, counts)`` pair (``counts``: seven
 ints in ``ALL_SCHEMA`` order), both from one reader per format that holds a
-block of ``engine._BLOCK`` lines at a time.  Malformed rows are recorded in
-a caller ledger (and logged) with their line number, then skipped; only
-structural problems (unreadable source, missing columns) abort the stream.
+block of ``engine._BLOCK`` lines at a time.  CSV has one parse path,
+``_parse``: the header, each block and a record still open at a block's end
+(parsed again from its first line) all go through it.  Malformed rows are
+recorded in a caller ledger (and logged) with their line number, then
+skipped; only structural problems (unreadable source, missing columns)
+abort the stream.
 ``save_corpus`` writes such triples back in the format ``corpus_rows``
 reads, through ``artifacts.atomic_write`` when given a path.
 """
@@ -16,15 +19,13 @@ import csv
 import io
 import json
 import re
-from collections import deque
-from contextlib import suppress
-from itertools import chain, repeat, starmap
+from itertools import chain, islice, repeat, starmap
 from operator import add, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .artifacts import atomic_write
-from .engine import _BLOCK, ALL_SCHEMA, CORE_SCHEMA, blocks
+from .engine import ALL_SCHEMA, CORE_SCHEMA, blocks
 from .errors import SchemaMismatch, UnreadableSource
 
 LOGGED_MALFORMED_ROWS = 5
@@ -165,13 +166,13 @@ def _read_blocks(source, format, schema_map, errors):
     mapping = {**DEFAULT_SCHEMA_MAP, **(schema_map or {})}
     if format == "csv":
         stream, should_close = _open_text(source, newline="")
-        lines = _Lines(stream)
-        reader = csv.reader(lines)
+        records = _records(stream)
         try:
-            header = next(reader)
-            if lines.open_at_end:
-                raise csv.Error(_OPEN_AT_END)
-            columns = {name: idx for idx, name in enumerate(header)}
+            first = next(records)
+            if isinstance(first, MalformedRow):
+                raise SchemaMismatch(f"unreadable CSV header: {first.reason}")
+            _, ends, rows = first
+            columns = {name: idx for idx, name in enumerate(rows[0])}
             for field_name in DEFAULT_SCHEMA_MAP:
                 if mapping[field_name] not in columns:
                     raise SchemaMismatch(f"missing column {mapping[field_name]!r} in CSV header")
@@ -180,13 +181,11 @@ def _read_blocks(source, format, schema_map, errors):
                 stream.close()
             if isinstance(exc, StopIteration):
                 return iter(())
-            if isinstance(exc, csv.Error):
-                raise SchemaMismatch(f"unreadable CSV header: {exc}") from exc
             raise
         indices = [columns[mapping[name]] for name in DEFAULT_SCHEMA_MAP]
         id_index = columns.get(mapping["id"]) if "id" in mapping else None
-        csv_rows = _CsvRows(lines, reader, mapping, indices, id_index, _Quarantine(errors))
-        return csv_rows.blocks(should_close)
+        csv_rows = _CsvRows(mapping, indices, id_index, _Quarantine(errors))
+        return csv_rows.blocks(chain([(0, ends[1:], rows[1:])], records), stream, should_close)
     if format == "jsonl":
         stream, should_close = _open_text(source)
         return _jsonl_blocks(stream, should_close, mapping, _Quarantine(errors))
@@ -207,63 +206,80 @@ def _count_error(texts, columns) -> str:
     raise AssertionError(f"no bad count among {texts!r}")
 
 
-_OPEN_AT_END = "quoted field still open at end of input"
+def _parse(lines: list[str]):
+    """``(ends, rows, error)`` of the records whole within ``lines``, which
+    start a record.
 
-
-class _OpenQuote(csv.Error):
-    """A CSV record reached MAX_RECORD_LINES lines inside a quoted field."""
-
-
-class _Lines:
-    """The physical lines of a CSV stream, for a ``csv.reader`` that reads the
-    header, or one record, a line at a time.
-
-    Lines on ``queue`` come before the rest of ``stream``.  ``line`` is the
-    number of the last line handed out.  ``record`` holds the raw lines of
-    the record being read: only a quoted field spans lines, and its text
-    cannot give them back (``""`` reads as ``"``).  ``open_at_end`` is set
-    when the stream ends inside a record.
+    ``ends`` holds each record's last line, counted from 1 at ``lines[0]``.
+    Parsing stops at a ``csv.Error``, then ``error`` is its ``(line,
+    message)``, or before a record still open at the last line, then
+    ``error`` is None and ``ends`` falls short of ``len(lines)``.
     """
+    lines.append("\n")  # absorbed by a quoted field still open at the last line
+    ends, rows, error = [], [], None
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            end = reader.line_num
+            if end == len(lines):
+                break
+            ends.append(end)
+            rows.append(row)
+    except csv.Error as exc:
+        # e.g. a field over csv.field_size_limit(); one that the added
+        # line tips over is still open at the last line.
+        if reader.line_num < len(lines):
+            error = reader.line_num, str(exc)
+    lines.pop()
+    return ends, rows, error
 
-    def __init__(self, stream):
-        self.stream = stream
-        self.queue: deque[str] = deque()
-        self.line = 0
-        self.record: list[str] = []
-        self.open_at_end = False
 
-    def __iter__(self):
-        return self
+def _records(stream):
+    """The CSV records of ``stream``, parsed by ``_parse`` a block at a time.
 
-    def __next__(self) -> str:
-        if len(self.record) >= MAX_RECORD_LINES:
-            raise _OpenQuote(f"quoted field not closed within {MAX_RECORD_LINES} lines")
-        if self.queue:
-            text = self.queue.popleft()
-        else:
-            text = next(self.stream, None)
-            if text is None:
-                self.open_at_end = bool(self.record)
-                raise StopIteration
-        self.line += 1
-        self.record.append(text)
-        return text
-
-    def reopen(self) -> int:
-        """Queue all but the first line of the open record again; return that line's number."""
-        first = self.line - len(self.record) + 1
-        self.queue.extendleft(reversed(self.record[1:]))
-        self.line = first
-        self.record = []
-        self.open_at_end = False
-        return first
+    Yields ``(line, ends, rows)`` per run of whole records, ``ends``
+    counted from 1 at the line after ``line``, and a ``MalformedRow`` per
+    quarantined line, in file order.  A ``csv.Error`` quarantines the line
+    it stopped on.  A record still open at a block's last line is parsed
+    again from its first line, with the lines after it up to
+    ``MAX_RECORD_LINES`` lines and one more: that one tells a quoted field
+    not closed within the bound from one still open at the end of the
+    input.  Either quarantines the record's first line.  Reading resumes
+    on the line after a quarantined one.  No other block holds more than
+    ``MAX_RECORD_LINES`` lines, so its whole records are within the bound.
+    """
+    line = 0  # lines before block[0]
+    for block in blocks(stream):
+        while block:
+            ends, rows, error = _parse(block)
+            if ends[:1] == [MAX_RECORD_LINES + 1]:
+                ends = []  # closed on the extra line only
+            if ends:
+                yield line, ends, rows
+            used = ends[-1] if ends else 0
+            if error and (used or error[0] <= MAX_RECORD_LINES):
+                used = error[0]
+                yield MalformedRow(line + used, error[1])
+            elif used < len(block):
+                rest = block[used:]
+                more = list(islice(stream, MAX_RECORD_LINES + 1 - len(rest)))
+                if used or more:
+                    line, block = line + used, rest + more
+                    continue
+                used = 1
+                yield MalformedRow(line + 1, (
+                    f"quoted field not closed within {MAX_RECORD_LINES} lines"
+                    if len(block) > MAX_RECORD_LINES else "quoted field still open at end of input"
+                ))
+            line += used
+            block = block[used:]
 
 
 class _CsvRows:
     """Good CSV rows, a block of columns at a time; ``indices`` are the message and count columns."""
 
-    def __init__(self, lines: _Lines, reader, mapping, indices, id_index, bad):
-        self.lines, self.reader, self.bad = lines, reader, bad
+    def __init__(self, mapping, indices, id_index, bad):
+        self.bad = bad
         self.message = itemgetter(indices[0])
         self.count_texts = itemgetter(*indices[1:])
         self.count_columns = [mapping[name] for name in ALL_SCHEMA.reactions]
@@ -272,56 +288,23 @@ class _CsvRows:
         # A block whose rows all have the id column takes it with one itemgetter.
         self.width = self.needed if id_index is None else max(self.needed, id_index)
 
-    def blocks(self, should_close):
-        """``(messages, counts, record_ids)`` per block, in file order.
-
-        The records whole within a block of lines are parsed together.  The
-        record after them, one the parser rejects or one still open at the
-        end of the block, is read a line at a time; the block's lines after
-        it are parsed together again.
-        """
-        lines = self.lines
-        queue = lines.queue
+    def blocks(self, records, stream, should_close):
+        """``(messages, counts, record_ids)`` per run of ``_records``, in file order."""
+        bad = self.bad
         try:
-            for block in blocks(lines.stream):
-                while block:
-                    ends, rows = self.parse(block)
-                    good = self.columns(list(filter(None, rows)))
-                    if good is None:
-                        good = self.checked(zip(map(lines.line.__add__, ends), rows))
-                    used = ends[-1] if ends else 0
-                    lines.line += used
-                    yield good
-                    if used < len(block):
-                        queue.extend(block[used:])
-                        yield self.checked(self.record())
-                    block = [queue.popleft() for _ in range(min(len(queue), _BLOCK))]
+            for record in records:
+                if isinstance(record, MalformedRow):
+                    bad.add(*record)
+                    continue
+                line, ends, rows = record
+                good = self.columns(list(filter(None, rows)))
+                if good is None:
+                    good = self.checked(zip(map(line.__add__, ends), rows))
+                yield good
         finally:
-            self.bad.close()
+            bad.close()
             if should_close:
-                lines.stream.close()
-
-    @staticmethod
-    def parse(block: list[str]):
-        """``(ends, rows)`` of the records whole within ``block``.
-
-        ``ends`` holds each record's last line, counted from 1 at the
-        block's first line.  Parsing stops before a record that the parser rejects or that is
-        still open at the last line.  ``_BLOCK`` is below
-        ``MAX_RECORD_LINES``, so a whole record is within the bound.
-        """
-        block.append("\n")  # absorbed by a quoted field still open at the last line
-        ends, rows = [], []
-        reader = csv.reader(block)
-        with suppress(csv.Error):
-            for row in reader:
-                end = reader.line_num
-                if end == len(block):
-                    break
-                ends.append(end)
-                rows.append(row)
-        block.pop()
-        return ends, rows
+                stream.close()
 
     def columns(self, rows):
         """The columns of non-blank rows if every one is good, else None."""
@@ -340,25 +323,6 @@ class _CsvRows:
         if self.id_index is None:
             return messages, counts, repeat(None)
         return messages, counts, list(map(itemgetter(self.id_index), rows))
-
-    def record(self):
-        """The next record as one ``(line, row)`` pair, read a line at a time; none if quarantined."""
-        lines, bad = self.lines, self.bad
-        lines.record = []
-        try:
-            row = next(self.reader)
-        except _OpenQuote as exc:
-            bad.add(lines.reopen(), str(exc))
-            return
-        except csv.Error as exc:
-            # e.g. a field over csv.field_size_limit(); the reader
-            # resumes at the next line.
-            bad.add(lines.line, str(exc))
-            return
-        if lines.open_at_end:
-            bad.add(lines.reopen(), _OPEN_AT_END)
-            return
-        yield lines.line, row
 
     def checked(self, numbered_rows):
         """The good rows among ``(line, row)`` pairs, checked one at a time."""

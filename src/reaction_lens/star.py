@@ -17,7 +17,7 @@ import math
 from operator import add
 from typing import Iterable, Sequence
 
-from .engine import divide_columns
+from .engine import ALL_SCHEMA, POLARITY, divide_columns
 from .errors import DegenerateRange
 
 STAR_MIN = 1.0
@@ -31,7 +31,11 @@ def star_normalize_columns(counts: Sequence):
     ``counts`` are seven-count tuples in ``ALL_SCHEMA`` order.  Returns
     ``(kept, [positive, negative])`` as ``engine.divide_columns`` gives them.
     """
-    _, love, wow, _, sad, angry, _ = zip(*counts)
+    columns = list(zip(*counts))
+    (love, wow), (sad, angry) = (
+        [columns[ALL_SCHEMA.reactions.index(name)] for name, sign in POLARITY.items() if sign == side]
+        for side in ("positive", "negative")
+    )
     positive = list(map(add, love, wow))
     totals = list(map(add, map(add, positive, sad), angry))
     return divide_columns([positive, list(map(add, sad, angry))], totals)

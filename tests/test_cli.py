@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -367,6 +368,20 @@ class TestTrainPredict:
         assert fallback == [0.5, 0.5, 0.0, 0.0, 0.0]
         assert lines[1].endswith("coverage=0")
 
+    def test_train_manifest_counts_the_rows_of_its_summary(self, tmp_path, capsys):
+        corpus = tmp_path / "c.csv"
+        corpus.write_text(
+            HEADER + "a b,0,1,0,0,0,0,0\nlikes only,5,0,0,0,0,0,0\nbad,x,0,0,0,0,0,0\nd,0,0,2,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        assert "from 2 entries (1 zero-total rows skipped, 1 malformed)" in capsys.readouterr().out
+        manifest = json.loads((tmp_path / "core.lex.manifest.json").read_text())
+        assert manifest["row_drops"] == {
+            "malformed_rows": 1, "entries_used": 2, "entries_excluded_zero_total": 1,
+        }
+
     def test_predict_writes_manifest(self, tmp_path, capsys):
         corpus = tmp_path / "c.csv"
         write_two_entry_corpus(corpus)
@@ -403,6 +418,28 @@ class TestTrainPredict:
                             "--input", "/dev/stdin", "--output", str(out), stdin="a c\nzz\n")
         assert result.returncode == EXIT_OK, result.stderr
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+    def test_predict_answers_a_piped_message_before_stdin_closes(self, tmp_path):
+        # A co-process writes one message and waits for its answer; stdout is a pipe,
+        # which Python buffers in blocks unless PYTHONUNBUFFERED is set.
+        corpus = tmp_path / "c.csv"
+        write_two_entry_corpus(corpus)
+        lexicon = tmp_path / "core.lex"
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(reaction_lens.__file__).parents[1])
+        with subprocess.Popen(
+            [sys.executable, "-m", "reaction_lens.cli", "predict", "--lexicon", str(lexicon)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        ) as proc:
+            try:
+                proc.stdin.write(b"a c\n")
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 10)
+                assert ready, "no answer within 10 s"
+                assert proc.stdout.readline() == b"0.5,0.5,0,0,0 coverage=1\n"
+            finally:
+                proc.kill()
 
     def test_predict_file_and_stdin_end_messages_alike(self, tmp_path):
         # A lone CR stays inside its message; LF and CRLF end one.
@@ -811,7 +848,8 @@ MANIFEST_KEYS = {
     "predict": ([], ["lexicon", "input", "output", "stopwords", "casefold_ascii"],
                 ["messages", "mean_coverage", "zero_coverage_share"]),
     "stats": ([], ["input", "output", "format", "columns"], ["malformed_rows"]),
-    "train": ([], ["input", "output", "model", "format", "columns"], None),
+    "train": ([], ["input", "output", "model", "format", "columns"],
+              ["malformed_rows", "entries_used", "entries_excluded_zero_total"]),
     "synth": (["--rows", "20", "--vocab-size", "10"], [
         "output", "format", "rows", "vocab_size", "affinity_concentration", "fixed_affinity",
         "length_min", "length_max", "reaction_scale", "like_dominance", "like_variability",

@@ -379,8 +379,8 @@ class TestIngestMatchesConstructor:
 
 
 BLOCK = _BLOCK
-# Row positions at and around the first two block boundaries (the header is
-# read before the first block), and one mid-block.
+# Row positions at and around the first two block boundaries, and one
+# mid-block.
 EDGE_ROWS = (0, 1, BLOCK // 2, BLOCK - 2, BLOCK - 1, BLOCK, BLOCK + 1)
 
 CSV_KINDS = (
@@ -597,6 +597,71 @@ class TestBlockReaderMatchesOracle:
         errors = []
         list(corpus_rows(io.BytesIO(data), errors=errors))
         assert [e.line for e in errors] == [2, BLOCK // 2 + 2, BLOCK + 1, BLOCK + 2]
+
+    def check_header(self, data):
+        """``check``, or the same SchemaMismatch from both readers; its message."""
+        try:
+            list(corpus_rows(io.BytesIO(data)))
+        except SchemaMismatch as exc:
+            with pytest.raises(SchemaMismatch) as expected:
+                oracle_load_corpus(io.BytesIO(data))
+            assert str(exc) == str(expected.value)
+            return str(exc)
+        self.check(data, None, "csv")
+        return None
+
+    def test_csv_header_variants(self):
+        bad_rows = "a,1,0,0,0,0,0,0\nb,x,0,0,0,0,0,0\n\"c\nd\",0,1,0,0,0,0,0\ne,1\n"
+        # A last, unused column name quoted across two lines: data starts on line 3.
+        data = (HEADER.rstrip("\n") + ',"no\nte"\n' + bad_rows).encode("utf-8")
+        assert self.check_header(data) is None
+        errors = []
+        list(corpus_rows(io.BytesIO(data), errors=errors))
+        assert [e.line for e in errors] == [4, 7]
+        # Still open after MAX_RECORD_LINES lines, and at the end of the input.
+        open_header = HEADER.rstrip("\n") + ',"note\n'
+        data = (open_header + "x,1,0,0,0,0,0,0\n" * (corpus_io.MAX_RECORD_LINES + 5)).encode("utf-8")
+        assert self.check_header(data) == (
+            f"unreadable CSV header: quoted field not closed within {corpus_io.MAX_RECORD_LINES} lines"
+        )
+        data = (open_header + "x,1,0,0,0,0,0,0\n" * 3).encode("utf-8")
+        assert self.check_header(data) == "unreadable CSV header: quoted field still open at end of input"
+        # A blank first line is a header without columns.
+        assert self.check_header(("\n" + HEADER + bad_rows).encode("utf-8")) == (
+            "missing column 'message' in CSV header"
+        )
+        # A header alone, with and without a final newline.
+        for text in (HEADER, HEADER.rstrip("\n")):
+            assert self.check_header(text.encode("utf-8")) is None
+            assert list(corpus_rows(io.BytesIO(text.encode("utf-8")))) == []
+
+    def test_a_record_closed_on_the_line_past_the_bound_is_quarantined(self):
+        # A record re-parsed from its first line gets one line past the bound, to tell
+        # the two open-quote reasons apart; a record that closes on it is still open.
+        bound = corpus_io.MAX_RECORD_LINES
+        inner = "".join(f"w{i},1,0,0,0,0,0,0\n" for i in range(bound - 1))
+        record = f'"open,1,0,0,0,0,0,0\n{inner}last",0,1,0,0,0,0,0\n'
+        for before in (0, BLOCK // 2, BLOCK - 1):
+            good = "".join(f"g{i},0,0,1,0,0,0,0\n" for i in range(before))
+            data = (HEADER + good + record + "end,1,1,0,0,0,0,0\n").encode("utf-8")
+            self.check(data, None, "csv")
+            errors = []
+            list(corpus_rows(io.BytesIO(data), errors=errors))
+            assert errors == [MalformedRow(before + 2, f"quoted field not closed within {bound} lines")]
+        data = (HEADER.rstrip("\n") + ',"note\n' + inner + 'x",1\n').encode("utf-8")
+        assert self.check_header(data) == f"unreadable CSV header: quoted field not closed within {bound} lines"
+
+    def test_every_block_boundary_inside_a_two_line_record(self):
+        # Blocks start on line 1 (the header) and hold BLOCK lines, and a
+        # record open at a block's end is parsed again with the lines after
+        # it up to MAX_RECORD_LINES + 1 lines.  BLOCK is even and that count
+        # odd, so with every record two lines long from line 2, each block
+        # and each re-parse ends on a record's first line.
+        assert BLOCK % 2 == 0 and (corpus_io.MAX_RECORD_LINES + 1) % 2 == 1
+        rows = [f'"m{i}\nline two",{i % 5},0,1,0,0,0,0\n' for i in range(3 * corpus_io.MAX_RECORD_LINES)]
+        for i in range(0, len(rows), 97):
+            rows[i] = rows[i].replace(",0,1,", ",0,-1,")
+        self.check((HEADER + "".join(rows)).encode("utf-8"), None, "csv")
 
 
 class TestCorpusStats:
