@@ -11,7 +11,8 @@ formats rely on the sidecar naming convention.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data;
 an interrupted command dies by SIGINT (``entry``).  ``predict`` scores a large chunk
-of a regular file in two processes (``_halves``), with the same output bytes.
+of a regular file, and ``eval`` two or more seeded runs, in two processes (``_halves``),
+with the same output bytes.
 
 Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
 ``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
@@ -375,41 +376,44 @@ def _cmd_train(args) -> int:
 # Lines a regular message file is read in, each chunk split once.  A chunk's lines and results
 # are held at once: 200k messages peaked 9 MiB above line by line (17 MiB on one CPU).
 _CHUNK = 32_768
-# Break-even of a split on 2 vCPUs: a fork costs about 14 ms with a 30k-word lexicon (page
-# tables, copy-on-write of refcounted pages) and saves half of about 16 us per message.
+# The fewest lines ``predict`` splits (``_halves``).  Break-even on 2 vCPUs: a fork costs about
+# 14 ms with a 30k-word lexicon (page tables, copy-on-write of refcounted pages) and saves
+# half of about 16 us per message.
 _MIN_SPLIT = 2_048
 
 
-def _halves(score, lines) -> list:
-    """``score(lines)`` as one ``(text, coverages)`` pair, or as two halves in order.
+def _halves(score, items, min_split) -> list:
+    """``score(items)`` as one result, or as the results of two halves in order.
 
-    A chunk of ``_MIN_SPLIT`` lines or more, on two or more CPUs, is split once: a
-    forked child scores the second half and pipes back one ``marshal`` blob, and never
-    returns.  A half whose fork, child or blob fails is scored here, as in one process.
+    ``items`` (lines for ``predict``, run indices for ``eval``) of ``min_split`` or
+    more, on two or more CPUs, are split once: a forked child scores the second half,
+    the larger one when the count is odd, and pipes back its result as one ``marshal``
+    blob, and never returns.  A half whose fork, child or blob fails is scored here,
+    as in one process, so an error is raised as one process raises it.
     """
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    if len(lines) < _MIN_SPLIT or not hasattr(os, "fork") or len(affinity(0)) < 2:
-        return [score(lines)]
-    half = len(lines) // 2
+    if len(items) < min_split or not hasattr(os, "fork") or len(affinity(0)) < 2:
+        return [score(items)]
+    half = len(items) // 2
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return [score(lines)]
+        return [score(items)]
     if pid == 0:
         try:
             os.close(read_end)
             with open(write_end, "wb") as pipe:
-                pipe.write(marshal.dumps(score(lines[half:])))
+                pipe.write(marshal.dumps(score(items[half:])))
             os._exit(0)
         finally:
             os._exit(1)
     os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:  # closed before the wait: a blocked child exits
-            first = score(lines[:half])
+            first = score(items[:half])
             blob = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
@@ -417,7 +421,7 @@ def _halves(score, lines) -> list:
         second = marshal.loads(blob) if status == 0 else None
     except (EOFError, ValueError, TypeError):
         second = None
-    return [first, second or score(lines[half:])]
+    return [first, second or score(items[half:])]
 
 
 def _cmd_predict(args) -> int:
@@ -459,7 +463,7 @@ def _cmd_predict(args) -> int:
         # A co-process that writes a message to a pipe gets its answer before it writes the next.
         answer_each_line = chunk == 1 and sink is sys.stdout
         for lines in iter(lambda: list(islice(source, chunk)), []):
-            for text, coverages in _halves(score, lines):
+            for text, coverages in _halves(score, lines, _MIN_SPLIT):
                 sink.write(text)
                 messages += len(coverages)
                 zero_coverage += coverages.count(0.0)
@@ -476,6 +480,12 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _map_runs(run_one, runs) -> list:
+    """``map(run_one, runs)`` as a list; two or more runs are split across two processes."""
+    return [result for half in _halves(lambda part: list(map(run_one, part)), runs, 2)
+            for result in half]
+
+
 def _cmd_eval(args) -> int:
     from .corpus_io import corpus_entries
     from .evaluation import ExperimentConfig, report_emit, run_experiment
@@ -486,7 +496,7 @@ def _cmd_eval(args) -> int:
                       "seed", "sigma", "report_format"), [args.input])
     errors = []
     entries = corpus_entries(args.input, args.format, args.columns, errors)
-    report = run_experiment(entries, experiment)
+    report = run_experiment(entries, experiment, _map_runs)
     report.manifest = run.id
     with atomic_write(args.output) as fh:
         fh.write(report_emit(report, args.report_format))

@@ -14,7 +14,10 @@ shuffle, folded in ascending order into one growing fold (star refolds when
 a prefix widens its range) whose per-id means predict each test side.  Fold
 and score walk blocks of entries one component at a time; every sum keeps
 entry order, so each value equals a per-entry loop's.  Metrics are averaged
-within a run, then across runs.  Star adds to its positive/negative overlap
+within a run, then across runs.  Runs share only the prepared entries, which
+they read: ``run_experiment`` maps one run over the run indices through a
+function it is given, so the ``eval`` command can run the later ones in a
+forked child with the same bytes.  Star adds to its positive/negative overlap
 rows a star-rating row: Gaussian kernel similarity as accuracy and exact
 0.5-bin matches of the discretized star as recall/precision/F1.
 """
@@ -242,7 +245,7 @@ def _run_accounting(label: str, run: int, n_train: int, test, counts) -> dict:
 
 
 def run_experiment(
-    entries: Iterable[tuple[Iterable[str], object]], config: ExperimentConfig
+    entries: Iterable[tuple[Iterable[str], object]], config: ExperimentConfig, map_runs=map
 ) -> EvalReport:
     """Evaluate one model over every (train fraction, run) combination.
 
@@ -254,6 +257,12 @@ def run_experiment(
     order, so each value equals a fresh fold of its train side.  The report
     and ``report.accounting`` (entries used and excluded, each run's sizes
     and test OOV rate) list runs fraction first, in config order.
+
+    Runs share nothing but the prepared entries, which they only read.
+    ``map_runs(run_one, range(config.runs))`` gives each run's results in
+    run order: per fraction, its metric-mean rows and accounting record,
+    floats, ints and strings only.  The default ``map`` runs them here; the
+    ``eval`` command passes one that runs the later ones in a forked child.
     """
     tally = Counter()
     ids: dict = {}
@@ -277,14 +286,14 @@ def run_experiment(
             raise EmptySide(
                 f"fraction {fraction} on {n} entries leaves an empty side (split {label}%, run 0)"
             )
-    scores = [[None] * config.runs for _ in fractions]
-    records = [[None] * config.runs for _ in fractions]
-    for run in range(config.runs):
+
+    def run_one(run):
         order = list(range(n))
         random.Random(config.seed + run).shuffle(order)
         fold = bounds = None
         lo, hi = math.inf, -math.inf
         done = 0
+        results = [None] * len(fractions)
         for k in sorted(range(len(fractions)), key=fractions.__getitem__):
             label, n_train = report.split_labels[k], sizes[k]
             new = [prepared[i] for i in order[done:n_train]]
@@ -304,14 +313,18 @@ def run_experiment(
                 raise DegenerateRange(f"{exc} (split {label}%, run {run})") from exc
             done = n_train
             test = [prepared[i] for i in order[n_train:]]
-            scores[k][run] = _score(test, fold, bounds, config.sigma)
-            records[k][run] = _run_accounting(label, run, n_train, test, fold.counts)
+            results[k] = (_score(test, fold, bounds, config.sigma),
+                          _run_accounting(label, run, n_train, test, fold.counts))
+        return results
+
+    results = list(map_runs(run_one, range(config.runs)))
     report.accounting = {
         "entries_used": n,
         "entries_excluded_zero_total": tally["excluded"],
-        "runs": [record for runs in records for record in runs],
+        "runs": [run[k][1] for k in range(len(fractions)) for run in results],
     }
-    for label, runs in zip(report.split_labels, scores):
+    for k, label in enumerate(report.split_labels):
+        runs = [run[k][0] for run in results]
         report.per_run[label] = {
             reaction: {metric: [means[i][j] for means in runs] for j, metric in enumerate(METRICS)}
             for i, reaction in enumerate(reactions)

@@ -19,6 +19,7 @@ import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, entry, main
 from reaction_lens.artifacts import load_lexicon
 from reaction_lens.corpus_io import corpus_rows
+from reaction_lens.errors import DegenerateRange
 
 from oracles import (
     Counts,
@@ -1094,16 +1095,20 @@ def split_message(i):
     return f"{SPLIT_WORDS[i % 8]} {SPLIT_WORDS[i * 5 % 8]} x{i % 7} stopw"
 
 
-def run_predict(argv, one_cpu=False, forks=None, **kwargs):
-    """Run ``predict`` in a fresh interpreter, pinned to one CPU or not; ``forks`` is
+def run_command(command, argv, one_cpu=False, forks=None, **kwargs):
+    """Run ``command`` in a fresh interpreter, pinned to one CPU or not; ``forks`` is
     the file that records the children it forks."""
     src = str(Path(reaction_lens.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src, **({"FORKS": str(forks)} if forks else {})}
-    command = ["-c", TRACK_FORKS] if forks else ["-m", "reaction_lens.cli"]
+    program = ["-c", TRACK_FORKS] if forks else ["-m", "reaction_lens.cli"]
     return subprocess.run(
-        [sys.executable, *command, "predict", *argv], env=env, capture_output=True,
+        [sys.executable, *program, command, *argv], env=env, capture_output=True,
         preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if one_cpu else None, timeout=120,
         **kwargs)
+
+
+def run_predict(argv, one_cpu=False, forks=None, **kwargs):
+    return run_command("predict", argv, one_cpu, forks, **kwargs)
 
 
 def forked(path):
@@ -1284,3 +1289,155 @@ def test_split_path_falls_back_in_process(split_inputs, tmp_path, monkeypatch, c
     one = run_predict(flags, one_cpu=True)
     assert one.returncode == EXIT_OK, one.stderr
     assert out.read_bytes() == one.stdout
+
+
+@pytest.fixture(scope="module")
+def eval_corpus(tmp_path_factory):
+    """A cleaned 6,000-row synth corpus; a run of a star eval of it takes about 30 ms."""
+    root = tmp_path_factory.mktemp("split-eval")
+    raw, cleaned = root / "raw.csv", root / "cleaned.csv"
+    assert main(["synth", "--output", str(raw), "--rows", "6000", "--vocab-size", "900",
+                 "--seed", "5"]) == EXIT_OK
+    assert main(["clean", "--input", str(raw), "--output", str(cleaned)]) == EXIT_OK
+    return cleaned
+
+
+def eval_argv(corpus, out, model="core", runs=5, *flags):
+    return ["--input", str(corpus), "--output", str(out), "--model", model,
+            "--splits", "95,90,80,70,50", "--runs", str(runs), "--seed", "3", *flags]
+
+
+def star_degenerate_in_run_1(path):
+    """A star corpus and a seed whose run 0 trains on distinct aggregates and whose
+    run 1 does not, at a 50 % split."""
+    from reaction_lens.evaluation import ExperimentConfig, run_experiment
+
+    rows = [("a b", "0,1,0,0,0,0,0")] * 7 + [("c d", "0,0,0,0,1,0,0")] * 3
+    entries = [(message.split(), tuple(map(int, counts.split(",")))) for message, counts in rows]
+
+    def degenerate(seed):
+        try:
+            run_experiment(entries, ExperimentConfig("star", (0.5,), runs=1, seed=seed))
+        except DegenerateRange:
+            return True
+        return False
+
+    seed = next(s for s in range(1000) if not degenerate(s) and degenerate(s + 1))
+    path.write_text(HEADER + "".join(f"{m},{c}\n" for m, c in rows), encoding="utf-8")
+    return seed
+
+
+@needs_two_cpus
+class TestSplitEval:
+    """Two or more seeded runs of ``eval`` are run in two processes, and the report
+    bytes, manifest counts, errors and exit codes are those of one process."""
+
+    @pytest.mark.parametrize("runs", [2, 5])
+    @pytest.mark.parametrize("model", ["core", "all", "star"])
+    def test_report_and_manifest_match_one_cpu(self, eval_corpus, tmp_path, model, runs):
+        out = tmp_path / "r.json"  # one path for both: the report embeds the run id
+        outputs = []
+        for one_cpu in (False, True):
+            forks = tmp_path / f"forks{int(one_cpu)}"
+            result = run_command("eval", eval_argv(eval_corpus, out, model, runs), one_cpu, forks)
+            assert result.returncode == EXIT_OK, result.stderr
+            assert result.stderr == b""
+            manifest = json.loads((tmp_path / "r.json.manifest.json").read_text())
+            outputs.append((out.read_bytes(), manifest["row_drops"], len(forked(forks))))
+        (split_bytes, split_drops, split_forks), (one_bytes, one_drops, one_forks) = outputs
+        assert (split_forks, one_forks) == (1, 0)
+        assert split_bytes == one_bytes
+        assert split_drops == one_drops
+        assert [record["run"] for record in split_drops["runs"]] == list(range(runs)) * 5
+
+    def test_csv_report_matches_one_cpu(self, eval_corpus, tmp_path):
+        out = tmp_path / "r.csv"
+        argv = eval_argv(eval_corpus, out, "star", 3, "--report-format", "csv")
+        reports = []
+        for one_cpu in (False, True):
+            assert run_command("eval", argv, one_cpu).returncode == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_one_run_never_forks(self, eval_corpus, tmp_path):
+        forks = tmp_path / "forks"
+        result = run_command("eval", eval_argv(eval_corpus, tmp_path / "r.json", "star", 1),
+                             forks=forks)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert forked(forks) == []
+
+    def test_interrupt_after_the_fork_dies_by_sigint(self, eval_corpus, tmp_path):
+        out, forks = tmp_path / "r.json", tmp_path / "forks"
+        src = str(Path(reaction_lens.__file__).parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", TRACK_FORKS, "eval", *eval_argv(eval_corpus, out, "star", 30)],
+            env={**os.environ, "PYTHONPATH": src, "FORKS": str(forks)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not (forks.exists() and forks.read_text().endswith("\n")):
+                assert proc.poll() is None, "eval ended before it forked"
+                assert time.monotonic() < deadline, "no fork within 120 s"
+                time.sleep(0.005)
+            time.sleep(0.05)  # into both processes' runs, about 0.4 s each
+            os.killpg(proc.pid, signal.SIGINT)  # Ctrl-C reaches the whole process group
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == -signal.SIGINT
+        assert err == b"reaction-lens: interrupted\n"
+        assert len(forked(forks)) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forks"]  # no report, no *.tmp
+
+
+def forcing_two_cpus(monkeypatch, fork=None):
+    """Let ``_halves`` split on any machine; return the child pids ``os.fork`` gave."""
+    real_fork, pids = os.fork, []
+
+    def tracked():
+        pid = (fork or real_fork)()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", tracked)
+    return pids
+
+
+def test_split_eval_falls_back_in_process_when_fork_fails(eval_corpus, tmp_path, monkeypatch):
+    def fork():
+        raise OSError("no fork")
+
+    out = tmp_path / "r.json"
+    argv = eval_argv(eval_corpus, out, "star", 3)
+    one = run_command("eval", argv, one_cpu=True)
+    assert one.returncode == EXIT_OK, one.stderr
+    one_bytes = out.read_bytes()
+    out.unlink()
+    forcing_two_cpus(monkeypatch, fork)
+    assert main(["eval", *argv]) == EXIT_OK
+    assert out.read_bytes() == one_bytes
+
+
+def test_degenerate_range_in_the_childs_runs_is_the_one_process_error(tmp_path, monkeypatch,
+                                                                      capsys):
+    corpus = tmp_path / "c.csv"
+    seed = star_degenerate_in_run_1(corpus)
+    out = tmp_path / "r.json"
+    argv = ["--input", str(corpus), "--output", str(out), "--model", "star", "--splits", "50",
+            "--runs", "2", "--seed", str(seed)]
+    one = run_command("eval", argv, one_cpu=True)
+    pids = forcing_two_cpus(monkeypatch)
+    code = main(["eval", *argv])
+    err = capsys.readouterr().err
+    assert len(pids) == 1  # run 1, the one that fails, was the child's
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)  # reaped
+    assert (code, err.encode()) == (one.returncode, one.stderr) == (
+        EXIT_DATA,
+        b"reaction-lens: degenerate data: all training aggregates are equal (split 50%, run 1)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv"]

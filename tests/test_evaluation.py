@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -560,3 +562,43 @@ def test_prepare_equals_per_entry_oracle(seed, model, n, known_words, words_as):
     assert got == want
     assert list(ids.items()) == list(oracle_ids.items())
     assert tally["excluded"] == oracle_tally["excluded"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    model=st.sampled_from(["core", "all", "star"]),
+    runs=st.integers(2, 5),
+    fractions=st.sampled_from([(0.5,), (0.9, 0.5), (0.5, 0.95, 0.7)]),
+)
+def test_runs_split_across_two_processes_give_the_same_report(seed, model, runs, fractions):
+    # The map the eval command passes, made to fork on any machine: a child runs
+    # the later runs and sends their rows and records back through marshal.
+    from reaction_lens.cli import _map_runs
+
+    rng = random.Random(seed)
+    corpus = [
+        ([f"w{rng.randrange(40)}" for _ in range(rng.randint(1, 6))], random_counts(rng))
+        for _ in range(rng.randint(30, 90))
+    ]
+    config = ExperimentConfig(model, fractions, runs, seed % 1000)
+    real_fork, pids = os.fork, []
+
+    def tracked_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    outcomes = []
+    for map_runs in (map, _map_runs):
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+                mock.patch.object(os, "fork", tracked_fork):
+            try:
+                report = run_experiment(corpus, config, map_runs)
+            except (DegenerateRange, EmptySide) as exc:
+                outcomes.append(repr(exc))
+            else:
+                outcomes.append((report, report.accounting))
+    assert len(pids) == 1  # the default map never forks
+    assert outcomes[1] == outcomes[0]
