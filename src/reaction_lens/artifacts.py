@@ -10,6 +10,11 @@ followed by one tab-separated line per word with its entry count and one
 body checksum, the field count of every entry line and that every count
 and decimal parses, naming the first bad line in file order; it
 reproduces every vector bit-exactly.
+
+``load_lexicon`` parses every entry line.  A ``LexiconFile`` makes the same
+checks, with the same errors, when it is opened: it checks the numbers of
+every line by their digit shape (``_SHAPE``), and then parses only the
+lines of the words it is asked for, until it is asked for every line.
 """
 
 from __future__ import annotations
@@ -107,27 +112,34 @@ def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None)
 _LOAD_BLOCK = 2048
 
 
+def _line_error(line, stride) -> str | None:
+    """Why an entry line fails to load, or None."""
+    fields = line.split("\t")
+    if len(fields) != stride:
+        return f"entry line has {len(fields)} fields: {line!r}"
+    try:
+        int(fields[1])
+        for v in fields[2:]:
+            float(v)
+    except ValueError:
+        return f"unparseable entry line: {line!r}"
+    return None
+
+
 def _entry_error(lines, stride) -> str:
     """Why entry lines failed to load: the first bad line, in file order."""
     for line in lines:
-        fields = line.split("\t")
-        if len(fields) != stride:
-            return f"entry line has {len(fields)} fields: {line!r}"
-        try:
-            int(fields[1])
-            for v in fields[2:]:
-                float(v)
-        except ValueError:
-            return f"unparseable entry line: {line!r}"
+        if error := _line_error(line, stride):
+            return error
     raise AssertionError("no bad entry line")
 
 
-def load_lexicon(source) -> ReactionLexicon:
-    """Read a lexicon artifact back into a ReactionLexicon.
+def _read(source):
+    """Check an artifact up to its numbers and split its body into entry lines.
 
-    Raises VersionMismatch for unsupported format versions, SchemaMismatch
-    for a schema no model has, and CorruptArtifact for checksum or
-    structural failures.
+    The checks are the magic line, the version, the headers, the schema,
+    the body checksum and the field count of every entry line.  Returns the
+    lexicon with no entries yet, the entry lines and the declared entry count.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -211,23 +223,79 @@ def load_lexicon(source) -> ReactionLexicon:
     lines = list(filter(None, body.split("\n")))
     if set(map(str.count, lines, repeat("\t"))) - {stride - 1}:
         raise CorruptArtifact(_entry_error(lines, stride))
-    entries = {}
+    return ReactionLexicon(schema, {}, train_entries, train_mean, meta), lines, declared
+
+
+def _parse(entries, lines, stride, picked=None) -> None:
+    """Parse ``lines``, or ``lines[i]`` for each ``i`` in ``picked``, into ``entries``."""
+    chosen = lines if picked is None else [lines[i] for i in picked]
     try:
-        for start in range(0, len(lines), _LOAD_BLOCK):
-            fields = "\t".join(lines[start:start + _LOAD_BLOCK]).split("\t")
+        for start in range(0, len(chosen), _LOAD_BLOCK):
+            fields = "\t".join(chosen[start:start + _LOAD_BLOCK]).split("\t")
             counts = map(int, fields[1::stride])
             vectors = zip(*(map(float, fields[k::stride]) for k in range(2, stride)))
             entries.update(zip(fields[0::stride], zip(vectors, counts)))
     except ValueError:
         raise CorruptArtifact(_entry_error(lines, stride)) from None
-    if len(entries) != declared:
-        raise CorruptArtifact(
-            f"artifact declares {declared} entries but contains {len(entries)}"
-        )
-    return ReactionLexicon(
-        schema=schema,
-        entries=entries,
-        train_entry_count=train_entries,
-        train_mean=train_mean,
-        meta=meta,
-    )
+
+
+def _check_count(found, declared) -> None:
+    if found != declared:
+        raise CorruptArtifact(f"artifact declares {declared} entries but contains {found}")
+
+
+# ASCII digits 1-9 to 0.  ``int`` and ``float`` accept or reject a field
+# whatever ASCII digits it holds, so a field parses exactly when its shape
+# does (tests/test_corpus_io.py::test_a_number_parses_exactly_when_its_shape_does).
+_SHAPE = bytes.maketrans(b"123456789", b"000000000")
+
+
+def _check_numbers(lines, stride) -> None:
+    """Raise the CorruptArtifact of a full load if a count or decimal of
+    ``lines`` would not parse, checking each distinct shape once."""
+    shaped = "\n".join(lines).encode("utf-8").translate(_SHAPE).split(b"\n") if lines else ()
+    # A shape keeps the tab after the word, so the word's field is empty.
+    shapes = {line[line.find(b"\t"):] for line in shaped}
+    if any(_line_error(shape.decode("utf-8"), stride) for shape in shapes):
+        raise CorruptArtifact(_entry_error(lines, stride))
+
+
+class LexiconFile:
+    """A lexicon artifact opened with every check ``load_lexicon`` makes,
+    whose entry lines are parsed only when ``parse`` or ``parse_all`` asks.
+
+    ``lexicon`` holds the entries parsed so far; parsing adds entries and
+    changes no value.
+    """
+
+    def __init__(self, source):
+        self.lexicon, self._lines, declared = _read(source)
+        self._stride = 2 + self.lexicon.schema.size
+        _check_numbers(self._lines, self._stride)
+        # Each word's last line, the one whose value a full load keeps.
+        self._rows = {line.partition("\t")[0]: i for i, line in enumerate(self._lines)}
+        _check_count(len(self._rows), declared)
+
+    def parse(self, words) -> None:
+        """Parse the entry lines of ``words``; a word with none is skipped."""
+        entries, rows = self.lexicon.entries, self._rows
+        wanted = set(words).difference(entries)
+        _parse(entries, self._lines, self._stride, [rows[w] for w in wanted if w in rows])
+
+    def parse_all(self) -> None:
+        """Parse every entry line, as ``load_lexicon`` does; a word parsed before gets the
+        same value again."""
+        _parse(self.lexicon.entries, self._lines, self._stride)
+
+
+def load_lexicon(source) -> ReactionLexicon:
+    """Read a lexicon artifact back into a ReactionLexicon.
+
+    Raises VersionMismatch for unsupported format versions, SchemaMismatch
+    for a schema no model has, and CorruptArtifact for checksum or
+    structural failures.
+    """
+    lexicon, lines, declared = _read(source)
+    _parse(lexicon.entries, lines, 2 + lexicon.schema.size)
+    _check_count(len(lexicon.entries), declared)
+    return lexicon

@@ -12,7 +12,9 @@ formats rely on the sidecar naming convention.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data;
 an interrupted command dies by SIGINT (``entry``).  ``predict`` scores a large chunk
 of a regular file, and ``eval`` two or more seeded runs, in two processes (``_halves``),
-with the same output bytes.
+with the same output bytes.  A ``predict`` input too short to split, such as stdin, parses
+only the lexicon lines of its messages' words (``artifacts.LexiconFile``) for its first
+chunks, and then the whole lexicon.
 
 Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
 ``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
@@ -34,10 +36,10 @@ import sys
 import time
 from collections import Counter
 from contextlib import ExitStack
-from itertools import islice
+from itertools import chain, islice
 
 from . import __version__
-from .artifacts import atomic_write, load_lexicon, save_lexicon
+from .artifacts import LexiconFile, atomic_write, load_lexicon, save_lexicon
 from .engine import ALL_SCHEMA, CORE_SCHEMA, MODELS, POLAR_REACTIONS, count_getter, predict
 from .errors import (
     CorruptArtifact,
@@ -380,6 +382,11 @@ _CHUNK = 32_768
 # 14 ms with a 30k-word lexicon (page tables, copy-on-write of refcounted pages) and saves
 # half of about 16 us per message.
 _MIN_SPLIT = 2_048
+# The chunks of an input too short to split (_has_lines) that parse only their words' lexicon
+# lines, one call each, before every line is parsed.  Stdin is read a line per chunk, and a
+# call costs about 20 us more than the same lines in a full parse: 256 calls add about 6 ms
+# to a long pipe, against about 86 ms to parse all of a 30k-word lexicon.
+_PARTIAL_CHUNKS = 256
 
 
 def _halves(score, items, min_split) -> list:
@@ -424,10 +431,40 @@ def _halves(score, items, min_split) -> list:
     return [first, second or score(items[half:])]
 
 
+def _has_lines(path, count) -> bool:
+    """Whether ``path`` is a regular file with ``count`` newlines or more.
+
+    Reading stops at the ``count``-th, with ``os.pread``: no file offset moves, even where
+    opening ``/dev/stdin`` shares the offset of descriptor 0.  A path that cannot be read, or
+    a system without ``pread``, counts as short; the command reports an error when it opens
+    the path itself.
+    """
+    try:
+        # A pipe can be read only once, so it is never opened here.
+        if not hasattr(os, "pread") or not stat.S_ISREG(os.stat(path).st_mode):
+            return False
+        with open(path, "rb", buffering=0) as fh:
+            seen = offset = 0
+            while seen < count and (block := os.pread(fh.fileno(), 1 << 16, offset)):
+                seen += block.count(b"\n")
+                offset += len(block)
+            return seen >= count
+    except OSError:
+        return False
+
+
 def _cmd_predict(args) -> int:
     from .cleaning import clean_message
 
-    lexicon = load_lexicon(args.lexicon)  # first, so a bad lexicon is the error reported
+    # The lexicon first, so a bad lexicon is the error reported.  A file of _MIN_SPLIT lines or
+    # more is split in halves after a full load, which costs it less than opening a LexiconFile.
+    # A shorter input parses only the lexicon lines of its messages' words, chunk by chunk,
+    # for its first _PARTIAL_CHUNKS chunks (stdin can be long), and then every line at once.
+    if args.input != "-" and _has_lines(args.input, _MIN_SPLIT):
+        lexicon_file, lexicon = None, load_lexicon(args.lexicon)
+    else:
+        lexicon_file = LexiconFile(args.lexicon)
+        lexicon = lexicon_file.lexicon  # holds the entries parsed so far
     clean_config = _clean_config(args)
     run = None
     if args.output != "-":
@@ -436,10 +473,16 @@ def _cmd_predict(args) -> int:
     # "%.17g" % x is format(x, ".17g"), the digits of evaluation.format_float.
     template = ",".join(["%.17g"] * lexicon.schema.size) + " coverage=%.17g\n"
 
+    def clean(line):
+        return clean_message(line.rstrip("\n"), clean_config).tokens
+
     def score(lines):
+        token_lists = map(clean, lines)
+        if lexicon_file is not None:  # a chunk's words are parsed before they are looked up
+            token_lists = list(token_lists)
+            lexicon_file.parse(chain.from_iterable(token_lists))
         text, coverages = [], []
-        for line in lines:
-            tokens = clean_message(line.rstrip("\n"), clean_config).tokens
+        for tokens in token_lists:
             vector, coverage = predict(tokens, lexicon)
             text.append(template % (*vector, coverage))
             coverages.append(coverage)
@@ -462,7 +505,10 @@ def _cmd_predict(args) -> int:
         )
         # A co-process that writes a message to a pipe gets its answer before it writes the next.
         answer_each_line = chunk == 1 and sink is sys.stdout
-        for lines in iter(lambda: list(islice(source, chunk)), []):
+        for chunks, lines in enumerate(iter(lambda: list(islice(source, chunk)), [])):
+            if lexicon_file is not None and chunks == _PARTIAL_CHUNKS:
+                lexicon_file.parse_all()
+                lexicon_file = None
             for text, coverages in _halves(score, lines, _MIN_SPLIT):
                 sink.write(text)
                 messages += len(coverages)

@@ -191,8 +191,10 @@ class ReactionLexicon(
 ):
     """Mapping word -> (mean reaction vector, number of training entries).
 
-    A lexicon is a finished table: ``Fold.lexicon`` and
-    ``artifacts.load_lexicon`` are the only places that make one.
+    Only ``Fold.lexicon`` and the ``artifacts`` reader make one.
+    ``Fold.lexicon`` and ``artifacts.load_lexicon`` give a finished table.
+    An ``artifacts.LexiconFile`` holds the entries of the words parsed so
+    far; the ``predict`` command parses a chunk's words before it scores them.
 
     ``train_mean`` is the component-wise mean over all training entries'
     vectors (not over words); it is the fallback prediction for messages

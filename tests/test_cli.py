@@ -19,11 +19,12 @@ import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, entry, main
 from reaction_lens.artifacts import load_lexicon
 from reaction_lens.corpus_io import corpus_rows
-from reaction_lens.errors import DegenerateRange
+from reaction_lens.errors import CorruptArtifact, DegenerateRange
 
 from oracles import (
     Counts,
     oracle_lexicon,
+    oracle_load_entries,
     oracle_nearest_half,
     oracle_star_vectors,
     oracle_train_mean,
@@ -621,6 +622,165 @@ class TestTrainPredict:
             "train", "--input", str(corpus), "--output", str(tmp_path / "s.lex"),
             "--model", "star",
         ]) == EXIT_DATA
+
+
+def resign(text, body):
+    """``text``'s headers over ``body``, with the checksum of ``body``."""
+    head = text[:text.index("#sha256\t")]
+    return head + f"#sha256\t{hashlib.sha256(body.encode('utf-8')).hexdigest()}\n" + body
+
+
+@pytest.fixture(scope="module")
+def small_chunk_inputs(tmp_path_factory):
+    """An all lexicon of a 60-word synth vocabulary, and its entry lines."""
+    root = tmp_path_factory.mktemp("small-chunk")
+    corpus, lexicon = root / "c.csv", root / "all.lex"
+    assert main(["synth", "--output", str(corpus), "--rows", "400", "--vocab-size", "60",
+                 "--seed", "13"]) == EXIT_OK
+    assert main(["train", "--input", str(corpus), "--output", str(lexicon), "--model", "all"]) \
+        == EXIT_OK
+    text = lexicon.read_text(encoding="utf-8")
+    body = text[text.index("\n", text.index("#sha256\t")) + 1:]
+    return {"lexicon": lexicon, "text": text, "body": body}
+
+
+class TestSmallChunkParse:
+    """An input too short to split parses only its words' lexicon lines; the lexicon's
+    checks, the predictions and the manifest counts are those of a full load."""
+
+    @pytest.mark.parametrize("stdin", [False, True])
+    def test_bad_decimal_on_an_unused_word_exits_4(self, small_chunk_inputs, tmp_path, stdin):
+        text, body = small_chunk_inputs["text"], small_chunk_inputs["body"]
+        lines = body.split("\n")
+        fields = lines[-2].split("\t")  # the last word's line; the message does not use it
+        fields[3] = "0.5x"
+        lines[-2] = "\t".join(fields)
+        lexicon = tmp_path / "bad.lex"
+        lexicon.write_text(resign(text, "\n".join(lines)), encoding="utf-8")
+        with pytest.raises(CorruptArtifact) as expected:
+            oracle_load_entries("\n".join(lines), load_lexicon(small_chunk_inputs["lexicon"]).schema)
+        message, out = lines[0].split("\t")[0] + "\n", tmp_path / "p.txt"
+        argv = ["--lexicon", str(lexicon), "--output", str(out)]
+        if stdin:
+            result = run_predict(argv, input=message.encode("utf-8"))
+        else:
+            (tmp_path / "m.txt").write_text(message, encoding="utf-8")
+            result = run_predict([*argv, "--input", str(tmp_path / "m.txt")])
+        assert (result.returncode, result.stderr.decode("utf-8")) == (
+            EXIT_SCHEMA, f"reaction-lens: schema error: {expected.value}\n")
+        assert not out.exists()
+        assert not list(tmp_path.glob("p.txt*"))
+
+    def test_has_lines_counts_the_newlines_of_a_regular_file_only(self, tmp_path):
+        import threading
+
+        from reaction_lens.cli import _MIN_SPLIT, _has_lines
+
+        short, full, unended = tmp_path / "short.txt", tmp_path / "full.txt", tmp_path / "u.txt"
+        short.write_bytes(b"w\n" * (_MIN_SPLIT - 1))
+        full.write_bytes(b"w\n" * _MIN_SPLIT)
+        unended.write_bytes(b"w\n" * (_MIN_SPLIT - 1) + b"w")  # counted by its newlines
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        answers = {}
+        # A pipe is never opened here: opening one would wait for a writer.
+        probe = threading.Thread(target=lambda: answers.update(fifo=_has_lines(fifo, 1)),
+                                 daemon=True)
+        probe.start()
+        probe.join(10)
+        assert not probe.is_alive()
+        assert answers == {"fifo": False}
+        assert [_has_lines(path, _MIN_SPLIT) for path in (short, full, unended)] == [
+            False, True, False]
+        assert not _has_lines(tmp_path, 1)  # a directory
+        assert not _has_lines(tmp_path / "missing.txt", 1)
+
+    @pytest.mark.parametrize("stdin, lines, calls_made", [
+        (False, 2047, ["open"]), (False, 2048, ["load"]),
+        (True, 256, ["open"]), (True, 257, ["open", "parse_all"]),
+    ])
+    def test_which_lexicon_path_an_input_takes(self, small_chunk_inputs, tmp_path, monkeypatch,
+                                               capsys, stdin, lines, calls_made):
+        # A file of _MIN_SPLIT lines or more loads the whole lexicon; a shorter input opens a
+        # LexiconFile, and after _PARTIAL_CHUNKS chunks (lines, on stdin) parses every line.
+        from reaction_lens import cli
+
+        assert (cli._MIN_SPLIT, cli._PARTIAL_CHUNKS) == (2048, 256)
+        calls = []
+
+        class Recorded(cli.LexiconFile):
+            def __init__(self, source):
+                calls.append("open")
+                super().__init__(source)
+
+            def parse_all(self):
+                calls.append("parse_all")
+                super().parse_all()
+
+        def load(source):
+            calls.append("load")
+            return load_lexicon(source)
+
+        monkeypatch.setattr(cli, "LexiconFile", Recorded)
+        monkeypatch.setattr(cli, "load_lexicon", load)
+        messages = "".join(f"w{i}\n" for i in range(lines)).encode("utf-8")
+        argv = ["predict", "--lexicon", str(small_chunk_inputs["lexicon"]), "--output", "-"]
+        if stdin:
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(messages)))
+        else:
+            (tmp_path / "m.txt").write_bytes(messages)
+            argv += ["--input", str(tmp_path / "m.txt")]
+        assert main(argv) == EXIT_OK
+        assert calls == calls_made
+        assert len(capsys.readouterr().out.splitlines()) == lines
+
+    # "dev-stdin" is --input /dev/stdin with stdin redirected from a file: counting the file's
+    # newlines first must not use up any of it, also where the open shares stdin's offset.
+    @pytest.mark.parametrize("lines, how", [(1, "file"), (100, "pipe"), (300, "pipe"),
+                                            (100, "file"), (2048, "file"), (100, "dev-stdin"),
+                                            (2048, "dev-stdin")])
+    def test_predictions_match_a_full_load(self, small_chunk_inputs, tmp_path, lines, how):
+        from reaction_lens.cleaning import CleanConfig, clean_message
+        from reaction_lens.cli import _MIN_SPLIT, _PARTIAL_CHUNKS
+        from reaction_lens.engine import predict
+
+        assert (lines >= _MIN_SPLIT) == (lines == 2048)
+        assert (lines > _PARTIAL_CHUNKS) == (lines in (300, 2048))
+        vocab = sorted(load_lexicon(small_chunk_inputs["lexicon"]).entries)
+        # Known words, known and unknown ones, unknown ones only, and an empty line; the
+        # known words recur, as a later chunk meets words an earlier one parsed.
+        def message(i):
+            known = [vocab[i * 7 % len(vocab)], vocab[i * 3 % len(vocab)]]
+            return " ".join((known, known[:1] + [f"zz{i}"], ["zz", "qq"], [])[i % 4])
+
+        messages = "".join(message(i) + "\n" for i in range(lines))
+        out = tmp_path / "p.txt"
+        argv = ["--lexicon", str(small_chunk_inputs["lexicon"]), "--output", str(out)]
+        (tmp_path / "m.txt").write_text(messages, encoding="utf-8")
+        if how == "pipe":
+            result = run_predict(argv, input=messages.encode("utf-8"))
+        elif how == "file":
+            result = run_predict([*argv, "--input", str(tmp_path / "m.txt")])
+        else:
+            with open(tmp_path / "m.txt", "rb") as stdin:
+                result = run_predict([*argv, "--input", "/dev/stdin"], stdin=stdin)
+        assert result.returncode == EXIT_OK, result.stderr
+
+        lexicon, config = load_lexicon(small_chunk_inputs["lexicon"]), CleanConfig()
+        expected, coverage_sum = [], 0.0
+        for message in messages.splitlines():
+            vector, coverage = predict(clean_message(message, config).tokens, lexicon)
+            expected.append(",".join("%.17g" % v for v in vector) + " coverage=%.17g\n" % coverage)
+            coverage_sum += coverage
+        coverages = [float(line.rsplit("=", 1)[1]) for line in expected]
+        assert out.read_text(encoding="utf-8") == "".join(expected)
+        manifest = json.loads((tmp_path / "p.txt.manifest.json").read_text())
+        assert manifest["row_drops"] == {
+            "messages": lines,
+            "mean_coverage": coverage_sum / lines,
+            "zero_coverage_share": coverages.count(0.0) / lines,
+        }
+        assert lines == 1 or 0 < coverages.count(0.0) < lines
 
 
 class TestEvalCommand:

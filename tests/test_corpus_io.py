@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from oracles import Counts, build_lexicon, oracle_load_corpus, oracle_load_entries
 from reaction_lens import artifacts, corpus_io
-from reaction_lens.artifacts import atomic_write, load_lexicon, save_lexicon
+from reaction_lens.artifacts import LexiconFile, atomic_write, load_lexicon, save_lexicon
 from reaction_lens.corpus_io import (
     MalformedRow,
     corpus_entries,
@@ -771,6 +771,61 @@ def _break_line(line, data, kind=None):
     return "\t".join(fields)
 
 
+def _mutated_artifact(lex, data):
+    """``lex`` saved with its entry lines broken as a drawn ``MUTATIONS`` kind
+    says, then re-signed so that loading gets past the checksum: the
+    artifact's text and its body."""
+    sink = io.StringIO()
+    save_lexicon(lex, sink)
+    lines = sink.getvalue().split("\n")
+    sha = next(i for i, line in enumerate(lines) if line.startswith("#sha256\t"))
+    head, entry_lines = lines[:sha], lines[sha + 1:-1]
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if kind == "blank line":
+        entry_lines.insert(data.draw(st.integers(0, len(entry_lines))), "")
+    elif kind != "none" and entry_lines:
+        i = data.draw(st.integers(0, len(entry_lines) - 1))
+        if kind == "duplicate word":
+            j = data.draw(st.integers(0, len(entry_lines) - 1))
+            word = entry_lines[i].split("\t")[0]
+            entry_lines.append(word + "\t" + entry_lines[j].split("\t", 1)[1])
+        elif kind == "two bad lines":
+            for k in range(i, min(i + 2, len(entry_lines))):
+                entry_lines[k] = _break_line(entry_lines[k], data)
+        else:
+            entry_lines[i] = _break_line(entry_lines[i], data, kind)
+    body = "".join(line + "\n" for line in entry_lines)
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    return "".join(line + "\n" for line in head) + f"#sha256\t{digest}\n" + body, body
+
+
+def _parses(parse, text):
+    try:
+        parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Texts that int and float accept or reject for more than their ASCII digits:
+# other scripts' digits, signs, exponents, underscores, whitespace, length.
+SHAPE_TEXTS = ODD_NUMBERS + (
+    "0123456789", "-0.5", "+9", "1e-05", "1E+5", "1e999", "0x1f", "1.2.3",
+    "\u0661\u0662", "\u0663.\u0665", "\u0de7\u0de8", "\u0de9.\u0dea",
+    "1_2_3", "1__0", "_1", "1_", "1._5", " 12 ", "\u3000-7\u3000", "\x0b3.5\n",
+    "9" * 5000, "1" * 5000 + ".5",
+)
+
+
+@pytest.mark.parametrize("text", SHAPE_TEXTS, ids=range(len(SHAPE_TEXTS)))
+def test_a_number_parses_exactly_when_its_shape_does(text):
+    # The premise of LexiconFile's check: each distinct shape is parsed once for all
+    # the fields that share it.
+    shape = text.encode("utf-8").translate(artifacts._SHAPE).decode("utf-8")
+    for parse in (int, float):
+        assert _parses(parse, shape) == _parses(parse, text), (parse, text)
+
+
 class TestLexiconPersistence:
     def test_round_trip_identity(self, tmp_path):
         lex = build_lexicon(
@@ -801,29 +856,7 @@ class TestLexiconPersistence:
     )
     @given(lex=lexicons(), data=st.data())
     def test_blocked_parse_matches_per_line_oracle(self, lex, data):
-        sink = io.StringIO()
-        save_lexicon(lex, sink)
-        lines = sink.getvalue().split("\n")
-        sha = next(i for i, line in enumerate(lines) if line.startswith("#sha256\t"))
-        head, entry_lines = lines[:sha], lines[sha + 1:-1]
-        kind = data.draw(st.sampled_from(MUTATIONS))
-        if kind == "blank line":
-            entry_lines.insert(data.draw(st.integers(0, len(entry_lines))), "")
-        elif kind != "none" and entry_lines:
-            i = data.draw(st.integers(0, len(entry_lines) - 1))
-            if kind == "duplicate word":
-                j = data.draw(st.integers(0, len(entry_lines) - 1))
-                word = entry_lines[i].split("\t")[0]
-                entry_lines.append(word + "\t" + entry_lines[j].split("\t", 1)[1])
-            elif kind == "two bad lines":
-                for k in range(i, min(i + 2, len(entry_lines))):
-                    entry_lines[k] = _break_line(entry_lines[k], data)
-            else:
-                entry_lines[i] = _break_line(entry_lines[i], data, kind)
-        # Re-sign the body so that loading gets past the checksum.
-        body = "".join(line + "\n" for line in entry_lines)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-        text = "".join(line + "\n" for line in head) + f"#sha256\t{digest}\n" + body
+        text, body = _mutated_artifact(lex, data)
         block = data.draw(st.sampled_from([1, 2, 3, artifacts._LOAD_BLOCK]))
         with mock.patch.object(artifacts, "_LOAD_BLOCK", block):
             try:
@@ -837,6 +870,56 @@ class TestLexiconPersistence:
                 assert list(entries) == list(expected)
                 # repr tells floats apart bit for bit, nan and the sign of zero too.
                 assert repr(list(entries.values())) == repr(list(expected.values()))
+
+    # The mutated lexicons of the test above; no shrink phase either.
+    @settings(
+        max_examples=300, deadline=None,
+        phases=(Phase.explicit, Phase.reuse, Phase.generate),
+    )
+    @given(lex=lexicons(), data=st.data())
+    def test_subset_parse_matches_per_line_oracle(self, lex, data):
+        text, body = _mutated_artifact(lex, data)
+        in_file = [line.split("\t")[0] for line in body.split("\n") if line]
+        # Words of the file, a broken line's among them or not, and absent words.
+        words = (st.sampled_from(in_file) if in_file else st.nothing()) | WORDS
+        word_sets = data.draw(st.lists(st.lists(words, max_size=6), min_size=1, max_size=3))
+        block = data.draw(st.sampled_from([1, 2, 3, artifacts._LOAD_BLOCK]))
+        with mock.patch.object(artifacts, "_LOAD_BLOCK", block):
+            try:
+                expected = oracle_load_entries(body, lex.schema)
+            except CorruptArtifact as exc:
+                with pytest.raises(CorruptArtifact) as info:
+                    LexiconFile(io.StringIO(text)).parse(word_sets[0])
+                assert str(info.value) == str(exc)
+                return
+            opened = LexiconFile(io.StringIO(text))
+            asked = set()
+            for word_set in word_sets:  # as chunks ask, each keeping what came before
+                opened.parse(word_set)
+                asked.update(word_set)
+                entries = opened.lexicon.entries
+                present = sorted(asked.intersection(expected))
+                assert sorted(entries) == present
+                # repr tells floats apart bit for bit, nan and the sign of zero too.
+                assert repr([entries[w] for w in present]) == repr([expected[w] for w in present])
+            opened.parse(expected)  # every word of the file
+            everything = opened.lexicon.entries
+            assert sorted(everything) == sorted(expected)
+            assert repr([everything[w] for w in expected]) == repr(list(expected.values()))
+            whole = LexiconFile(io.StringIO(text))
+            whole.parse(word_sets[0])
+            whole.parse_all()  # the lines of every word, parsed or not
+            assert sorted(whole.lexicon.entries) == sorted(expected)
+            assert repr([whole.lexicon.entries[w] for w in expected]) == repr(list(expected.values()))
+
+    @pytest.mark.parametrize("declared", [1, 3])
+    def test_declared_entry_count_is_checked_on_open(self, declared):
+        sink = io.StringIO()
+        save_lexicon(build_lexicon([({"a", "b"}, (1, 0, 0, 0, 0))], CORE_SCHEMA), sink)
+        text = sink.getvalue().replace("#entries\t2\n", f"#entries\t{declared}\n")
+        for read in (load_lexicon, LexiconFile):
+            with pytest.raises(CorruptArtifact, match=f"declares {declared} entries but contains 2"):
+                read(io.StringIO(text))
 
     def test_empty_lexicon_round_trip(self, tmp_path):
         lex = build_lexicon([], CORE_SCHEMA)
