@@ -4,17 +4,18 @@ Every file written by path goes through ``atomic_write``: a temporary file
 in the same directory that replaces the target only once it is complete.
 
 The lexicon artifact is line-oriented UTF-8 text: a handful of ``#`` header
-lines (format version, schema, entry count, train-mean fallback, checksum)
-followed by one tab-separated line per word with its entry count and one
-17-significant-digit decimal per schema reaction.  Loading verifies the
-body checksum, the field count of every entry line and that every count
-and decimal parses, naming the first bad line in file order; it
-reproduces every vector bit-exactly.
+lines (format version, schema, entry count, train-mean fallback, the run id
+``meta`` holds, checksum) followed by one tab-separated line per word with
+its entry count and one 17-significant-digit decimal per schema reaction.
+Loading verifies the body checksum, the field count of every entry line and
+that every count and decimal parses, naming the first bad line in file
+order; a loaded lexicon, vectors and run id alike, saves back to its own bytes.
 
-``load_lexicon`` parses every entry line.  A ``LexiconFile`` makes the same
-checks, with the same errors, when it is opened: it checks the numbers of
-every line by their digit shape (``_SHAPE``), and then parses only the
-lines of the words it is asked for, until it is asked for every line.
+``load_lexicon`` parses every entry line, a block (``engine.blocks``) at a
+time.  A ``LexiconFile`` makes the same checks, with the same errors, when
+it is opened: it checks the numbers of every line by their digit shape
+(``_SHAPE``), and then parses only the lines of the words it is asked for,
+until it is asked for every line.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from contextlib import contextmanager, suppress
 from itertools import repeat
 from pathlib import Path
 
-from .engine import SCHEMAS, ReactionLexicon, get_schema
+from .engine import SCHEMAS, ReactionLexicon, blocks, get_schema
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -77,8 +78,9 @@ def _format_floats(values) -> str:
 _LINE_BREAKING = re.compile("[\t\n\r]")
 
 
-def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None) -> None:
-    """Write a lexicon to ``sink`` (path or text file object)."""
+def save_lexicon(lexicon: ReactionLexicon, sink) -> None:
+    """Write a lexicon to ``sink`` (path or text file object), with the run id
+    ``lexicon.meta`` holds, if it holds one, as its ``#manifest`` header."""
     schema = lexicon.schema
     line = "%s\t%d" + "\t%.17g" * schema.size + "\n"
     body_lines = []
@@ -97,8 +99,8 @@ def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None)
         f"#train_entries\t{lexicon.train_entry_count}\n",
         f"#mean\t{mean}\n",
     ]
-    if manifest_id:
-        header.append(f"#manifest\t{manifest_id}\n")
+    if "manifest" in lexicon.meta:
+        header.append(f"#manifest\t{lexicon.meta['manifest']}\n")
     header.append(f"#sha256\t{digest}\n")
     text = "".join(header) + body
     if isinstance(sink, (str, Path)):
@@ -106,10 +108,6 @@ def save_lexicon(lexicon: ReactionLexicon, sink, manifest_id: str | None = None)
             fh.write(text)
     else:
         sink.write(text)
-
-
-# Entry lines parsed per join-and-split; bounds the field list held at once.
-_LOAD_BLOCK = 2048
 
 
 def _line_error(line, stride) -> str | None:
@@ -228,10 +226,10 @@ def _read(source):
 
 def _parse(entries, lines, stride, picked=None) -> None:
     """Parse ``lines``, or ``lines[i]`` for each ``i`` in ``picked``, into ``entries``."""
-    chosen = lines if picked is None else [lines[i] for i in picked]
+    chosen = lines if picked is None else map(lines.__getitem__, picked)
     try:
-        for start in range(0, len(chosen), _LOAD_BLOCK):
-            fields = "\t".join(chosen[start:start + _LOAD_BLOCK]).split("\t")
+        for block in blocks(chosen):  # a block's lines are joined and split at once
+            fields = "\t".join(block).split("\t")
             counts = map(int, fields[1::stride])
             vectors = zip(*(map(float, fields[k::stride]) for k in range(2, stride)))
             entries.update(zip(fields[0::stride], zip(vectors, counts)))

@@ -94,8 +94,10 @@ class _Run:
             # A pipe or device can be read only once, and the command needs it.
             if stat.S_ISREG(os.stat(path).st_mode):
                 digest, size = hashlib.sha256(), 0
-                with open(path, "rb") as fh:
-                    for block in iter(lambda: fh.read(1 << 20), b""):
+                with open(path, "rb", buffering=0) as fh:
+                    # os.pread moves no file offset, which opening /dev/stdin may share (_has_lines).
+                    read = getattr(os, "pread", lambda fd, n, offset: fh.read(n))
+                    while block := read(fh.fileno(), 1 << 20, size):
                         digest.update(block)
                         size += len(block)
                 checksum = digest.hexdigest()
@@ -360,8 +362,8 @@ def _cmd_train(args) -> int:
     tally: Counter = Counter()
     entries = corpus_entries(args.input, args.format, args.columns, errors)
     fold, _ = fit(prepare(entries, args.model, ids, tally), args.model, ids)
-    lexicon = fold.lexicon()
-    save_lexicon(lexicon, args.output, manifest_id=run.id)
+    lexicon = fold.lexicon()._replace(meta={"manifest": run.id})
+    save_lexicon(lexicon, args.output)
     run.finish([args.output], {
         "malformed_rows": len(errors),
         "entries_used": lexicon.train_entry_count,

@@ -104,7 +104,7 @@ def divide_columns(parts: Sequence[Sequence], totals: Sequence):
     return kept, [list(map(truediv, part, totals)) for part in parts]
 
 
-_BLOCK = 512  # entries per block of the fold and the eval scorer, chosen by measurement
+_BLOCK = 512  # items per block of every blocked loop (``blocks``), chosen by measurement
 
 
 def blocks(items: Iterable) -> Iterator[list]:
@@ -219,7 +219,8 @@ class ReactionLexicon(
 def mean_vector(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """Component-wise mean of one or more vectors, each sum taken in order.
 
-    This is ``predict``'s known-word average, which the eval scorer repeats.
+    This is ``predict``'s known-word average, which the eval scorer repeats, and
+    ``evaluation.EvalReport.value``'s mean of a cell's runs.
     The sums are plain left-to-right float additions; ``sum()`` compensates
     from Python 3.12 on and would change the last digits between versions.
     """

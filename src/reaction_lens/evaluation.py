@@ -14,8 +14,9 @@ shuffle, folded in ascending order into one growing fold (star refolds when
 a prefix widens its range) whose per-id means predict each test side.  Fold
 and score walk blocks of entries one component at a time; every sum keeps
 entry order, so each value equals a per-entry loop's.  Metrics are averaged
-within a run, then across runs.  Runs share only the prepared entries, which
-they read: ``run_experiment`` maps one run over the run indices through a
+within a run, then across runs in run order (``EvalReport.value``, through
+``engine.mean_vector``).  Runs share only the prepared entries, which they
+read: ``run_experiment`` maps one run over the run indices through a
 function it is given, so the ``eval`` command can run the later ones in a
 forked child with the same bytes.  Star adds to its positive/negative overlap
 rows a star-rating row: Gaussian kernel similarity as accuracy and exact
@@ -33,7 +34,8 @@ from collections import Counter, namedtuple
 from itertools import compress
 from typing import Iterable
 
-from .engine import MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, normalize_columns
+from .engine import (MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, mean_vector,
+                     normalize_columns)
 from .errors import DegenerateRange, EmptySide
 from .star import (
     discretize_star,
@@ -76,17 +78,16 @@ def split_label(fraction: float) -> str:
 
 
 class EvalReport:
-    """Averaged metrics per (split, reaction), with per-run raw values.
+    """Per-run metric values per (split, reaction), and their means (``value``).
 
     Reports compare by every field but ``accounting``.
     """
 
     def __init__(self, model: str, seed: int, runs: int, sigma: float,
                  reactions: tuple[str, ...], split_labels: tuple[str, ...],
-                 mean=None, per_run=None, manifest: str | None = None, accounting=None):
+                 per_run=None, manifest: str | None = None, accounting=None):
         self.model, self.seed, self.runs, self.sigma = model, seed, runs, sigma
         self.reactions, self.split_labels = reactions, split_labels
-        self.mean = {} if mean is None else mean
         self.per_run = {} if per_run is None else per_run
         self.manifest = manifest
         self.accounting = {} if accounting is None else accounting
@@ -97,7 +98,8 @@ class EvalReport:
         return {**vars(self), "accounting": None} == {**vars(other), "accounting": None}
 
     def value(self, split: str, reaction: str, metric: str) -> float:
-        return self.mean[split][reaction][metric]
+        """The mean of a cell's run values, summed in run order as ``mean_vector`` sums."""
+        return mean_vector(list(zip(self.per_run[split][reaction][metric])))[0]
 
 
 def model_schema(model: str) -> ReactionSchema:
@@ -329,10 +331,6 @@ def run_experiment(
             reaction: {metric: [means[i][j] for means in runs] for j, metric in enumerate(METRICS)}
             for i, reaction in enumerate(reactions)
         }
-        report.mean[label] = {
-            reaction: {metric: sum(values) / len(values) for metric, values in metrics.items()}
-            for reaction, metrics in report.per_run[label].items()
-        }
     return report
 
 
@@ -351,7 +349,7 @@ def report_emit(report: EvalReport, format: str = "json") -> str:
                 label: {
                     reaction: {
                         metric: {
-                            "mean": report.mean[label][reaction][metric],
+                            "mean": report.value(label, reaction, metric),
                             "per_run": report.per_run[label][reaction][metric],
                         }
                         for metric in METRICS
@@ -377,7 +375,7 @@ def report_emit(report: EvalReport, format: str = "json") -> str:
                             label,
                             reaction,
                             metric,
-                            format_float(report.mean[label][reaction][metric]),
+                            format_float(report.value(label, reaction, metric)),
                             report.runs,
                             report.seed,
                         ]

@@ -1,3 +1,4 @@
+import builtins
 import gc
 import hashlib
 import io
@@ -622,6 +623,53 @@ class TestTrainPredict:
             "train", "--input", str(corpus), "--output", str(tmp_path / "s.lex"),
             "--model", "star",
         ]) == EXIT_DATA
+
+
+@pytest.fixture
+def shared_offset(monkeypatch):
+    """Call with a path: every later ``open`` of it gets a dup of one descriptor, so all of
+    them share one file offset, as opening ``/dev/stdin`` does on macOS and the BSDs when
+    stdin is redirected from that path."""
+    real_open, fds = builtins.open, []
+
+    def share(path):
+        fd = os.open(path, os.O_RDONLY)
+        fds.append(fd)
+        monkeypatch.setattr(builtins, "open", lambda file, *args, **kwargs: real_open(
+            os.dup(fd) if file == str(path) else file, *args, **kwargs))
+
+    yield share
+    for fd in fds:
+        os.close(fd)
+
+
+class TestSharedInputOffset:
+    """The input checksum of a manifest reads the input without moving its file offset."""
+
+    def test_clean_reads_every_row(self, tmp_path, shared_offset):
+        corpus, out = tmp_path / "c.csv", tmp_path / "o.csv"
+        corpus.write_text(HEADER + "".join(f"w{i} x,1,0,0,0,0,0,0\n" for i in range(50)),
+                          encoding="utf-8")
+        shared_offset(corpus)
+        assert main(["clean", "--input", str(corpus), "--output", str(out)]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 50
+        manifest = json.loads((tmp_path / "o.csv.manifest.json").read_text())
+        assert manifest["row_drops"]["rows_out"] == 50
+        assert manifest["inputs"][0]["sha256"] == hashlib.sha256(corpus.read_bytes()).hexdigest()
+
+    def test_predict_scores_every_message(self, tmp_path, shared_offset):
+        corpus, lexicon = tmp_path / "c.csv", tmp_path / "core.lex"
+        write_two_entry_corpus(corpus)
+        assert main(["train", "--input", str(corpus), "--output", str(lexicon)]) == EXIT_OK
+        messages, out = tmp_path / "m.txt", tmp_path / "p.txt"
+        messages.write_text("a c\nzz\n" * 5, encoding="utf-8")
+        shared_offset(messages)
+        assert main(["predict", "--lexicon", str(lexicon), "--input", str(messages),
+                     "--output", str(out)]) == EXIT_OK
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 10
+        manifest = json.loads((tmp_path / "p.txt.manifest.json").read_text())
+        assert manifest["row_drops"]["messages"] == 10
+        assert manifest["inputs"][1]["sha256"] == hashlib.sha256(messages.read_bytes()).hexdigest()
 
 
 def resign(text, body):

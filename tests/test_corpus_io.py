@@ -13,7 +13,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from oracles import Counts, build_lexicon, oracle_load_corpus, oracle_load_entries
-from reaction_lens import artifacts, corpus_io
+from reaction_lens import artifacts, corpus_io, engine
 from reaction_lens.artifacts import LexiconFile, atomic_write, load_lexicon, save_lexicon
 from reaction_lens.corpus_io import (
     MalformedRow,
@@ -841,11 +841,11 @@ class TestLexiconPersistence:
     @given(lex=lexicons(), manifest=st.none() | st.text("0123456789abcdef", min_size=1))
     def test_round_trip_random_bitexact(self, tmp_path_factory, lex, manifest):
         path = tmp_path_factory.getbasetemp() / "round_trip.lex"
-        save_lexicon(lex, path, manifest_id=manifest)
+        save_lexicon(lex._replace(meta={"manifest": manifest} if manifest else {}), path)
         loaded = load_lexicon(path)
         assert loaded == lex  # bit-exact vectors and counts
         again = io.StringIO()
-        save_lexicon(loaded, again, manifest_id=loaded.meta.get("manifest"))
+        save_lexicon(loaded, again)  # the run id comes back in meta
         assert again.getvalue().encode("utf-8") == path.read_bytes()
 
     # No shrink phase: shrinking a failing lexicon here took minutes and
@@ -857,8 +857,8 @@ class TestLexiconPersistence:
     @given(lex=lexicons(), data=st.data())
     def test_blocked_parse_matches_per_line_oracle(self, lex, data):
         text, body = _mutated_artifact(lex, data)
-        block = data.draw(st.sampled_from([1, 2, 3, artifacts._LOAD_BLOCK]))
-        with mock.patch.object(artifacts, "_LOAD_BLOCK", block):
+        block = data.draw(st.sampled_from([1, 2, 3, _BLOCK]))
+        with mock.patch.object(engine, "_BLOCK", block):
             try:
                 expected = oracle_load_entries(body, lex.schema)
             except CorruptArtifact as exc:
@@ -883,8 +883,8 @@ class TestLexiconPersistence:
         # Words of the file, a broken line's among them or not, and absent words.
         words = (st.sampled_from(in_file) if in_file else st.nothing()) | WORDS
         word_sets = data.draw(st.lists(st.lists(words, max_size=6), min_size=1, max_size=3))
-        block = data.draw(st.sampled_from([1, 2, 3, artifacts._LOAD_BLOCK]))
-        with mock.patch.object(artifacts, "_LOAD_BLOCK", block):
+        block = data.draw(st.sampled_from([1, 2, 3, _BLOCK]))
+        with mock.patch.object(engine, "_BLOCK", block):
             try:
                 expected = oracle_load_entries(body, lex.schema)
             except CorruptArtifact as exc:
@@ -975,10 +975,19 @@ class TestLexiconPersistence:
     def test_manifest_id_preserved_in_meta(self, tmp_path):
         lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
         path = tmp_path / "m.lex"
-        save_lexicon(lex, path, manifest_id="abc123")
+        save_lexicon(lex._replace(meta={"manifest": "abc123"}), path)
         loaded = load_lexicon(path)
         assert loaded.meta["manifest"] == "abc123"
         assert loaded == lex  # meta does not affect equality
+
+    def test_empty_manifest_line_saves_back(self):
+        lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
+        sink = io.StringIO()
+        save_lexicon(lex._replace(meta={"manifest": ""}), sink)
+        assert "\n#manifest\t\n" in sink.getvalue()
+        again = io.StringIO()
+        save_lexicon(load_lexicon(io.StringIO(sink.getvalue())), again)
+        assert again.getvalue() == sink.getvalue()
 
 
 class TestSaveCorpus:

@@ -281,15 +281,12 @@ class TestRunExperiment:
         b = run_experiment(list(corpus), config)
         assert a == b
 
-    def test_mean_is_order_independent(self):
-        # Averaging per-entry metrics must not depend on iteration order.
-        rng = random.Random(33)
-        values = [rng.random() for _ in range(2000)]
-        forward = sum(values) / len(values)
-        shuffled = values[:]
-        rng.shuffle(shuffled)
-        backward = sum(shuffled) / len(shuffled)
-        assert forward == pytest.approx(backward, abs=1e-12)
+    def test_run_mean_sums_in_run_order(self):
+        # Plain left-to-right additions on every Python version; sum() compensates from
+        # 3.12 on and gives 0.19999999999999998 here.
+        report = EvalReport("core", 0, 3, 1.0, ("love",), ("50",),
+                            per_run={"50": {"love": {"f1": [0.1, 0.2, 0.3]}}})
+        assert report.value("50", "love", "f1") == ((0.1 + 0.2) + 0.3) / 3 == 0.20000000000000004
 
 
 class TestReportEmit:
@@ -315,7 +312,7 @@ class TestReportEmit:
             for reaction, metrics in reactions.items():
                 assert list(metrics) == list(METRICS)
                 for metric, values in metrics.items():
-                    assert values["mean"] == report.mean[label][reaction][metric]
+                    assert values["mean"] == report.value(label, reaction, metric)
                     assert values["per_run"] == report.per_run[label][reaction][metric]
 
     def test_json_deterministic(self, report):
@@ -438,7 +435,10 @@ class TestRunExperimentMatchesLiteralLoop:
                 for j, metric in enumerate(METRICS):
                     values = [means[i][j] for means in runs]
                     assert report.per_run[label][reaction][metric] == values
-                    assert report.value(label, reaction, metric) == sum(values) / len(values)
+                    total = 0.0
+                    for value in values:  # in run order; sum() compensates from Python 3.12 on
+                        total += value
+                    assert report.value(label, reaction, metric) == total / len(values)
 
     @pytest.mark.parametrize("model", ["core", "all", "star"])
     def test_bit_equal(self, model):

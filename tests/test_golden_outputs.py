@@ -138,5 +138,5 @@ def test_lexicon_load_save_round_trip(outputs, model):
     path = outputs / f"{model}.lex"
     lexicon = load_lexicon(path)
     sink = io.StringIO()
-    save_lexicon(lexicon, sink, manifest_id=lexicon.meta["manifest"])
+    save_lexicon(lexicon, sink)
     assert sink.getvalue().encode("utf-8") == path.read_bytes()

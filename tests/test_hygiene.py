@@ -8,6 +8,8 @@
 - Every public top-level function and class of the package is referenced
   somewhere in the package or in ``perfbench/*.py``, so a helper that no
   command or benchmark runs does not stay behind.
+- The modules that add floats never read ``sum``, whose result differs
+  between Python versions.
 """
 
 import ast
@@ -122,3 +124,20 @@ def test_every_public_definition_is_used():
         and node.name not in referenced
     ]
     assert not unused, f"public definitions no module or benchmark uses: {', '.join(unused)}"
+
+
+# Float sums in these modules are plain left-to-right additions, as ``engine.mean_vector``
+# takes them: ``sum()`` compensates from Python 3.12 on, which changes the last digits of a
+# report or prediction between versions.  ``engine.normalize_columns`` adds integer counts.
+FLOAT_SUM_MODULES = ("evaluation", "star", "artifacts", "cli")
+
+
+@pytest.mark.parametrize("stem", FLOAT_SUM_MODULES)
+def test_no_builtin_sum(stem):
+    path = PACKAGE / f"{stem}.py"
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Name) and node.id == "sum"
+    ]
+    assert not lines, f"{path.name} reads sum() on lines {lines}; add in order instead"
