@@ -7,9 +7,10 @@ The lexicon artifact is line-oriented UTF-8 text: a handful of ``#`` header
 lines (format version, schema, entry count, train-mean fallback, the run id
 ``meta`` holds, checksum) followed by one tab-separated line per word with
 its entry count and one 17-significant-digit decimal per schema reaction.
-Loading verifies the body checksum, the field count of every entry line and
-that every count and decimal parses, naming the first bad line in file
-order; a loaded lexicon, vectors and run id alike, saves back to its own bytes.
+Loading verifies the body checksum, that a ``#manifest`` header holds one
+value, the field count of every entry line and that every count and decimal
+parses, naming the first bad line in file order; a loaded lexicon, vectors
+and run id alike, saves back to its own bytes.
 
 ``load_lexicon`` parses every entry line, a block (``engine.blocks``) at a
 time.  A ``LexiconFile`` makes the same checks, with the same errors, when
@@ -27,7 +28,7 @@ from contextlib import contextmanager, suppress
 from itertools import repeat
 from pathlib import Path
 
-from .engine import SCHEMAS, ReactionLexicon, blocks, get_schema
+from .engine import DECIMAL, SCHEMAS, ReactionLexicon, blocks, get_schema
 from .errors import (
     CorruptArtifact,
     SchemaMismatch,
@@ -71,10 +72,6 @@ def atomic_write(path, newline=None):
         raise
 
 
-def _format_floats(values) -> str:
-    return "\t".join(format(v, ".17g") for v in values)
-
-
 _LINE_BREAKING = re.compile("[\t\n\r]")
 
 
@@ -82,7 +79,7 @@ def save_lexicon(lexicon: ReactionLexicon, sink) -> None:
     """Write a lexicon to ``sink`` (path or text file object), with the run id
     ``lexicon.meta`` holds, if it holds one, as its ``#manifest`` header."""
     schema = lexicon.schema
-    line = "%s\t%d" + "\t%.17g" * schema.size + "\n"
+    line = "%s\t%d" + ("\t" + DECIMAL) * schema.size + "\n"
     body_lines = []
     for word in sorted(lexicon.entries):
         if _LINE_BREAKING.search(word):
@@ -91,7 +88,7 @@ def save_lexicon(lexicon: ReactionLexicon, sink) -> None:
         body_lines.append(line % (word, count, *vector))
     body = "".join(body_lines)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    mean = "-" if lexicon.train_mean is None else _format_floats(lexicon.train_mean)
+    mean = "-" if lexicon.train_mean is None else "\t".join(DECIMAL % v for v in lexicon.train_mean)
     header = [
         f"{LEXICON_MAGIC} {LEXICON_VERSION}\n",
         f"#schema\t{schema.name}\t{','.join(schema.reactions)}\n",
@@ -169,7 +166,9 @@ def _read(source):
         pos = end + 1
         key, values = fields[0], fields[1:]
         if key == "manifest":
-            meta["manifest"] = values[0] if values else ""
+            if len(values) != 1:
+                raise CorruptArtifact("malformed #manifest header")
+            meta["manifest"] = values[0]
         else:
             headers[key] = values
         if key == "sha256":

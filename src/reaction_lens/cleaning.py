@@ -14,6 +14,7 @@ The pipeline applies a fixed sequence of steps:
 
 Tokenization splits on whitespace only; punctuation stays inside tokens.
 Steps never rewrite a surviving token, which makes the pipeline idempotent.
+``clean_message`` returns the kept tokens and counts removals by ``COUNTERS``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import cache
-from typing import NamedTuple
 
 ZWJ = "‍"
 # A token of only ASCII letters and digits and the Sinhala block has no
@@ -101,35 +101,9 @@ class CleanConfig(
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through _make
 
 
-class CleanedMessage(NamedTuple):
-    tokens: tuple[str, ...]
-
-    @property
-    def text(self) -> str:
-        return " ".join(self.tokens)
-
-    @property
-    def empty(self) -> bool:
-        return not self.tokens
-
-
-class CleanStats:
-    """Token/character removal counters, accumulated across messages; compared by value."""
-
-    __slots__ = ("zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
-                 "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens")
-
-    def __init__(self, **counters: int):
-        for name in self.__slots__:
-            setattr(self, name, counters.pop(name, 0))
-        if counters:
-            raise TypeError(f"unknown CleanStats counters {sorted(counters)}")
-
-    def __eq__(self, other):
-        return self.as_dict() == other.as_dict() if type(other) is type(self) else NotImplemented
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+# The removal counters ``clean_message`` adds to, in manifest order.
+COUNTERS = ("zwj_deleted", "controls_replaced", "url_tokens", "email_tokens", "tag_tokens",
+            "hashtag_tokens", "foreign_tokens", "stopword_tokens", "digit_tokens")
 
 
 def is_eligible_word(token: str) -> bool:
@@ -165,13 +139,11 @@ def _pattern_drop(token: str) -> str | None:
     return None
 
 
-def clean_message(
-    raw: str, config: CleanConfig, stats: CleanStats | None = None
-) -> CleanedMessage:
-    """Run the full cleaning pipeline on one message.
+def clean_message(raw: str, config: CleanConfig, stats: dict | None = None) -> tuple[str, ...]:
+    """The tokens of one message that the full cleaning pipeline keeps.
 
-    Degenerate inputs yield an empty CleanedMessage; nothing raises.  When
-    ``stats`` is given, per-step removal counters are incremented on it.
+    Degenerate inputs yield an empty tuple; nothing raises.  When ``stats`` (a
+    dict keyed by ``COUNTERS``) is given, each step's removals are added to it.
     """
     # Cc/Cf characters, ZWJ among them, are all non-printable, so printable
     # text has none to delete or replace.
@@ -179,8 +151,8 @@ def clean_message(
     if not raw.isprintable():
         text, controls = _replace_controls()(" ", raw.replace(ZWJ, ""))
         if stats is not None:
-            stats.zwj_deleted += raw.count(ZWJ)
-            stats.controls_replaced += controls
+            stats["zwj_deleted"] += raw.count(ZWJ)
+            stats["controls_replaced"] += controls
     if config.casefold_ascii:
         text = text.translate(_ASCII_FOLD)
     kept: list[str] = []
@@ -198,8 +170,8 @@ def clean_message(
                 kept.append(token)
                 continue
         if stats is not None:
-            setattr(stats, dropped, getattr(stats, dropped) + 1)
-    return CleanedMessage(tuple(kept))
+            stats[dropped] += 1
+    return tuple(kept)
 
 
 def read_stopwords(path) -> frozenset[str]:

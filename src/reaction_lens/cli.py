@@ -40,7 +40,7 @@ from itertools import chain, islice
 
 from . import __version__
 from .artifacts import LexiconFile, atomic_write, load_lexicon, save_lexicon
-from .engine import ALL_SCHEMA, CORE_SCHEMA, MODELS, POLAR_REACTIONS, count_getter, predict
+from .engine import ALL_SCHEMA, CORE_SCHEMA, DECIMAL, MODELS, POLAR_REACTIONS, count_getter, predict
 from .errors import (
     CorruptArtifact,
     DegenerateRange,
@@ -288,29 +288,29 @@ def _clean_config(args):
 
 
 def _cmd_clean(args) -> int:
-    from .cleaning import CleanStats, clean_message
+    from .cleaning import COUNTERS, clean_message
     from .corpus_io import corpus_rows, save_corpus
 
     clean_config = _clean_config(args)
     run = _Run(args, ("input", "output", "format", "stopwords", "casefold_ascii", "columns"),
                [args.input, args.stopwords])
     errors = []
-    clean_stats = CleanStats()
+    clean_stats = dict.fromkeys(COUNTERS, 0)
     tally: Counter = Counter()
     core_counts = count_getter(CORE_SCHEMA.reactions)
     polar_counts = count_getter(POLAR_REACTIONS)
 
     def kept(rows):
         for message, counts, record_id in rows:
-            cleaned = clean_message(message, clean_config, clean_stats)
-            if cleaned.empty:
+            tokens = clean_message(message, clean_config, clean_stats)
+            if not tokens:
                 tally["empty"] += 1
                 continue
             if not any(core_counts(counts)):
                 tally["zero_core"] += 1
             if not any(polar_counts(counts)):
                 tally["zero_polar"] += 1
-            yield cleaned.text, counts, record_id
+            yield " ".join(tokens), counts, record_id
 
     rows = corpus_rows(args.input, args.format, args.columns, errors)
     rows_out = save_corpus(kept(rows), args.output, args.format)
@@ -321,7 +321,7 @@ def _cmd_clean(args) -> int:
         "rows_out": rows_out,
         "kept_with_zero_core_total": tally["zero_core"],
         "kept_with_zero_polar_total": tally["zero_polar"],
-        "token_removals": clean_stats.as_dict(),
+        "token_removals": clean_stats,
     }
     run.finish([args.output], drops)
     print(
@@ -472,11 +472,10 @@ def _cmd_predict(args) -> int:
     if args.output != "-":
         run = _Run(args, ("lexicon", "input", "output", "stopwords", "casefold_ascii"),
                    [args.lexicon, None if args.input == "-" else args.input, args.stopwords])
-    # "%.17g" % x is format(x, ".17g"), the digits of evaluation.format_float.
-    template = ",".join(["%.17g"] * lexicon.schema.size) + " coverage=%.17g\n"
+    template = ",".join([DECIMAL] * lexicon.schema.size) + " coverage=" + DECIMAL + "\n"
 
     def clean(line):
-        return clean_message(line.rstrip("\n"), clean_config).tokens
+        return clean_message(line.rstrip("\n"), clean_config)
 
     def score(lines):
         token_lists = map(clean, lines)

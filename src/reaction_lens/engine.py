@@ -65,6 +65,8 @@ POLAR_REACTIONS = tuple(r for r, polarity in POLARITY.items() if polarity != "un
 # distributions, and star-sentiment vectors over STAR_SCHEMA.
 MODELS = ("core", "all", "star")
 
+DECIMAL = "%.17g"  # every float written (lexicons, predictions, reports) reads back exactly
+
 
 def get_schema(name: str) -> ReactionSchema:
     try:

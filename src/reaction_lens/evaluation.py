@@ -34,8 +34,8 @@ from collections import Counter, namedtuple
 from itertools import compress
 from typing import Iterable
 
-from .engine import (MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema, mean_vector,
-                     normalize_columns)
+from .engine import (DECIMAL, MODELS, STAR_SCHEMA, Fold, ReactionSchema, blocks, get_schema,
+                     mean_vector, normalize_columns)
 from .errors import DegenerateRange, EmptySide
 from .star import (
     discretize_star,
@@ -375,7 +375,7 @@ def report_emit(report: EvalReport, format: str = "json") -> str:
                             label,
                             reaction,
                             metric,
-                            format_float(report.value(label, reaction, metric)),
+                            DECIMAL % report.value(label, reaction, metric),
                             report.runs,
                             report.seed,
                         ]
@@ -383,6 +383,3 @@ def report_emit(report: EvalReport, format: str = "json") -> str:
         return out.getvalue()
     raise ValueError(f"unknown report format {format!r}")
 
-
-def format_float(value: float) -> str:
-    return format(value, ".17g")

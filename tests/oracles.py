@@ -190,7 +190,7 @@ def oracle_clean(raw, stopwords, casefold_ascii, control_ranges):
 
     ``control_ranges`` is the cleaner's pinned Cc/Cf table (inclusive
     codepoint ranges, ZWJ excluded).  Returns the kept tokens and the nine
-    ``CleanStats`` counters as a dict.
+    removal counters as a dict, in ``cleaning.COUNTERS`` order.
     """
     counters = dict.fromkeys(
         ("zwj_deleted", "controls_replaced", "url_tokens", "email_tokens",

@@ -16,8 +16,8 @@ from reaction_lens.cleaning import (
     _CONTROL_RANGES,
     _replace_controls,
     CONTROL_RANGES_UNICODE,
+    COUNTERS,
     CleanConfig,
-    CleanStats,
     clean_message,
     is_eligible_word,
     read_stopwords,
@@ -50,85 +50,71 @@ class TestGolden:
         assert len(data["cases"]) >= 30
         config = CleanConfig(stopwords=frozenset(data["stopwords"]))
         for case in data["cases"]:
-            cleaned = clean_message(case["raw"], config)
-            assert cleaned.text == case["text"], f"raw={case['raw']!r}"
-            assert cleaned.tokens == tuple(case["text"].split())
-            assert set(cleaned.tokens) == set(case["text"].split())
+            tokens = clean_message(case["raw"], config)
+            assert " ".join(tokens) == case["text"], f"raw={case['raw']!r}"
+            assert tokens == tuple(case["text"].split())
+            assert set(tokens) == set(case["text"].split())
 
 
 class TestPipelineRules:
     def test_zwj_deleted_not_spaced(self):
-        cleaned = clean_message("a‍b", CleanConfig())
-        assert cleaned.text == "ab"
+        tokens = clean_message("a‍b", CleanConfig())
+        assert " ".join(tokens) == "ab"
 
     def test_each_removal_rule(self):
-        cleaned = clean_message(
+        tokens = clean_message(
             "hello @user #tag http://a.b 123 world", CleanConfig()
         )
-        assert cleaned.text == "hello world"
-        assert cleaned.tokens == ("hello", "world")
+        assert " ".join(tokens) == "hello world"
+        assert tokens == ("hello", "world")
 
     def test_whitespace_collapse(self):
-        assert clean_message("word1   word2\tword3", CleanConfig()).text == (
+        assert " ".join(clean_message("word1   word2\tword3", CleanConfig())) == (
             "word1 word2 word3"
         )
 
     def test_all_removable_yields_empty(self):
-        cleaned = clean_message("http://a.b 123 999", CleanConfig())
-        assert cleaned.text == ""
-        assert cleaned.tokens == ()
-        assert set(cleaned.tokens) == set()
-        assert cleaned.empty
+        tokens = clean_message("http://a.b 123 999", CleanConfig())
+        assert " ".join(tokens) == ""
+        assert tokens == ()
+        assert set(tokens) == set()
+        assert not tokens
 
     def test_stopwords_matched_per_token(self):
         config = CleanConfig(stopwords=frozenset({"saha"}))
-        assert clean_message("x saha y sahay", config).text == "x y sahay"
+        assert " ".join(clean_message("x saha y sahay", config)) == "x y sahay"
 
     def test_casefold_ascii_opt_in(self):
-        assert clean_message("MiXeD", CleanConfig()).text == "MiXeD"
+        assert " ".join(clean_message("MiXeD", CleanConfig())) == "MiXeD"
         folded = clean_message("MiXeD සABC", CleanConfig(casefold_ascii=True))
-        assert folded.text == "mixed සabc"
+        assert " ".join(folded) == "mixed සabc"
 
     def test_casefold_ascii_folds_the_stopwords_too(self):
         stopwords = frozenset({"Saha", "mama"})
         message = "SAHA saha Saha mama Mama w1"
-        stats = CleanStats()
+        stats = dict.fromkeys(COUNTERS, 0)
         folded = clean_message(message, CleanConfig(stopwords, True), stats)
-        assert folded.tokens == ("w1",)
-        assert stats.stopword_tokens == 5
+        assert folded == ("w1",)
+        assert stats["stopword_tokens"] == 5
         # Without folding, a stopword matches only its own spelling.
-        assert clean_message(message, CleanConfig(stopwords)).tokens == ("SAHA", "saha", "Mama", "w1")
+        assert clean_message(message, CleanConfig(stopwords)) == ("SAHA", "saha", "Mama", "w1")
 
     def test_stats_counters(self):
-        stats = CleanStats()
+        stats = dict.fromkeys(COUNTERS, 0)
         clean_message(
             "‍ x\x01y @a #b http://c d@e.f 12 中 stop",
             CleanConfig(stopwords=frozenset({"stop"})),
             stats,
         )
-        assert stats.zwj_deleted == 1
-        assert stats.controls_replaced == 1
-        assert stats.tag_tokens == 1
-        assert stats.hashtag_tokens == 1
-        assert stats.url_tokens == 1
-        assert stats.email_tokens == 1
-        assert stats.digit_tokens == 1
-        assert stats.foreign_tokens == 1
-        assert stats.stopword_tokens == 1
-
-    def test_stats_compare_by_value(self):
-        assert CleanStats(url_tokens=2) == CleanStats(url_tokens=2)
-        assert CleanStats(url_tokens=2) != CleanStats(url_tokens=1)
-        assert CleanStats() != {name: 0 for name in CleanStats().as_dict()}
-        assert list(CleanStats(digit_tokens=4).as_dict().items())[-2:] == [
-            ("stopword_tokens", 0), ("digit_tokens", 4),
-        ]
-
-    def test_stats_reject_an_unknown_counter(self):
-        with pytest.raises(TypeError, match="nope"):
-            CleanStats(nope=1)
-        with pytest.raises(AttributeError):
-            CleanStats().nope = 1
+        assert stats["zwj_deleted"] == 1
+        assert stats["controls_replaced"] == 1
+        assert stats["tag_tokens"] == 1
+        assert stats["hashtag_tokens"] == 1
+        assert stats["url_tokens"] == 1
+        assert stats["email_tokens"] == 1
+        assert stats["digit_tokens"] == 1
+        assert stats["foreign_tokens"] == 1
+        assert stats["stopword_tokens"] == 1
 
     def test_config_rejects_whitespace_stopwords(self):
         with pytest.raises(ValueError):
@@ -159,30 +145,29 @@ class TestProperties:
         for _ in range(10_000):
             raw = random_unicode_string(rng)
             once = clean_message(raw, config)
-            twice = clean_message(once.text, config)
-            assert twice.text == once.text
-            assert twice.tokens == once.tokens
+            twice = clean_message(" ".join(once), config)
+            assert twice == once
 
     def test_output_alphabet(self):
         # Every output character is ASCII, Sinhala-block, or the space.
         rng = random.Random(77)
         config = CleanConfig()
         for _ in range(3000):
-            cleaned = clean_message(random_unicode_string(rng), config)
-            for c in cleaned.text:
+            text = " ".join(clean_message(random_unicode_string(rng), config))
+            for c in text:
                 cp = ord(c)
                 assert c == " " or cp <= 0x7F or 0x0D80 <= cp <= 0x0DFF
-            assert "  " not in cleaned.text
-            assert cleaned.text == cleaned.text.strip()
+            assert "  " not in text
+            assert text == text.strip()
 
     def test_no_controls_survive(self):
         rng = random.Random(99)
         config = CleanConfig()
         for _ in range(3000):
-            cleaned = clean_message(random_unicode_string(rng), config)
-            assert "‍" not in cleaned.text
+            text = " ".join(clean_message(random_unicode_string(rng), config))
+            assert "‍" not in text
             assert all(
-                unicodedata.category(c) not in ("Cc", "Cf") for c in cleaned.text
+                unicodedata.category(c) not in ("Cc", "Cf") for c in text
             )
 
 
@@ -233,11 +218,9 @@ class TestOracle:
         # CleanConfig rejects empty stopwords and ones with whitespace.
         stopwords = frozenset(w for w in stopwords if w and not any(c.isspace() for c in w))
         config = CleanConfig(stopwords=stopwords, casefold_ascii=casefold_ascii)
-        stats = CleanStats()
-        cleaned = clean_message(raw, config, stats)
-        expected, counters = oracle_clean(raw, stopwords, casefold_ascii, _CONTROL_RANGES)
-        assert cleaned.tokens == expected
-        assert stats == CleanStats(**counters)
+        stats = dict.fromkeys(COUNTERS, 0)
+        tokens = clean_message(raw, config, stats)
+        assert (tokens, stats) == oracle_clean(raw, stopwords, casefold_ascii, _CONTROL_RANGES)
 
 
 class TestStopwordFile:

@@ -19,12 +19,15 @@ import pytest
 import reaction_lens
 from reaction_lens.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, entry, main
 from reaction_lens.artifacts import load_lexicon
+from reaction_lens.cleaning import _CONTROL_RANGES
 from reaction_lens.corpus_io import corpus_rows
 from reaction_lens.errors import CorruptArtifact, DegenerateRange
 
 from oracles import (
     Counts,
+    oracle_clean,
     oracle_lexicon,
+    oracle_load_corpus,
     oracle_load_entries,
     oracle_nearest_half,
     oracle_star_vectors,
@@ -138,6 +141,45 @@ class TestCleanCommand:
         assert again.read_bytes() == cleaned.read_bytes()
         manifest2 = json.loads((tmp_path / "again.csv.manifest.json").read_text())
         assert manifest2["row_drops"]["empty_after_cleaning"] == 0
+
+    def test_token_removals_and_messages_match_the_oracle(self, tmp_path):
+        # Every cleaning rule fires, with a malformed row and a row left empty among them.
+        messages = [
+            "ස\u200dිංහල w1\x01w2 \u200bW3",  # ZWJ, a control and a format character
+            "see https://x.lk and www.y.lk HTTP://Z.LK now",
+            "mail me@x.lk @user #tag #",
+            "中文 दab hi\U0001f600 ok",
+            "saha SAHA Mama w4 mamas",
+            "123 ෧෨ 4෦5 W5x",
+            "http://only.url 99",
+            "HeLLo World",
+        ]
+        raw = tmp_path / "raw.csv"
+        raw.write_text(
+            HEADER + "".join(f"{message},1,0,2,0,0,0,0\n" for message in messages)
+            + "bad,x,0,0,0,0,0,0\n",
+            encoding="utf-8",
+        )
+        stop = tmp_path / "stop.txt"
+        stop.write_text("saha\nMama\n", encoding="utf-8")
+        cleaned = tmp_path / "c.csv"
+        assert main(["clean", "--input", str(raw), "--output", str(cleaned),
+                     "--stopwords", str(stop), "--casefold-ascii"]) == EXIT_OK
+
+        errors = []
+        rows = oracle_load_corpus(raw, errors=errors)
+        assert len(rows) == len(messages) and len(errors) == 1
+        expected, totals = [], Counter()
+        for message, _, _ in rows:
+            tokens, counters = oracle_clean(message, {"saha", "Mama"}, True, _CONTROL_RANGES)
+            expected += [" ".join(tokens)] if tokens else []
+            totals.update(counters)
+        manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+        removals = manifest["row_drops"]["token_removals"]
+        assert removals == dict(totals)
+        assert all(count > 0 for count in removals.values()), removals
+        assert [message for message, _, _ in corpus_rows(cleaned, "csv")] == expected
+        assert len(expected) == len(messages) - 1
 
     def test_stopword_file_used(self, tmp_path):
         raw = tmp_path / "raw.csv"
@@ -817,7 +859,7 @@ class TestSmallChunkParse:
         lexicon, config = load_lexicon(small_chunk_inputs["lexicon"]), CleanConfig()
         expected, coverage_sum = [], 0.0
         for message in messages.splitlines():
-            vector, coverage = predict(clean_message(message, config).tokens, lexicon)
+            vector, coverage = predict(clean_message(message, config), lexicon)
             expected.append(",".join("%.17g" % v for v in vector) + " coverage=%.17g\n" % coverage)
             coverage_sum += coverage
         coverages = [float(line.rsplit("=", 1)[1]) for line in expected]

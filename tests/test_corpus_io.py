@@ -989,6 +989,18 @@ class TestLexiconPersistence:
         save_lexicon(load_lexicon(io.StringIO(sink.getvalue())), again)
         assert again.getvalue() == sink.getvalue()
 
+    @pytest.mark.parametrize("header", ["#manifest\n", "#manifest\tabc\textra\n"])
+    @pytest.mark.parametrize("load", [load_lexicon, LexiconFile], ids=["load_lexicon", "LexiconFile"])
+    def test_manifest_header_carries_exactly_one_value(self, header, load):
+        # Neither form could save back to its own bytes: no value, or a value beside another.
+        lex = build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA)
+        sink = io.StringIO()
+        save_lexicon(lex._replace(meta={"manifest": "abc"}), sink)
+        text = sink.getvalue().replace("#manifest\tabc\n", header)
+        assert header in text
+        with pytest.raises(CorruptArtifact, match="malformed #manifest header"):
+            load(io.StringIO(text))
+
 
 class TestSaveCorpus:
     RECORDS = [

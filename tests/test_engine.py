@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reaction_lens.cleaning import CleanConfig, CleanedMessage
+from reaction_lens.cleaning import CleanConfig
 from reaction_lens.corpus_io import MalformedRow
 from reaction_lens.engine import (
     _BLOCK,
@@ -352,7 +352,6 @@ def test_add_many_equals_entry_by_entry_fold(seed, schema, first, second, preass
     build_lexicon([({"a"}, (1, 0, 0, 0, 0))], CORE_SCHEMA),
     CORE_SCHEMA,
     CleanConfig(),
-    CleanedMessage(("a",)),
     MalformedRow(3, "bad"),
     ExperimentConfig(),
 ], ids=lambda value: type(value).__name__)

@@ -93,7 +93,7 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
         namespace = {}
         exec(compile(block, str(README), "exec"), namespace)
     # The example's message keeps two corpus words once cleaned.
-    assert namespace["cleaned"].tokens == ("w0001", "w0002")
+    assert namespace["tokens"] == ("w0001", "w0002")
     assert len(namespace["vector"]) == 5 and namespace["coverage"] == 1.0
 
 
