@@ -12,9 +12,10 @@ formats rely on the sidecar naming convention.
 Exit codes: 0 success, 2 usage, 3 I/O, 4 schema/artifact, 5 degenerate data;
 an interrupted command dies by SIGINT (``entry``).  ``predict`` scores a large chunk
 of a regular file, and ``eval`` two or more seeded runs, in two processes (``_halves``),
-with the same output bytes.  A ``predict`` input too short to split, such as stdin, parses
-only the lexicon lines of its messages' words (``artifacts.LexiconFile``) for its first
-chunks, and then the whole lexicon.
+each pinned to its own half of the allowed CPUs, with the same output bytes.  A
+``predict`` input too short to split, such as stdin, parses only the lexicon lines of its
+messages' words (``artifacts.LexiconFile``) for its first chunks, and then the whole
+lexicon.
 
 Every command needs ``artifacts`` and ``engine``; ``corpus_io``,
 ``cleaning``, ``evaluation`` and ``star`` are imported inside the commands
@@ -35,7 +36,7 @@ import stat
 import sys
 import time
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from itertools import chain, islice
 
 from . import __version__
@@ -380,9 +381,10 @@ def _cmd_train(args) -> int:
 # Lines a regular message file is read in, each chunk split once.  A chunk's lines and results
 # are held at once: 200k messages peaked 9 MiB above line by line (17 MiB on one CPU).
 _CHUNK = 32_768
-# The fewest lines ``predict`` splits (``_halves``).  Break-even on 2 vCPUs: a fork costs about
-# 14 ms with a 30k-word lexicon (page tables, copy-on-write of refcounted pages) and saves
-# half of about 16 us per message.
+# The fewest lines ``predict`` splits (``_halves``), about break-even on 2 vCPUs with the halves
+# pinned and a 30k-word lexicon: 2,048 messages took 35-41 ms split and 36-38 ms in one process,
+# 4,096 took 61-64 ms and 69 ms.  The fork and the child's copy-on-write of refcounted pages
+# cost about 20 ms; a message costs about 18 us.
 _MIN_SPLIT = 2_048
 # The chunks of an input too short to split (_has_lines) that parse only their words' lexicon
 # lines, one call each, before every line is parsed.  Stdin is read a line per chunk, and a
@@ -397,12 +399,21 @@ def _halves(score, items, min_split) -> list:
     ``items`` (lines for ``predict``, run indices for ``eval``) of ``min_split`` or
     more, on two or more CPUs, are split once: a forked child scores the second half,
     the larger one when the count is odd, and pipes back its result as one ``marshal``
-    blob, and never returns.  A half whose fork, child or blob fails is scored here,
-    as in one process, so an error is raised as one process raises it.
+    blob, and never returns.  The child runs on the upper half of the sorted allowed CPU
+    set, and this process on the lower half until its own half is scored, when it gets
+    back the set it had: left alone, the kernel may keep both on one CPU, taking turns.
+    Without ``os.sched_setaffinity`` (macOS), or where a set call fails, a process runs
+    unpinned.  A half whose fork, child or blob fails is scored here, as in one process,
+    so an error is raised as one process raises it.
     """
     affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))
-    if len(items) < min_split or not hasattr(os, "fork") or len(affinity(0)) < 2:
+    if len(items) < min_split or not hasattr(os, "fork") or len(cpus := sorted(affinity(0))) < 2:
         return [score(items)]
+
+    def pin(part):  # a refusal (a cpuset that changed, say) leaves this process unpinned
+        with suppress(AttributeError, OSError):
+            os.sched_setaffinity(0, part)
+
     half = len(items) // 2
     read_end, write_end = os.pipe()
     try:
@@ -414,6 +425,7 @@ def _halves(score, items, min_split) -> list:
     if pid == 0:
         try:
             os.close(read_end)
+            pin(cpus[len(cpus) // 2:])
             with open(write_end, "wb") as pipe:
                 pipe.write(marshal.dumps(score(items[half:])))
             os._exit(0)
@@ -421,10 +433,12 @@ def _halves(score, items, min_split) -> list:
             os._exit(1)
     os.close(write_end)
     try:
+        pin(cpus[:len(cpus) // 2])
         with open(read_end, "rb") as pipe:  # closed before the wait: a blocked child exits
             first = score(items[:half])
             blob = pipe.read()
     finally:
+        pin(cpus)
         status = os.waitpid(pid, 0)[1]
     try:
         second = marshal.loads(blob) if status == 0 else None

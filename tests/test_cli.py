@@ -1332,6 +1332,11 @@ can_pin = hasattr(os, "sched_setaffinity") and len(os.sched_getaffinity(0)) >= 2
 needs_two_cpus = pytest.mark.skipif(not can_pin, reason="needs two CPUs and sched_setaffinity")
 
 
+def pin_to_one_cpu():
+    """Pin this process to the first CPU it may run on, which need not be CPU 0."""
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 def split_message(i):
     """Message ``i`` of the split tests: Sinhala and ASCII words, an empty line,
     a lone CR, unknown words only, and the stopword ``stopw``."""
@@ -1353,7 +1358,7 @@ def run_command(command, argv, one_cpu=False, forks=None, **kwargs):
     program = ["-c", TRACK_FORKS] if forks else ["-m", "reaction_lens.cli"]
     return subprocess.run(
         [sys.executable, *program, command, *argv], env=env, capture_output=True,
-        preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if one_cpu else None, timeout=120,
+        preexec_fn=pin_to_one_cpu if one_cpu else None, timeout=120,
         **kwargs)
 
 
@@ -1508,7 +1513,7 @@ class TestSplitPredict:
             [sys.executable, "-m", "reaction_lens.cli", "predict",
              *predict_argv(split_inputs, "--input", str(split_inputs["messages"]))],
             env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            preexec_fn=(lambda: os.sched_setaffinity(0, {0})) if one_cpu else None)
+            preexec_fn=pin_to_one_cpu if one_cpu else None)
         try:
             assert proc.stdout.readline().endswith(b"\n")
             proc.stdout.close()
@@ -1642,6 +1647,86 @@ class TestSplitEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["forks"]  # no report, no *.tmp
 
 
+@needs_two_cpus
+class TestPinnedHalves:
+    """The two halves run on disjoint halves of the allowed CPU set, and the command
+    gets its own set back."""
+
+    def test_halves_run_on_disjoint_cpus(self):
+        from reaction_lens.cli import _halves
+
+        before = os.sched_getaffinity(0)
+        first, second = map(set, _halves(lambda part: sorted(os.sched_getaffinity(0)),
+                                         list(range(4)), 2))
+        assert first and second and not first & second
+        assert first | second == before
+        assert os.sched_getaffinity(0) == before
+
+    def test_an_error_in_the_parents_half_gives_the_set_back(self):
+        from reaction_lens.cli import _halves
+
+        before, during = os.sched_getaffinity(0), []
+
+        def score(part):
+            if part[0] == 0:  # this process's half
+                during.append(os.sched_getaffinity(0))
+                raise ValueError("bad half")
+            return part
+
+        with pytest.raises(ValueError, match="bad half"):
+            _halves(score, [0, 1, 2, 3], 2)
+        assert during[0] < before
+        assert os.sched_getaffinity(0) == before
+
+    def test_predict_and_eval_give_the_set_back(self, split_inputs, eval_corpus, tmp_path,
+                                                monkeypatch):
+        real_pin, pins = os.sched_setaffinity, []
+
+        def pin(pid, cpus):
+            pins.append(set(cpus))  # this process's calls: the children's stay theirs
+            real_pin(pid, cpus)
+
+        before = os.sched_getaffinity(0)
+        lower = set(sorted(before)[:len(before) // 2])
+        monkeypatch.setattr(os, "sched_setaffinity", pin)
+        flags = predict_argv(split_inputs, "--input", str(split_inputs["messages"]))
+        assert main(["predict", *flags, "--output", str(tmp_path / "p.txt")]) == EXIT_OK
+        assert pins == [lower, before] * 2  # one split per chunk
+        assert os.sched_getaffinity(0) == before
+        pins.clear()
+        assert main(["eval", *eval_argv(eval_corpus, tmp_path / "r.json", "core", 2)]) == EXIT_OK
+        assert pins == [lower, before]
+        assert os.sched_getaffinity(0) == before
+
+    def test_a_refused_pin_still_uses_the_childs_half(self, split_inputs, tmp_path,
+                                                       monkeypatch):
+        from reaction_lens import cli
+
+        flags = predict_argv(split_inputs, "--input", str(split_inputs["messages"]))
+        one = run_predict(flags, one_cpu=True)
+        assert one.returncode == EXIT_OK, one.stderr
+
+        def refuse(pid, cpus):
+            raise OSError("cpuset changed")
+
+        real_halves, scored = cli._halves, []
+
+        def counting(score, items, min_split):
+            def counted(part):
+                scored.append(len(part))  # this process's calls: the child's stay its own
+                return score(part)
+            return real_halves(counted, items, min_split)
+
+        before = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        monkeypatch.setattr(cli, "_halves", counting)
+        out = tmp_path / "p.txt"
+        assert main(["predict", *flags, "--output", str(out)]) == EXIT_OK
+        assert scored == [cli._CHUNK // 2, (split_inputs["lines"] - cli._CHUNK) // 2]
+        assert out.read_bytes() == one.stdout
+        assert os.sched_getaffinity(0) == before
+
+
 def forcing_two_cpus(monkeypatch, fork=None):
     """Let ``_halves`` split on any machine; return the child pids ``os.fork`` gave."""
     real_fork, pids = os.fork, []
@@ -1653,6 +1738,8 @@ def forcing_two_cpus(monkeypatch, fork=None):
         return pid
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # Pinning to a made-up set would narrow this process's own CPUs for later tests.
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
     monkeypatch.setattr(os, "fork", tracked)
     return pids
 

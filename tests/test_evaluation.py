@@ -592,7 +592,9 @@ def test_runs_split_across_two_processes_give_the_same_report(seed, model, runs,
 
     outcomes = []
     for map_runs in (map, _map_runs):
+        # A made-up CPU set is not pinned to, which would narrow this process's own.
         with mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}), \
+                mock.patch.object(os, "sched_setaffinity", lambda pid, cpus: None, create=True), \
                 mock.patch.object(os, "fork", tracked_fork):
             try:
                 report = run_experiment(corpus, config, map_runs)
